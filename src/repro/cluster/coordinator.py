@@ -12,8 +12,9 @@ The coordinator is the cluster's single front door.  It owns:
   across the shards, each sub-query bounded by the request's remaining
   :class:`~repro.service.resilience.Deadline` budget.  On a
   single-core host sub-queries run inline instead (the pool cannot
-  overlap GIL-bound scans there and only adds dispatch latency); the
-  ``parallel_scatter`` constructor flag overrides the auto-detection.
+  overlap GIL-bound scans there and only adds dispatch latency).  A
+  single query is a batch of one: both are served by the one scatter
+  round in :meth:`ClusterCoordinator.query_batch`.
 
 Queries **degrade, never fail**: a shard that is down, errors, or
 times out is reported in :attr:`ClusterAnswer.shards_failed` and the
@@ -54,7 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Container, Sequence
 
 from ..config import PipelineConfig, QueryConfig
 from ..errors import (
@@ -83,9 +84,18 @@ CLUSTER_MANIFEST = "cluster.json"
 
 _FORMAT_VERSION = 1
 
+#: Scatter rounds a query makes while the move counter keeps changing
+#: (see :meth:`ClusterCoordinator.query_batch`).
+_SCATTER_ATTEMPTS = 3
+
 
 def _shard_dirname(shard_id: int) -> str:
     return f"shard-{shard_id:03d}"
+
+
+def _budget(deadline: Deadline | None) -> float | None:
+    """Lock-wait budget of a read: the deadline's remaining seconds."""
+    return None if deadline is None else deadline.remaining()
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +104,9 @@ class ClusterAnswer:
 
     ``matches``/``routes`` follow the exact contract of
     :class:`~repro.vdbms.database.QueryAnswer`.  ``shards_failed``
-    lists, per unavailable shard, ``{"shard", "reason", "error"}``;
+    lists, per unavailable shard, ``{"shard", "reason", "error"}`` —
+    plus a ``"*"`` entry with reason ``rebalance`` when moves kept the
+    scatter from settling (see :meth:`ClusterCoordinator.query_batch`);
     :attr:`partial` is True when at least one failed shard's data was
     *not* recovered from replicas — the client-visible signal that the
     answer may be missing shots.  With replication, a single-shard
@@ -144,7 +156,6 @@ class ClusterCoordinator:
         *,
         root: Path | None = None,
         config: PipelineConfig | None = None,
-        parallel_scatter: bool | None = None,
         replication: int = 1,
     ) -> None:
         if not shards:
@@ -165,15 +176,12 @@ class ClusterCoordinator:
         #: (covered by replicas or answered on the in-deadline retry).
         self.failovers = 0
         self.config = config or PipelineConfig()
-        if parallel_scatter is None:
-            # On a single-core host pooled sub-queries cannot run
-            # concurrently anyway (scans hold the GIL), so the pool
-            # only adds dispatch latency; scatter inline there.
-            parallel_scatter = (os.cpu_count() or 1) > 1
         #: Whether queries fan sub-queries out to the thread pool
-        #: (multi-core) or run them inline on the calling thread
-        #: (single-core).  Overridable via the constructor.
-        self.parallel_scatter = parallel_scatter
+        #: (multi-core) or run them inline on the calling thread: on a
+        #: single-core host pooled sub-queries cannot run concurrently
+        #: anyway (scans hold the GIL), so the pool only adds dispatch
+        #: latency there.
+        self.parallel_scatter = (os.cpu_count() or 1) > 1
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, len(shards)), thread_name_prefix="cluster-query"
         )
@@ -537,7 +545,7 @@ class ClusterCoordinator:
 
         Must be called between the destination adopt and the source
         remove; in-flight scatters that might have missed both copies
-        detect the bump and retry (see :meth:`query`).
+        detect the bump and retry (see :meth:`query_batch`).
         """
         with self._placement_lock:
             self._moves_seq += 1
@@ -668,7 +676,7 @@ class ClusterCoordinator:
     # scatter-gather queries
     # ------------------------------------------------------------------
 
-    def _covered_by(self, shard_id: int, ok_ids: set[int]) -> bool:
+    def _covered_by(self, shard_id: int, ok_ids: Container[int]) -> bool:
         """Whether every video on ``shard_id`` has a holder in ``ok_ids``.
 
         This is the failover completeness proof: when it holds, the
@@ -686,12 +694,65 @@ class ClusterCoordinator:
                     return False
         return True
 
+    def _scatter(
+        self, one: Callable[[Shard], Any], deadline: Deadline | None
+    ) -> tuple[dict[int, Any], list[dict[str, Any]]]:
+        """Run ``one(shard)`` on every shard, each call bounded by the
+        deadline's remaining budget.
+
+        Pooled on a multi-core host, inline otherwise; both share the
+        failure classification.  Returns ``(results, failed)``: shard
+        id -> ``one``'s value for the shards that answered, and one
+        ``shards_failed`` entry per shard that did not.
+        """
+        shards = list(self.shards)
+        if self.parallel_scatter:
+            futures = [self._pool.submit(one, shard) for shard in shards]
+        else:
+            futures = [None] * len(shards)
+        results: dict[int, Any] = {}
+        failed: list[dict[str, Any]] = []
+        for shard, future in zip(shards, futures):
+            try:
+                if future is not None:
+                    budget = _budget(deadline)
+                    if budget is not None:
+                        budget = max(budget, 0.001)
+                    results[shard.shard_id] = future.result(timeout=budget)
+                elif deadline is not None and deadline.remaining() <= 0:
+                    raise FutureTimeout()
+                else:
+                    results[shard.shard_id] = one(shard)
+            except (FutureTimeout, ServiceTimeout):
+                if future is not None:
+                    future.cancel()
+                failed.append(
+                    {
+                        "shard": shard.name,
+                        "reason": "deadline",
+                        "error": "per-shard deadline budget exhausted",
+                    }
+                )
+            except ShardUnavailableError as exc:
+                failed.append(
+                    {"shard": shard.name, "reason": "down", "error": str(exc)}
+                )
+            except Exception as exc:  # degrade, never fail the query
+                shard.errors += 1
+                failed.append(
+                    {
+                        "shard": shard.name,
+                        "reason": "error",
+                        "error": f"{type(exc).__name__}: {exc}",
+                    }
+                )
+        return results, failed
+
     def _recover_failures(
         self,
         failed: list[dict[str, Any]],
-        ok_ids: set[int],
+        results: dict[int, Any],
         one: Callable[[Shard], Any],
-        absorb: Callable[[Any], None],
         deadline: Deadline | None,
     ) -> tuple[list[dict[str, Any]], list[str]]:
         """Automatic failover after a scatter (no-op when R == 1).
@@ -701,8 +762,8 @@ class ClusterCoordinator:
         the failure is marked *recovered* — reported but not partial.
         Otherwise, a transiently-failed shard (error/deadline, not
         marked down) gets one retry inside the same ``Deadline``; a
-        successful retry folds its contribution in and clears the
-        failure entirely.  Returns ``(still_failed, recovered_names)``.
+        successful retry lands in ``results`` and clears the failure
+        entirely.  Returns ``(still_failed, recovered_names)``.
         """
         if self.replication <= 1 or not failed:
             return failed, []
@@ -714,7 +775,7 @@ class ClusterCoordinator:
             if shard is None:  # pragma: no cover - reshard mid-query
                 remaining.append(failure)
                 continue
-            if self._covered_by(shard.shard_id, ok_ids):
+            if self._covered_by(shard.shard_id, results):
                 remaining.append(failure)
                 recovered.append(shard.name)
                 continue
@@ -722,8 +783,7 @@ class ClusterCoordinator:
             in_budget = deadline is None or deadline.remaining() > 0
             if retryable and in_budget and not shard.down:
                 try:
-                    absorb(one(shard))
-                    ok_ids.add(shard.shard_id)
+                    results[shard.shard_id] = one(shard)
                     continue  # the retry answered: shard is not failed
                 except Exception:
                     pass  # the original failure entry stands
@@ -742,192 +802,74 @@ class ClusterCoordinator:
         config: QueryConfig | None = None,
         deadline: Deadline | None = None,
     ) -> ClusterAnswer:
-        """Impression query, scattered to every shard and merged.
-
-        Each shard receives the query with the *same* ``limit`` (the
-        global top-k is a subset of the union of per-shard top-k) and
-        answers under its own read lock, bounded by the request's
-        remaining deadline budget.  Failed or late shards are reported
-        in ``shards_failed``; the merged answer is built from the rest.
-
-        Shards return ranked matches only; browsing routes are computed
-        once here, for the merged winners, from scene-tree snapshots
-        the shards captured under their read locks — per-shard top-k
-        candidates that lose the merge cost no route work.
-        """
-        query = VarianceQuery(var_ba=var_ba, var_oa=var_oa)
-        ctx = _current_trace()
-        scatter = ctx.begin("cluster.scatter") if ctx is not None else None
-
-        def one(shard: Shard) -> tuple[list[IndexEntry], dict[str, SceneTree]]:
-            # Re-attach the trace on pool workers so per-shard spans
-            # parent under the scatter span (no-op when untraced).
-            with _attach(ctx, scatter):
-                with _span("shard.query", shard=shard.name) as shard_span:
-                    shard.check_up("query")
-                    timeout = None if deadline is None else deadline.remaining()
-                    with shard.lock.read_locked(timeout):
-                        answer = shard.db.query(
-                            var_ba,
-                            var_oa,
-                            limit=limit,
-                            category=category,
-                            exclude_shot=exclude_shot,
-                            config=config,
-                            with_routes=False,
-                        )
-                        # Immutable snapshots for post-merge routing:
-                        # captured under the lock, so they match the
-                        # matches even if a rebalance removes the video
-                        # from this shard later.
-                        trees = {
-                            m.video_id: shard.db.trees[m.video_id]
-                            for m in answer.matches
-                        }
-                    shard.queries += 1
-                    shard_span.annotate(matches=len(answer.matches))
-                    return answer.matches, trees
-
-        # Seqlock read side: a scatter is a non-atomic multi-shard
-        # snapshot, so a concurrent move could in principle hide its
-        # video from both reads (dest before copy, source after
-        # delete).  If the move counter changed while we gathered,
-        # re-scatter; moves are rare and each bumps the counter once,
-        # so the loop settles immediately in practice.
-        for _attempt in range(3):
-            seq = self._moves_snapshot()
-            shards = list(self.shards)
-            entries: list[IndexEntry] = []
-            trees: dict[str, SceneTree] = {}
-            failed: list[dict[str, Any]] = []
-            ok_ids: set[int] = set()
-
-            def consume(shard: Shard, get: Callable[[], Any]) -> None:
-                try:
-                    shard_entries, shard_trees = get()
-                    entries.extend(shard_entries)
-                    trees.update(shard_trees)
-                    ok_ids.add(shard.shard_id)
-                except (FutureTimeout, ServiceTimeout):
-                    failed.append(
-                        {
-                            "shard": shard.name,
-                            "reason": "deadline",
-                            "error": "per-shard deadline budget exhausted",
-                        }
-                    )
-                except ShardUnavailableError as exc:
-                    failed.append(
-                        {"shard": shard.name, "reason": "down", "error": str(exc)}
-                    )
-                except Exception as exc:  # degrade, never fail the query
-                    shard.errors += 1
-                    failed.append(
-                        {
-                            "shard": shard.name,
-                            "reason": "error",
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-
-            if self.parallel_scatter:
-                futures = [
-                    (shard, self._pool.submit(one, shard)) for shard in shards
-                ]
-                for shard, future in futures:
-                    budget = (
-                        None
-                        if deadline is None
-                        else max(deadline.remaining(), 0.001)
-                    )
-
-                    def pooled(future=future, budget=budget):
-                        try:
-                            return future.result(timeout=budget)
-                        except FutureTimeout:
-                            future.cancel()
-                            raise
-
-                    consume(shard, pooled)
-            else:
-                for shard in shards:
-
-                    def inline(shard=shard):
-                        if deadline is not None and deadline.remaining() <= 0:
-                            raise FutureTimeout()
-                        return one(shard)
-
-                    consume(shard, inline)
-            if self._moves_snapshot() == seq:
-                break
-            if deadline is not None and deadline.remaining() <= 0:
-                break  # out of budget; the partial/merged answer stands
-
-        def absorb(result: Any) -> None:
-            shard_entries, shard_trees = result
-            entries.extend(shard_entries)
-            trees.update(shard_trees)
-
-        failed, recovered = self._recover_failures(
-            failed, ok_ids, one, absorb, deadline
-        )
-        if scatter is not None:
-            scatter.annotate(
-                fan_out=len(shards),
-                shards_ok=len(ok_ids),
-                attempts=_attempt + 1,
-                gathered=len(entries),
-            )
-            if failed:
-                scatter.annotate(shards_failed=[f["shard"] for f in failed])
-            if recovered:
-                scatter.annotate(shards_recovered=recovered)
-            scatter.end()
-        with _span("cluster.merge", gathered=len(entries)) as merge_span:
-            answer = self._merge(
-                query, entries, trees, limit, len(ok_ids), failed, recovered
-            )
-            merge_span.annotate(returned=len(answer.matches))
-        return answer
+        """Impression query, scattered to every shard and merged: a
+        batch of one (:meth:`query_batch`)."""
+        return self.query_batch(
+            [(var_ba, var_oa)],
+            limit=limit,
+            category=category,
+            config=config,
+            deadline=deadline,
+            exclude_shots=[exclude_shot],
+        )[0]
 
     def query_batch(
         self,
-        points: list[tuple[float, float]],
+        points: Sequence[tuple[float, float]],
         limit: int | None = None,
         category: VideoCategory | None = None,
         config: QueryConfig | None = None,
         deadline: Deadline | None = None,
+        exclude_shots: Sequence[tuple[str, int] | None] | None = None,
     ) -> list[ClusterAnswer]:
         """Answer B impression queries in a *single* scatter-gather round.
 
         Each shard answers the whole batch in one vectorized index pass
-        (``VideoDatabase.query_batch``) under one read-lock acquisition,
-        with the per-shard top-k pushdown preserved per query; the
-        coordinator then runs the usual dedup/rank/route merge once per
-        query.  Failed shards degrade the whole batch uniformly: every
-        answer reports the same ``shards_queried`` and carries its own
-        copy of ``shards_failed``.
+        (``VideoDatabase.query_batch``) under one read-lock acquisition
+        bounded by the request's remaining deadline budget.  Every
+        query goes to every shard with the *same* ``limit`` (the global
+        top-k is a subset of the union of per-shard top-k).
+
+        Shards return ranked matches only; the coordinator then
+        dedups, ranks and caps per query, and computes browsing routes
+        once, for the merged winners, from scene-tree snapshots the
+        shards captured under their read locks — per-shard top-k
+        candidates that lose the merge cost no route work.
+
+        Failed or late shards are reported in ``shards_failed`` and the
+        answers are built from the rest.  A failure degrades the whole
+        batch uniformly: every answer reports the same
+        ``shards_queried`` and carries its own copy of
+        ``shards_failed``.  A batch of one is traced as the single
+        query it is (``shard.query`` spans, not ``shard.query_batch``).
         """
         queries = [VarianceQuery(var_ba=ba, var_oa=oa) for ba, oa in points]
-        n_queries = len(queries)
+        single = len(queries) == 1
+        shard_span_name = "shard.query" if single else "shard.query_batch"
         ctx = _current_trace()
         scatter = ctx.begin("cluster.scatter") if ctx is not None else None
-        if scatter is not None:
-            scatter.annotate(n_queries=n_queries)
+        if scatter is not None and not single:
+            scatter.annotate(n_queries=len(queries))
 
         def one(shard: Shard) -> tuple[list[list[IndexEntry]], dict[str, SceneTree]]:
+            # Re-attach the trace on pool workers so per-shard spans
+            # parent under the scatter span (no-op when untraced).
             with _attach(ctx, scatter):
-                with _span("shard.query_batch", shard=shard.name) as shard_span:
+                with _span(shard_span_name, shard=shard.name) as shard_span:
                     shard.check_up("query")
-                    timeout = None if deadline is None else deadline.remaining()
-                    with shard.lock.read_locked(timeout):
+                    with shard.lock.read_locked(_budget(deadline)):
                         answers = shard.db.query_batch(
                             points,
                             limit=limit,
                             category=category,
                             config=config,
                             with_routes=False,
+                            exclude_shots=exclude_shots,
                         )
+                        # Immutable snapshots for post-merge routing:
+                        # captured under the lock, so they match the
+                        # matches even if a rebalance removes the video
+                        # from this shard later.
                         trees = {
                             m.video_id: shard.db.trees[m.video_id]
                             for answer in answers
@@ -939,149 +881,70 @@ class ClusterCoordinator:
                     )
                     return [answer.matches for answer in answers], trees
 
-        # Same seqlock read side as ``query`` — one retry loop covers
-        # the whole batch, since the scatter is still a single
-        # multi-shard snapshot.
-        for _attempt in range(3):
+        # Seqlock read side: a scatter is a non-atomic multi-shard
+        # snapshot, so a concurrent move could in principle hide its
+        # video from both reads (dest before copy, source after
+        # delete).  If the move counter changed while we gathered,
+        # re-scatter; moves are rare and each bumps the counter once,
+        # so the loop settles immediately in practice.  A scatter that
+        # never settles may miss a moving video, so it is partial.
+        for attempt in range(1, _SCATTER_ATTEMPTS + 1):
             seq = self._moves_snapshot()
-            shards = list(self.shards)
-            per_query: list[list[IndexEntry]] = [[] for _ in range(n_queries)]
-            trees: dict[str, SceneTree] = {}
-            failed: list[dict[str, Any]] = []
-            ok_ids: set[int] = set()
-
-            def consume(shard: Shard, get: Callable[[], Any]) -> None:
-                try:
-                    shard_matches, shard_trees = get()
-                    for bucket, matches in zip(per_query, shard_matches):
-                        bucket.extend(matches)
-                    trees.update(shard_trees)
-                    ok_ids.add(shard.shard_id)
-                except (FutureTimeout, ServiceTimeout):
-                    failed.append(
-                        {
-                            "shard": shard.name,
-                            "reason": "deadline",
-                            "error": "per-shard deadline budget exhausted",
-                        }
-                    )
-                except ShardUnavailableError as exc:
-                    failed.append(
-                        {"shard": shard.name, "reason": "down", "error": str(exc)}
-                    )
-                except Exception as exc:  # degrade, never fail the batch
-                    shard.errors += 1
-                    failed.append(
-                        {
-                            "shard": shard.name,
-                            "reason": "error",
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-
-            if self.parallel_scatter:
-                futures = [
-                    (shard, self._pool.submit(one, shard)) for shard in shards
-                ]
-                for shard, future in futures:
-                    budget = (
-                        None
-                        if deadline is None
-                        else max(deadline.remaining(), 0.001)
-                    )
-
-                    def pooled(future=future, budget=budget):
-                        try:
-                            return future.result(timeout=budget)
-                        except FutureTimeout:
-                            future.cancel()
-                            raise
-
-                    consume(shard, pooled)
-            else:
-                for shard in shards:
-
-                    def inline(shard=shard):
-                        if deadline is not None and deadline.remaining() <= 0:
-                            raise FutureTimeout()
-                        return one(shard)
-
-                    consume(shard, inline)
-            if self._moves_snapshot() == seq:
+            results, failed = self._scatter(one, deadline)
+            settled = self._moves_snapshot() == seq
+            if settled or (deadline is not None and deadline.remaining() <= 0):
                 break
-            if deadline is not None and deadline.remaining() <= 0:
-                break  # out of budget; the partial/merged answers stand
-
-        def absorb(result: Any) -> None:
-            shard_matches, shard_trees = result
-            for bucket, matches in zip(per_query, shard_matches):
-                bucket.extend(matches)
+        failed, recovered = self._recover_failures(failed, results, one, deadline)
+        if not settled:
+            failed.append(
+                {
+                    "shard": "*",
+                    "reason": "rebalance",
+                    "error": f"videos moved during all {attempt} scatter "
+                    "rounds; a moving video may be missing",
+                }
+            )
+        trees: dict[str, SceneTree] = {}
+        for _, shard_trees in results.values():
             trees.update(shard_trees)
-
-        failed, recovered = self._recover_failures(
-            failed, ok_ids, one, absorb, deadline
+        gathered = sum(
+            len(matches) for per_query, _ in results.values() for matches in per_query
         )
         if scatter is not None:
             scatter.annotate(
-                fan_out=len(shards),
-                shards_ok=len(ok_ids),
-                attempts=_attempt + 1,
-                gathered=sum(len(bucket) for bucket in per_query),
+                fan_out=self.n_shards,
+                shards_ok=len(results),
+                attempts=attempt,
+                gathered=gathered,
             )
             if failed:
                 scatter.annotate(shards_failed=[f["shard"] for f in failed])
             if recovered:
                 scatter.annotate(shards_recovered=recovered)
             scatter.end()
-        with _span("cluster.merge", n_queries=n_queries) as merge_span:
-            merged = [
-                self._merge(
-                    query,
-                    entries,
-                    trees,
-                    limit,
-                    len(ok_ids),
-                    list(failed),
-                    list(recovered),
+        with _span("cluster.merge", gathered=gathered) as merge_span:
+            merged: list[ClusterAnswer] = []
+            for k, query in enumerate(queries):
+                # Dedup by shot identity (replicas and mid-rebalance
+                # copies answer twice), then rank, cap, and route the
+                # winners exactly as one database does.
+                unique = {
+                    (m.video_id, m.shot_number): m
+                    for per_query, _ in results.values()
+                    for m in per_query[k]
+                }
+                matches = sorted(unique.values(), key=query.rank_key)[:limit]
+                merged.append(
+                    ClusterAnswer(
+                        matches=matches,
+                        routes=route_to_scene_nodes(matches, trees),
+                        shards_queried=len(results),
+                        shards_failed=list(failed),
+                        shards_recovered=list(recovered),
+                    )
                 )
-                for query, entries in zip(queries, per_query)
-            ]
-            merge_span.annotate(
-                returned=sum(len(answer.matches) for answer in merged)
-            )
+            merge_span.annotate(returned=sum(map(len, merged)))
         return merged
-
-    @staticmethod
-    def _merge(
-        query: VarianceQuery,
-        entries: list[IndexEntry],
-        trees: dict[str, SceneTree],
-        limit: int | None,
-        ok: int,
-        failed: list[dict[str, Any]],
-        recovered: list[str] | None = None,
-    ) -> ClusterAnswer:
-        """Dedup, rank, and cap the gathered answers, then route the
-        winners into their scene trees (exactly what a single database
-        does after its own ranking)."""
-        seen: set[tuple[str, int]] = set()
-        unique: list[IndexEntry] = []
-        for entry in entries:
-            key = (entry.video_id, entry.shot_number)
-            if key in seen:
-                continue  # replicas (and mid-rebalance copies) answer twice
-            seen.add(key)
-            unique.append(entry)
-        unique.sort(key=query.rank_key)
-        if limit is not None:
-            unique = unique[:limit]
-        return ClusterAnswer(
-            matches=unique,
-            routes=route_to_scene_nodes(unique, trees),
-            shards_queried=ok,
-            shards_failed=failed,
-            shards_recovered=list(recovered or []),
-        )
 
     def query_by_shot(
         self,
@@ -1094,8 +957,7 @@ class ClusterCoordinator:
         """Query-by-example: probe one indexed shot, search everywhere."""
         shard = self.locate(video_id)
         shard.check_up("query_by_shot")
-        timeout = None if deadline is None else deadline.remaining()
-        with shard.lock.read_locked(timeout):
+        with shard.lock.read_locked(_budget(deadline)):
             probe = shard.db.shot_entry(video_id, shot_number)
         return self.query(
             var_ba=probe.features.var_ba,
@@ -1110,27 +972,37 @@ class ClusterCoordinator:
     # lookups
     # ------------------------------------------------------------------
 
-    def scene_tree(self, video_id: str) -> SceneTree:
-        """The browsing hierarchy of one video (wherever it lives)."""
+    def scene_tree(
+        self, video_id: str, deadline: Deadline | None = None
+    ) -> SceneTree:
+        """The browsing hierarchy of one video (wherever it lives).
+
+        A ``deadline`` bounds the shard read-lock wait by its remaining
+        budget (:class:`~repro.errors.ServiceTimeout` past it), here and
+        in the other lookups — an ingest holds its shard's write lock
+        through the whole pipeline and publish.
+        """
         shard = self.locate(video_id)
         shard.check_up("scene_tree")
-        with shard.lock.read_locked():
+        with shard.lock.read_locked(_budget(deadline)):
             return shard.db.scene_tree(video_id)
 
-    def shot_entries(self, video_id: str) -> list[IndexEntry]:
+    def shot_entries(
+        self, video_id: str, deadline: Deadline | None = None
+    ) -> list[IndexEntry]:
         """One video's indexed shots, ordered by shot number."""
         shard = self.locate(video_id)
         shard.check_up("shots")
-        with shard.lock.read_locked():
+        with shard.lock.read_locked(_budget(deadline)):
             shard.db.catalog.get(video_id)  # raises CatalogError when unknown
             rows = shard.db.index.entries_for(video_id)
         return sorted(rows, key=lambda e: e.shot_number)
 
-    def catalog_entries(self) -> list[CatalogEntry]:
+    def catalog_entries(self, deadline: Deadline | None = None) -> list[CatalogEntry]:
         """Every catalog row in the cluster, sorted by video id."""
         rows: list[CatalogEntry] = []
         for shard in self.shards:
-            with shard.lock.read_locked():
+            with shard.lock.read_locked(_budget(deadline)):
                 rows.extend(shard.db.catalog)
         return sorted(rows, key=lambda entry: entry.video_id)
 

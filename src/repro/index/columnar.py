@@ -543,7 +543,10 @@ class ColumnarVarianceIndex:
         When the bands are large the work is candidate-bandwidth-bound
         and flat expansion stops paying, so execution switches to the
         per-query kernel — batching is then throughput-neutral and its
-        value is transport amortization (one HTTP/scatter round).
+        value is transport amortization (one HTTP/scatter round).  A
+        batch of one goes straight to the per-query kernel (and is
+        traced as the ``index.search`` it is): flat expansion has no
+        per-call cost to share there, only array set-up to add.
 
         Args:
             queries: the impression queries.
@@ -560,6 +563,9 @@ class ColumnarVarianceIndex:
             raise IndexError_(
                 f"{len(exclude_shots)} exclusions for {n_queries} queries"
             )
+        if n_queries == 1:
+            exclude_shot = None if exclude_shots is None else exclude_shots[0]
+            return [self.search(queries[0], config, limit, exclude_shot)]
         ctx = _current_trace()
         span = ctx.begin("index.search_batch") if ctx is not None else None
         try:

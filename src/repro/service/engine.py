@@ -971,49 +971,69 @@ class ServiceEngine:
         if cached is not None:
             self.metrics.increment("query_cache_hits")
             return cached, True
-        if self.cluster is not None:
-            # Scatter-gather: the coordinator holds per-shard read
-            # locks, so the engine-wide lock is not taken at all.
-            self._read_timeout(deadline)  # fail fast on a spent budget
-            generation = self.cache.generation
-            answer = self.cluster.query(
-                var_ba,
-                var_oa,
-                limit=limit,
-                category=category,
-                config=query_config,
-                deadline=deadline,
-            )
+        [payload], generation = self._run_queries(
+            [(var_ba, var_oa)], limit, category, query_config, deadline
+        )
+        if generation is not None:
+            self.cache.put(key, payload, generation=generation)
+        return payload, False
+
+    def _run_queries(
+        self,
+        points: list[tuple[float, float]],
+        limit: int | None,
+        category: VideoCategory | None,
+        config: QueryConfig,
+        deadline: Deadline | None,
+    ) -> tuple[list[dict[str, Any]], int | None]:
+        """Answer ``points`` on the database or the cluster.
+
+        Returns one payload per point and the cache generation they
+        were read at, or None when they must not be cached.  A single
+        database answers under the engine-wide read lock.  A cluster
+        scatters once for the whole batch: the coordinator holds
+        per-shard locks, so the engine-wide lock is not taken at all,
+        and payloads carry the ``shards_*``/``partial`` coverage
+        fields.  Partial answers reflect a transient outage, not the
+        corpus (caching one would keep serving holes after the shard
+        recovers); failover answers are complete but come from a shard
+        set in flux — neither is cached.
+        """
+        if self.cluster is None:
+            with self._traced_read_lock(self._read_timeout(deadline)):
+                generation = self.cache.generation
+                answers = self.db.query_batch(
+                    points, limit=limit, category=category, config=config
+                )
+                payloads = [self._answer_payload(answer) for answer in answers]
+            return payloads, generation
+        self._read_timeout(deadline)  # fail fast on a spent budget
+        generation = self.cache.generation
+        answers = self.cluster.query_batch(
+            points, limit=limit, category=category, config=config, deadline=deadline
+        )
+        payloads = []
+        for answer in answers:
             payload = self._answer_payload(answer)
             payload["shards_queried"] = answer.shards_queried
             payload["shards_failed"] = answer.shards_failed
             payload["shards_recovered"] = answer.shards_recovered
             payload["partial"] = answer.partial
-            if self.supervisor is not None:
-                self.supervisor.observe(answer)
-            if answer.partial:
-                # A partial answer reflects a transient outage, not the
-                # corpus; caching it would keep serving holes after the
-                # shard recovers.
-                self.metrics.increment("cluster_partial_answers")
-                return payload, False
-            if answer.shards_failed:
-                # A shard failed but every one of its videos was covered
-                # by a replica: the answer is complete despite the
-                # outage.  Still uncached — the recovery path is slower
-                # and the shard set will change as shards heal.
-                self.metrics.increment("cluster_failover_answers")
-                return payload, False
-            self.cache.put(key, payload, generation=generation)
-            return payload, False
-        with self._traced_read_lock(self._read_timeout(deadline)):
-            generation = self.cache.generation
-            answer = self.db.query(
-                var_ba, var_oa, limit=limit, category=category, config=query_config
-            )
-            payload = self._answer_payload(answer)
-        self.cache.put(key, payload, generation=generation)
-        return payload, False
+            payloads.append(payload)
+        # One scatter round answered every point, with the same shard
+        # coverage: one supervisor observation and one counter tick
+        # (per-answer observes would let a single sick scatter count as
+        # len(points) consecutive failures).
+        first = answers[0]
+        if self.supervisor is not None:
+            self.supervisor.observe(first)
+        if first.partial:
+            self.metrics.increment("cluster_partial_answers")
+            return payloads, None
+        if first.shards_failed:
+            self.metrics.increment("cluster_failover_answers")
+            return payloads, None
+        return payloads, generation
 
     #: Upper bound on one batch request's size — a single request must
     #: not monopolize the read path (or the response body) indefinitely.
@@ -1068,43 +1088,9 @@ class ServiceEngine:
         )
         self.metrics.increment("query_batch_requests")
         self.metrics.increment("query_batch_queries", len(points))
-        if self.cluster is not None:
-            self._read_timeout(deadline)  # fail fast on a spent budget
-            answers = self.cluster.query_batch(
-                points,
-                limit=limit,
-                category=category,
-                config=query_config,
-                deadline=deadline,
-            )
-            results = []
-            partial = failover = False
-            for answer in answers:
-                payload = self._answer_payload(answer)
-                payload["shards_queried"] = answer.shards_queried
-                payload["shards_failed"] = answer.shards_failed
-                payload["shards_recovered"] = answer.shards_recovered
-                payload["partial"] = answer.partial
-                partial = partial or answer.partial
-                failover = failover or bool(
-                    answer.shards_failed and not answer.partial
-                )
-                results.append(payload)
-            if self.supervisor is not None and answers:
-                # One scatter round answered the whole batch, so one
-                # observation — per-answer observes would let a single
-                # sick scatter count as len(batch) consecutive failures.
-                self.supervisor.observe(answers[0])
-            if partial:
-                self.metrics.increment("cluster_partial_answers")
-            elif failover:
-                self.metrics.increment("cluster_failover_answers")
-            return {"count": len(results), "results": results}
-        with self._traced_read_lock(self._read_timeout(deadline)):
-            answers = self.db.query_batch(
-                points, limit=limit, category=category, config=query_config
-            )
-            results = [self._answer_payload(answer) for answer in answers]
+        results, _generation = self._run_queries(
+            points, limit, category, query_config, deadline
+        )
         return {"count": len(results), "results": results}
 
     @staticmethod
@@ -1145,7 +1131,9 @@ class ServiceEngine:
         """The catalog listing served at ``GET /videos``."""
         if self.cluster is not None:
             self._read_timeout(deadline)
-            videos = [entry.to_dict() for entry in self.cluster.catalog_entries()]
+            videos = [
+                entry.to_dict() for entry in self.cluster.catalog_entries(deadline)
+            ]
             indexed = self.cluster.index_size()
             return {"count": len(videos), "indexed_shots": indexed, "videos": videos}
         with self.lock.read_locked(self._read_timeout(deadline)):
@@ -1159,7 +1147,8 @@ class ServiceEngine:
         """One video's indexed shots served at ``GET /videos/<id>/shots``."""
         if self.cluster is not None:
             self._read_timeout(deadline)
-            rows = self.cluster.shot_entries(video_id)  # CatalogError when unknown
+            # CatalogError when unknown
+            rows = self.cluster.shot_entries(video_id, deadline)
             shots = [entry.to_row() for entry in rows]
             return {"video_id": video_id, "count": len(shots), "shots": shots}
         with self.lock.read_locked(self._read_timeout(deadline)):
@@ -1177,7 +1166,8 @@ class ServiceEngine:
         """One video's scene tree served at ``GET /videos/<id>/tree``."""
         if self.cluster is not None:
             self._read_timeout(deadline)
-            tree = self.cluster.scene_tree(video_id)  # CatalogError when unknown
+            # CatalogError when unknown
+            tree = self.cluster.scene_tree(video_id, deadline)
             payload = scene_tree_to_dict(tree)
             payload["height"] = tree.height
             payload["n_shots"] = tree.n_shots

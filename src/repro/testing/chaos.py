@@ -56,10 +56,11 @@ def break_shard_queries(
 ) -> Iterator[Any]:
     """Make one shard's read path raise for the duration of the block.
 
-    Shadows ``shard.db.query`` and ``query_batch`` with raising stubs
-    (instance attributes, removed on exit), so every scatter touching
-    the shard degrades with ``reason="error"`` while the shard stays
-    nominally up — a flapping replica rather than a clean outage.
+    Shadows ``shard.db.query_batch`` (the one read path: a single
+    query is a batch of one) with a raising stub, an instance
+    attribute removed on exit, so every scatter touching the shard
+    degrades with ``reason="error"`` while the shard stays nominally
+    up — a flapping replica rather than a clean outage.
     Unlike :class:`~repro.testing.faults.ShardOutage` this exercises
     the error-classification path and the supervisor's breaker, not
     the down-shard skip.
@@ -68,12 +69,10 @@ def break_shard_queries(
     def boom(*args: Any, **kwargs: Any) -> Any:
         raise exc_factory()
 
-    shard.db.query = boom
     shard.db.query_batch = boom
     try:
         yield shard
     finally:
-        del shard.db.query
         del shard.db.query_batch
 
 

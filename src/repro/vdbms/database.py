@@ -246,37 +246,17 @@ class VideoDatabase:
         several databases and only route the merged winners (the
         cluster coordinator), so per-shard top-k work is not thrown
         away at the merge.
+
+        A single query is a batch of one (:meth:`query_batch`).
         """
-        ctx = _current_trace()
-        span = ctx.begin("db.query") if ctx is not None else None
-        try:
-            query = VarianceQuery(var_ba=var_ba, var_oa=var_oa)
-            matches = self.index.search(
-                query,
-                config=config or self.config.query,
-                limit=limit if category is None else None,
-                exclude_shot=exclude_shot,
-            )
-            if category is not None:
-                allowed = {
-                    entry.video_id for entry in self.catalog.in_category(category)
-                }
-                matches = [m for m in matches if m.video_id in allowed]
-                if limit is not None:
-                    matches = matches[:limit]
-                if span is not None:
-                    span.annotate(category=category.label, after_filter=len(matches))
-            if span is not None:
-                span.annotate(matches=len(matches))
-            if not with_routes:
-                return QueryAnswer(matches=matches, routes=[])
-            with _span("db.routes") as route_span:
-                routes = route_to_scene_nodes(matches, self.trees)
-                route_span.annotate(routes=len(routes))
-            return QueryAnswer(matches=matches, routes=routes)
-        finally:
-            if span is not None:
-                span.end()
+        return self.query_batch(
+            [(var_ba, var_oa)],
+            limit=limit,
+            category=category,
+            config=config,
+            with_routes=with_routes,
+            exclude_shots=[exclude_shot],
+        )[0]
 
     def query_batch(
         self,
@@ -290,10 +270,12 @@ class VideoDatabase:
         """Answer B impression queries in one vectorized index pass.
 
         Equivalent to ``[self.query(ba, oa, ...) for ba, oa in
-        points]`` (asserted by the property suite), but the columnar
-        engine answers the whole batch with shared searchsorted calls,
-        one flat Eq. 8 mask, and a single ranking sort — the per-call
-        overhead that dominates small top-k queries is paid once.
+        points]`` (checked against the scan oracle by the property
+        suite), but the columnar engine answers the whole batch with
+        shared searchsorted calls, one flat Eq. 8 mask, and a single
+        ranking sort — the per-call overhead that dominates small
+        top-k queries is paid once.  A batch of one is traced as the
+        single query it is (``db.query``, not ``db.query_batch``).
 
         Args:
             points: ``(var_ba, var_oa)`` pairs, one per query.
@@ -305,36 +287,46 @@ class VideoDatabase:
             exclude_shots: optional per-query exclusions, aligned with
                 ``points`` (query-by-example probes).
         """
+        single = len(points) == 1
         ctx = _current_trace()
-        span = ctx.begin("db.query_batch") if ctx is not None else None
+        span = None
+        if ctx is not None:
+            span = ctx.begin("db.query" if single else "db.query_batch")
         try:
-            queries = [VarianceQuery(var_ba=ba, var_oa=oa) for ba, oa in points]
             batched = self.index.search_batch(
-                queries,
+                [VarianceQuery(var_ba=ba, var_oa=oa) for ba, oa in points],
                 config=config or self.config.query,
                 limit=limit if category is None else None,
                 exclude_shots=exclude_shots,
             )
-            answers: list[QueryAnswer] = []
-            allowed: set[str] | None = None
             if category is not None:
                 allowed = {
                     entry.video_id for entry in self.catalog.in_category(category)
                 }
-            for matches in batched:
-                if allowed is not None:
-                    matches = [m for m in matches if m.video_id in allowed]
-                    if limit is not None:
-                        matches = matches[:limit]
-                routes = (
-                    route_to_scene_nodes(matches, self.trees) if with_routes else []
-                )
-                answers.append(QueryAnswer(matches=matches, routes=routes))
+                batched = [
+                    [m for m in matches if m.video_id in allowed][:limit]
+                    for matches in batched
+                ]
+                if span is not None:
+                    span.annotate(
+                        category=category.label,
+                        after_filter=sum(map(len, batched)),
+                    )
             if span is not None:
-                span.annotate(
-                    n_queries=len(answers),
-                    matches=sum(len(a.matches) for a in answers),
-                )
+                if not single:
+                    span.annotate(n_queries=len(points))
+                span.annotate(matches=sum(map(len, batched)))
+            if not with_routes:
+                return [QueryAnswer(matches=matches, routes=[]) for matches in batched]
+            with _span("db.routes") as route_span:
+                answers = [
+                    QueryAnswer(
+                        matches=matches,
+                        routes=route_to_scene_nodes(matches, self.trees),
+                    )
+                    for matches in batched
+                ]
+                route_span.annotate(routes=sum(len(a.routes) for a in answers))
             return answers
         finally:
             if span is not None:

@@ -128,7 +128,7 @@ class TestScatterGather:
         def boom(*args, **kwargs):
             raise RuntimeError("shard exploded")
 
-        cluster.shards[0].db.query = boom
+        cluster.shards[0].db.query_batch = boom
         answer = cluster.query(1.0, 1.0)
         assert answer.partial
         [failure] = answer.shards_failed
@@ -177,6 +177,66 @@ class TestScatterGather:
         cluster = ClusterCoordinator.ephemeral(2)
         with pytest.raises(CatalogError):
             cluster.query_by_shot("nope", 1)
+
+
+class TestMovesDuringScatter:
+    """The seqlock read side: a scatter that the move counter never lets
+    settle may have missed a moving video, so its answers are partial."""
+
+    @staticmethod
+    def _bump_on_every_read(cluster: ClusterCoordinator) -> list[int]:
+        """Make every shard read bump the move counter, as if a move
+        became visible during each scatter round; returns the read log."""
+        reads: list[int] = []
+
+        def bumping(shard, method):
+            def read(*args, **kwargs):
+                reads.append(shard.shard_id)
+                cluster.note_move_visible()
+                return method(*args, **kwargs)
+
+            return read
+
+        for shard in cluster.shards:
+            for name in ("query", "query_batch"):
+                setattr(shard.db, name, bumping(shard, getattr(shard.db, name)))
+        return reads
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_unsettled_scatter_is_partial(self, parallel):
+        cluster = ClusterCoordinator.ephemeral(4)
+        cluster.parallel_scatter = parallel
+        populate(cluster, 8)
+        reads = self._bump_on_every_read(cluster)
+        answer = cluster.query(2.0, 2.0)
+        assert len(reads) > cluster.n_shards  # it did re-scatter
+        assert answer.partial
+        [failure] = answer.shards_failed
+        assert failure["reason"] == "rebalance"
+        assert answer.shards_queried == 4  # every shard answered
+        batch = cluster.query_batch([(2.0, 2.0), (9.0, 4.0)])
+        assert all(a.partial for a in batch)
+
+    def test_unsettled_answers_are_uncached_and_blame_no_shard(self):
+        cluster = ClusterCoordinator.ephemeral(3)
+        populate(cluster, 6)
+        engine = ServiceEngine(
+            cluster, n_workers=3, watchdog_interval=0, supervisor_threshold=1
+        )
+        try:
+            self._bump_on_every_read(cluster)
+            payload, cached = engine.query(2.0, 2.0)
+            assert payload["partial"] is True and not cached
+            assert payload["shards_failed"][0]["reason"] == "rebalance"
+            _, cached = engine.query(2.0, 2.0)
+            assert not cached  # recomputed, never served from the cache
+            counters = engine.metrics.snapshot()["counters"]
+            assert counters["cluster_partial_answers"] == 2
+            # Every shard answered: the supervisor benches nobody.
+            assert engine.supervisor.trips == 0
+            assert not any(shard.down for shard in cluster.shards)
+        finally:
+            engine.shutdown(timeout=10)
 
 
 class TestDurableLifecycle:

@@ -11,11 +11,15 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.cluster import ClusterCoordinator
 from repro.service.engine import JobStatus, ServiceEngine
 from repro.service.server import create_server
 from repro.testing.chaos import run_overload_burst
+from repro.testing.synth import add_synth_video
+from repro.vdbms.database import VideoDatabase
 
 pytestmark = pytest.mark.overload
 
@@ -152,6 +156,42 @@ class TestDeadlines:
             assert elapsed < 5.0, "deadline did not bound the wait"
             _, metrics, _ = _request(base_url, "GET", "/metrics")
             assert metrics["counters"]["deadline_exceeded"] >= 1
+
+    def test_expired_deadline_on_a_cluster_browse_is_a_structured_503(self):
+        cluster = ClusterCoordinator.ephemeral(2)
+        scratch = VideoDatabase()
+        add_synth_video(scratch, "held", np.random.default_rng(3))
+        cluster.adopt(scratch.export_video("held"))
+        shard = cluster.locate("held")
+        engine = ServiceEngine(cluster, n_workers=2, watchdog_interval=0)
+        with _serve(engine) as base_url:
+            # An ingest holds its primary shard's write lock through the
+            # whole pipeline and publish.  The timer bounds the hold, so
+            # a read that ignores its deadline waits, then fails below.
+            released = threading.Lock()
+
+            def release():
+                if released.acquire(blocking=False):
+                    shard.lock.release_write()
+
+            shard.lock.acquire_write()
+            timer = threading.Timer(2.0, release)
+            timer.start()
+            try:
+                for path in ("/videos/held/tree", "/videos/held/shots", "/videos"):
+                    started = time.perf_counter()
+                    status, payload, _ = _request(
+                        base_url, "GET", path, headers={"X-Deadline-Ms": "100"}
+                    )
+                    elapsed = time.perf_counter() - started
+                    assert status == 503, path
+                    assert payload["reason"] == "deadline_exceeded"
+                    assert elapsed < 1.5, f"{path} waited out the held lock"
+            finally:
+                timer.cancel()
+                release()
+            status, _, _ = _request(base_url, "GET", "/videos/held/tree")
+            assert status == 200
 
     def test_default_deadline_applies_without_header(self):
         engine = ServiceEngine(
