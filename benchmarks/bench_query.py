@@ -171,10 +171,12 @@ def run_open_bench(entries: list[IndexEntry], rounds: int = 5) -> dict[str, Any]
     }
 
 
-# Guard sites one traced request crosses on the single-database read path
-# (request, cache.get, service.lock_wait, db.query, index.search, db.routes,
-# plus slack for batch/cluster spans) — the disabled-overhead bound charges
-# this many thread-local reads per query.
+# Guard sites one traced request crosses when a plain database answers a
+# /query (it is served as a one-shard cluster, whose shard routes its own
+# matches, so there is no cluster.merge): request, cache.get,
+# cluster.scatter, shard.query, shard.lock_wait, db.query, index.search,
+# db.routes — the disabled-overhead bound charges this many thread-local
+# reads per query.
 GUARD_SITES = 8
 
 MAX_DISABLED_OVERHEAD_PCT = 3.0

@@ -438,6 +438,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # A --db server is durable: open() binds the database to its
         # directory, so every accepted ingest is committed (staging
         # write -> fsync -> manifest swap) before the job reports done.
+        # The engine serves it as a one-shard cluster; the directory
+        # keeps its single-database layout.
         db = VideoDatabase.open(args.db, config=config)
     engine = ServiceEngine(
         db,
@@ -453,13 +455,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         scrub_interval_s=args.scrub_interval,
     )
     if args.demo:
-        have = (
-            engine.cluster
-            if engine.cluster is not None
-            else engine.db.catalog
-        )
         for source in ("figure5", "friends"):
-            if source not in have:
+            if source not in engine.cluster:
                 engine.wait_for(
                     engine.submit_spec({"source": source}).job_id, timeout=300
                 )
@@ -478,7 +475,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     sharding = (
         f" across {engine.cluster.n_shards} shards, "
         f"replication x{engine.cluster.effective_replication}"
-        if engine.cluster is not None
+        if engine.db is engine.cluster
         else ""
     )
     print(
@@ -1041,7 +1038,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="run the background integrity scrubber, sleeping S seconds "
-        "between batches (cluster mode only; default: off)",
+        "between batches (cluster databases only; default: off)",
     )
     p.add_argument("--workers", type=int, default=2, help="ingest worker threads")
     p.add_argument("--cache-size", type=int, default=256, help="query-cache entries")

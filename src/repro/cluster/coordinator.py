@@ -11,10 +11,14 @@ The coordinator is the cluster's single front door.  It owns:
 * a small thread pool that executes impression queries scatter-gather
   across the shards, each sub-query bounded by the request's remaining
   :class:`~repro.service.resilience.Deadline` budget.  On a
-  single-core host sub-queries run inline instead (the pool cannot
-  overlap GIL-bound scans there and only adds dispatch latency).  A
-  single query is a batch of one: both are served by the one scatter
-  round in :meth:`ClusterCoordinator.query_batch`.
+  single-core host, and over a single shard, sub-queries run inline
+  instead (the pool cannot overlap them there and only adds dispatch
+  latency).  A single query is a batch of one: both are served by the
+  one scatter round in :meth:`ClusterCoordinator.query_batch`.
+
+A plain :class:`~repro.vdbms.database.VideoDatabase` is served as a
+one-shard cluster with replication 1 (:meth:`ClusterCoordinator.wrap`),
+so the service runs every database through this one code path.
 
 Queries **degrade, never fail**: a shard that is down, errors, or
 times out is reported in :attr:`ClusterAnswer.shards_failed` and the
@@ -71,7 +75,7 @@ from ..obs import attach as _attach, current_trace as _current_trace, span as _s
 from ..scenetree.nodes import SceneTree
 from ..service.resilience import Deadline
 from ..vdbms.catalog import CatalogEntry
-from ..vdbms.database import IngestReport, VideoDatabase, VideoRecord
+from ..vdbms.database import IngestReport, QueryAnswer, VideoDatabase, VideoRecord
 from ..video.clip import VideoClip
 from ..workloads.taxonomy import VideoCategory
 from .router import DEFAULT_REPLICAS, ConsistentHashRouter
@@ -140,14 +144,11 @@ class ClusterCoordinator:
     """N shards behind one database-shaped API.
 
     Build one with :meth:`create` (new durable cluster),
-    :meth:`open` (existing durable cluster), or
+    :meth:`open` (existing durable cluster),
     :meth:`ephemeral` (in-memory shards, for tests and ``repro serve
-    --shards N`` without ``--db``).
+    --shards N`` without ``--db``), or :meth:`wrap` (one plain
+    database as a single shard).
     """
-
-    #: Duck-typing marker for the service engine (avoids an import
-    #: cycle between repro.service and repro.cluster).
-    is_cluster = True
 
     def __init__(
         self,
@@ -226,6 +227,21 @@ class ClusterCoordinator:
             Shard(shard_id, VideoDatabase(config)) for shard_id in range(n_shards)
         ]
         return cls(shards, router, config=config, replication=replication)
+
+    @classmethod
+    def wrap(cls, db: VideoDatabase) -> "ClusterCoordinator":
+        """Serve one plain database as a one-shard cluster, replication 1.
+
+        There is no cluster root, so nothing is written to disk: a
+        durable database keeps its single-database layout.  Query
+        tolerances keep coming from the database's own config.
+        """
+        return cls(
+            [Shard(0, db, root=db.storage_root)],
+            ConsistentHashRouter(1),
+            config=db.config,
+            replication=1,
+        )
 
     @classmethod
     def create(
@@ -593,13 +609,13 @@ class ClusterCoordinator:
         The cluster-wide duplicate check happens at claim time (under
         the placement mutex), so two concurrent ingests of the same id
         cannot both proceed even when racing.  The primary shard's
-        write lock covers the whole pipeline + durable publish, exactly
-        like the single-database service path; with replication > 1 the
-        derived state is then exported once and adopted — through the
-        same checksummed staged-publish protocol — on each replica
-        shard under its own write lock.  An ingest is acknowledged only
-        with all R copies committed; any failure rolls the committed
-        copies back and releases the claim.
+        write lock covers the whole pipeline + durable publish (a
+        plain database served as one shard gets exactly this); with
+        replication > 1 the derived state is then exported once and
+        adopted — through the same checksummed staged-publish protocol
+        — on each replica shard under its own write lock.  An ingest is
+        acknowledged only with all R copies committed; any failure rolls
+        the committed copies back and releases the claim.
         """
         targets = self._write_targets(clip.name, "ingest")
         self._claim(clip.name, [shard.shard_id for shard in targets])
@@ -700,13 +716,14 @@ class ClusterCoordinator:
         """Run ``one(shard)`` on every shard, each call bounded by the
         deadline's remaining budget.
 
-        Pooled on a multi-core host, inline otherwise; both share the
+        Pooled on a multi-core host, inline otherwise and over a single
+        shard (the pool cannot overlap one sub-query); both share the
         failure classification.  Returns ``(results, failed)``: shard
         id -> ``one``'s value for the shards that answered, and one
         ``shards_failed`` entry per shard that did not.
         """
         shards = list(self.shards)
-        if self.parallel_scatter:
+        if self.parallel_scatter and len(shards) > 1:
             futures = [self._pool.submit(one, shard) for shard in shards]
         else:
             futures = [None] * len(shards)
@@ -834,7 +851,10 @@ class ClusterCoordinator:
         dedups, ranks and caps per query, and computes browsing routes
         once, for the merged winners, from scene-tree snapshots the
         shards captured under their read locks — per-shard top-k
-        candidates that lose the merge cost no route work.
+        candidates that lose the merge cost no route work.  A
+        one-shard cluster has nothing to merge: its shard's answers,
+        routed under its read lock exactly as one database routes
+        them, are the answers.
 
         Failed or late shards are reported in ``shards_failed`` and the
         answers are built from the rest.  A failure degrades the whole
@@ -846,40 +866,45 @@ class ClusterCoordinator:
         queries = [VarianceQuery(var_ba=ba, var_oa=oa) for ba, oa in points]
         single = len(queries) == 1
         shard_span_name = "shard.query" if single else "shard.query_batch"
+        # Routes are most of a miss.  Computed outside the shard lock,
+        # they would share the interpreter with an ingest pipeline that
+        # the lock otherwise holds off, so a lone shard routes under it.
+        lone = self.n_shards == 1
         ctx = _current_trace()
         scatter = ctx.begin("cluster.scatter") if ctx is not None else None
         if scatter is not None and not single:
             scatter.annotate(n_queries=len(queries))
 
-        def one(shard: Shard) -> tuple[list[list[IndexEntry]], dict[str, SceneTree]]:
+        def one(shard: Shard) -> tuple[list[QueryAnswer], dict[str, SceneTree]]:
             # Re-attach the trace on pool workers so per-shard spans
             # parent under the scatter span (no-op when untraced).
             with _attach(ctx, scatter):
                 with _span(shard_span_name, shard=shard.name) as shard_span:
                     shard.check_up("query")
-                    with shard.lock.read_locked(_budget(deadline)):
+                    with shard.traced_read(_budget(deadline)):
                         answers = shard.db.query_batch(
                             points,
                             limit=limit,
                             category=category,
                             config=config,
-                            with_routes=False,
+                            with_routes=lone,
                             exclude_shots=exclude_shots,
                         )
                         # Immutable snapshots for post-merge routing:
                         # captured under the lock, so they match the
                         # matches even if a rebalance removes the video
                         # from this shard later.
-                        trees = {
+                        trees = {} if lone else {
                             m.video_id: shard.db.trees[m.video_id]
                             for answer in answers
                             for m in answer.matches
                         }
                     shard.queries += 1
-                    shard_span.annotate(
-                        matches=sum(len(answer.matches) for answer in answers)
-                    )
-                    return [answer.matches for answer in answers], trees
+                    if ctx is not None:
+                        shard_span.annotate(
+                            matches=sum(len(answer.matches) for answer in answers)
+                        )
+                    return answers, trees
 
         # Seqlock read side: a scatter is a non-atomic multi-shard
         # snapshot, so a concurrent move could in principle hide its
@@ -904,13 +929,12 @@ class ClusterCoordinator:
                     "rounds; a moving video may be missing",
                 }
             )
-        trees: dict[str, SceneTree] = {}
-        for _, shard_trees in results.values():
-            trees.update(shard_trees)
-        gathered = sum(
-            len(matches) for per_query, _ in results.values() for matches in per_query
-        )
         if scatter is not None:
+            gathered = sum(
+                len(answer.matches)
+                for answers, _ in results.values()
+                for answer in answers
+            )
             scatter.annotate(
                 fan_out=self.n_shards,
                 shards_ok=len(results),
@@ -922,29 +946,44 @@ class ClusterCoordinator:
             if recovered:
                 scatter.annotate(shards_recovered=recovered)
             scatter.end()
-        with _span("cluster.merge", gathered=gathered) as merge_span:
-            merged: list[ClusterAnswer] = []
-            for k, query in enumerate(queries):
-                # Dedup by shot identity (replicas and mid-rebalance
-                # copies answer twice), then rank, cap, and route the
-                # winners exactly as one database does.
-                unique = {
-                    (m.video_id, m.shot_number): m
-                    for per_query, _ in results.values()
-                    for m in per_query[k]
-                }
-                matches = sorted(unique.values(), key=query.rank_key)[:limit]
-                merged.append(
-                    ClusterAnswer(
-                        matches=matches,
-                        routes=route_to_scene_nodes(matches, trees),
-                        shards_queried=len(results),
-                        shards_failed=list(failed),
-                        shards_recovered=list(recovered),
+        if lone and results:
+            [(final, _)] = results.values()
+        else:
+            with _span("cluster.merge") as merge_span:
+                trees: dict[str, SceneTree] = {}
+                for _, shard_trees in results.values():
+                    trees.update(shard_trees)
+                final = []
+                for k, query in enumerate(queries):
+                    # Dedup by shot identity (replicas and mid-rebalance
+                    # copies answer twice), then rank, cap, and route the
+                    # winners exactly as one database does.
+                    unique = {
+                        (m.video_id, m.shot_number): m
+                        for answers, _ in results.values()
+                        for m in answers[k].matches
+                    }
+                    matches = sorted(unique.values(), key=query.rank_key)[:limit]
+                    final.append(
+                        QueryAnswer(
+                            matches=matches,
+                            routes=route_to_scene_nodes(matches, trees),
+                        )
                     )
-                )
-            merge_span.annotate(returned=sum(map(len, merged)))
-        return merged
+                if scatter is not None:
+                    merge_span.annotate(
+                        gathered=gathered, returned=sum(map(len, final))
+                    )
+        return [
+            ClusterAnswer(
+                matches=answer.matches,
+                routes=answer.routes,
+                shards_queried=len(results),
+                shards_failed=list(failed),
+                shards_recovered=list(recovered),
+            )
+            for answer in final
+        ]
 
     def query_by_shot(
         self,
@@ -999,12 +1038,14 @@ class ClusterCoordinator:
         return sorted(rows, key=lambda e: e.shot_number)
 
     def catalog_entries(self, deadline: Deadline | None = None) -> list[CatalogEntry]:
-        """Every catalog row in the cluster, sorted by video id."""
-        rows: list[CatalogEntry] = []
+        """Every video's catalog row once (however many shards hold a
+        copy), sorted by video id."""
+        rows: dict[str, CatalogEntry] = {}
         for shard in self.shards:
             with shard.lock.read_locked(_budget(deadline)):
-                rows.extend(shard.db.catalog)
-        return sorted(rows, key=lambda entry: entry.video_id)
+                for entry in shard.db.catalog:
+                    rows.setdefault(entry.video_id, entry)
+        return [rows[video_id] for video_id in sorted(rows)]
 
     def catalog_size(self) -> int:
         """Total videos across shards (lock-free snapshot)."""
@@ -1012,17 +1053,24 @@ class ClusterCoordinator:
             return len(self._placement)
 
     def index_size(self) -> int:
-        """Total indexed shots across shards (lock-free snapshot)."""
-        return sum(len(shard.db.index) for shard in self.shards)
+        """Indexed shots, each counted once (lock-free snapshot).
+
+        The shards' index sizes, less the shots of every copy of a
+        video beyond the first (replicas and mid-move strays).
+        """
+        total = sum(len(shard.db.index) for shard in self.shards)
+        for video_id, holders in self.holders_snapshot().items():
+            if len(holders) > 1:
+                try:
+                    entry = self.shard(holders[0]).db.catalog.get(video_id)
+                except (CatalogError, ClusterError):  # dropped since the snapshot
+                    continue
+                total -= (len(holders) - 1) * entry.n_shots
+        return total
 
     # ------------------------------------------------------------------
     # lifecycle & introspection
     # ------------------------------------------------------------------
-
-    @property
-    def storage_root(self) -> Path | None:
-        """The cluster root directory (None for an ephemeral cluster)."""
-        return self.root
 
     def status(self) -> dict[str, Any]:
         """The cluster document for ``/health``, ``/metrics``, the CLI."""

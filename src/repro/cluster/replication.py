@@ -100,6 +100,8 @@ class ShardSupervisor:
         self.retry_after_s = retry_after_s
         self._clock = clock
         self._lock = threading.Lock()
+        #: Shards on a failure streak only (no zero counts), so a clean
+        #: scatter with no streak to reset skips the lock.
         self._consecutive: dict[str, int] = {}
         self._benched: dict[str, float] = {}
         #: Monotonic counters for /metrics.
@@ -114,6 +116,8 @@ class ShardSupervisor:
 
     def observe(self, answer: "ClusterAnswer") -> list[str]:
         """Fold one scatter outcome in; returns shards benched by it."""
+        if not answer.shards_failed and not self._consecutive:
+            return []  # a clean scatter and no streak to reset
         transient = {
             failure["shard"]
             for failure in answer.shards_failed
@@ -134,7 +138,7 @@ class ShardSupervisor:
                         self.trips += 1
                         benched.append(name)
                 elif not shard.down:
-                    self._consecutive[name] = 0
+                    self._consecutive.pop(name, None)
         return benched
 
     def probe(self) -> list[str]:
@@ -170,7 +174,7 @@ class ShardSupervisor:
             if name not in self._benched:
                 return False
             self._benched.pop(name)
-            self._consecutive[name] = 0
+            self._consecutive.pop(name, None)
         shard = self._shard_named(name)
         if shard is not None:
             shard.mark_up()
@@ -186,9 +190,5 @@ class ShardSupervisor:
                 "trips": self.trips,
                 "readmissions": self.readmissions,
                 "benched": sorted(self._benched),
-                "consecutive_failures": {
-                    name: count
-                    for name, count in sorted(self._consecutive.items())
-                    if count
-                },
+                "consecutive_failures": dict(sorted(self._consecutive.items())),
             }

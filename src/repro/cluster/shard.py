@@ -18,10 +18,12 @@ single-shard operations with
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
-from ..errors import ShardUnavailableError
+from ..errors import ServiceTimeout, ShardUnavailableError
+from ..obs import span as _span
 from ..service.engine import ReadWriteLock
 from ..vdbms.database import VideoDatabase
 
@@ -90,6 +92,24 @@ class Shard:
                 raise ShardUnavailableError(
                     f"{what}: {self.name} is down ({self._down_reason})"
                 )
+
+    @contextmanager
+    def traced_read(self, timeout: float | None) -> Iterator[None]:
+        """``lock.read_locked`` with the acquisition wait timed as a
+        ``shard.lock_wait`` span — when a p99 regresses, "queued behind
+        a writer" and "slow index scan" must be distinguishable."""
+        with _span("shard.lock_wait") as lock_span:
+            acquired = self.lock.acquire_read(timeout)
+            lock_span.annotate(acquired=acquired)
+        if not acquired:
+            raise ServiceTimeout(
+                f"read lock not acquired within {timeout:.3f}s "
+                f"(a writer is holding or queued)"
+            )
+        try:
+            yield
+        finally:
+            self.lock.release_read()
 
     # ------------------------------------------------------------------
     # introspection

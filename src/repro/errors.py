@@ -104,7 +104,7 @@ class ServiceTimeout(ReproError):
     """A service operation did not finish within its deadline budget.
 
     Raised when a request's deadline (``X-Deadline-Ms``) expires before
-    the answer is ready — including while waiting for the engine's
+    the answer is ready — including while waiting for a shard's
     reader-writer lock — and by ``ServiceEngine.wait_for``/``drain``
     when jobs do not settle in time.  Maps to HTTP 503 with a
     structured ``deadline_exceeded`` body.

@@ -28,8 +28,8 @@ import itertools
 import os
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Iterator
+from contextlib import contextmanager, nullcontext
+from typing import Any, ContextManager, Iterator
 
 __all__ = [
     "Span",
@@ -115,9 +115,16 @@ class Span:
 
 
 class _NoopSpan:
-    """Stand-in yielded by ``span(...)`` when no trace is active."""
+    """Stand-in yielded by ``span(...)`` when no trace is active — its
+    own context manager, so a disabled ``span()`` allocates nothing."""
 
     __slots__ = ()
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        return None
 
     def annotate(self, **kv: Any) -> None:
         pass
@@ -127,6 +134,9 @@ class _NoopSpan:
 
 
 NOOP_SPAN = _NoopSpan()
+
+#: What ``attach(None)`` returns: a reusable no-op context manager.
+_DETACHED = nullcontext()
 
 
 class TraceContext:
@@ -222,15 +232,16 @@ def tracing(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
         _tls.ctx = prev
 
 
-@contextmanager
 def attach(
     ctx: TraceContext | None, parent: Span | None = None
-) -> Iterator[TraceContext | None]:
+) -> ContextManager[TraceContext | None]:
     """Re-install ``ctx`` on a worker thread, parenting under ``parent``
     (the span captured on the submitting thread).  No-op when ctx is None."""
-    if ctx is None:
-        yield None
-        return
+    return _DETACHED if ctx is None else _attached(ctx, parent)
+
+
+@contextmanager
+def _attached(ctx: TraceContext, parent: Span | None) -> Iterator[TraceContext]:
     prev = getattr(_tls, "ctx", None)
     _tls.ctx = ctx
     tls = ctx._span_tls
@@ -244,14 +255,19 @@ def attach(
         _tls.ctx = prev
 
 
-@contextmanager
-def span(name: str, **annotations: Any) -> Iterator[Span | _NoopSpan]:
-    """Open a span under the active trace; a shared no-op when tracing
-    is off, so call sites stay unconditional."""
+def span(name: str, **annotations: Any) -> ContextManager[Span | _NoopSpan]:
+    """Open a span under the active trace; the shared :data:`NOOP_SPAN`
+    when tracing is off, so call sites stay unconditional."""
     ctx = getattr(_tls, "ctx", None)
     if ctx is None:
-        yield NOOP_SPAN
-        return
+        return NOOP_SPAN
+    return _opened(ctx, name, annotations)
+
+
+@contextmanager
+def _opened(
+    ctx: TraceContext, name: str, annotations: dict[str, Any]
+) -> Iterator[Span]:
     s = ctx.begin(name)
     if annotations:
         s.annotations.update(annotations)

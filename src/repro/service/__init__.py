@@ -3,11 +3,12 @@
 The paper argues its techniques are "uniquely suitable for large video
 databases" (Sec. 6); this package supplies the serving layer that claim
 implies.  A stdlib-only JSON-over-HTTP server fronts one shared
-:class:`~repro.vdbms.database.VideoDatabase`:
+:class:`~repro.vdbms.database.VideoDatabase` or a sharded cluster:
 
-- :mod:`~repro.service.engine` — the shared database behind a
-  reader-writer lock plus a background ingest worker pool with job
-  tracking (queries keep serving while clips are analyzed);
+- :mod:`~repro.service.engine` — every database served through a
+  cluster coordinator (a plain database is one shard) with a
+  reader-writer lock per shard, plus a background ingest worker pool
+  with job tracking (queries keep serving while clips are analyzed);
 - :mod:`~repro.service.cache` — an LRU cache of query results keyed on
   ``(D_q, Var_q, alpha, beta, ...)``, invalidated on every completed
   ingest;

@@ -1,13 +1,13 @@
-"""The serving engine: shared database, reader-writer lock, ingest pool.
+"""The serving engine: a cluster coordinator, its shard locks, ingest pool.
 
 Ingesting a clip runs the full Step 1-2-3 pipeline (seconds of CPU);
-queries are two binary searches plus a band filter (microseconds).  A
-plain mutex would stall every query behind every ingest, so the engine
-holds the :class:`~repro.vdbms.database.VideoDatabase` behind a
-reader-writer lock: any number of queries proceed concurrently, while
-an ingest takes the write side only for the final registration step
-(detection and tree building happen outside the lock — see
-``VideoDatabase.ingest``'s compute-then-publish structure).
+queries are two binary searches plus a band filter (microseconds).  The
+engine serves every database through a
+:class:`~repro.cluster.coordinator.ClusterCoordinator` — a plain
+:class:`~repro.vdbms.database.VideoDatabase` is a one-shard cluster
+with replication 1 — and each shard sits behind a reader-writer lock:
+any number of queries proceed concurrently, while an ingest holds its
+shard's write side through the pipeline and the publish.
 
 Ingest itself is asynchronous: ``submit_*`` enqueues a job on a
 ``queue.Queue`` drained by a small pool of worker threads and returns a
@@ -36,7 +36,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -59,11 +59,14 @@ from ..obs import (
     span as _span,
 )
 from ..scenetree.serialize import scene_tree_to_dict
-from ..vdbms.database import QueryAnswer, VideoDatabase
+from ..vdbms.database import VideoDatabase
 from ..video.clip import VideoClip
 from ..video.sampling import resample_fps
 from ..workloads.taxonomy import VideoCategory
 from .resilience import CircuitBreaker, Deadline
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.coordinator import ClusterAnswer, ClusterCoordinator
 
 __all__ = [
     "IngestJob",
@@ -371,22 +374,22 @@ def clip_from_spec(spec: dict[str, Any]) -> tuple[VideoClip, VideoCategory | Non
 
 
 class ServiceEngine:
-    """One shared :class:`VideoDatabase` served to many threads.
+    """One shared database or sharded cluster served to many threads.
 
-    The engine also serves a sharded cluster: pass a
-    :class:`~repro.cluster.coordinator.ClusterCoordinator` as ``db``
-    (detected by its ``is_cluster`` marker — duck typing keeps
-    ``repro.service`` import-free of ``repro.cluster``).  In cluster
-    mode the single ingest queue becomes **one queue per shard** with
-    workers pinned round-robin, so ingests into different shards
-    overlap; queries bypass the engine-wide reader-writer lock
-    entirely (the coordinator holds per-shard locks) and may return
-    *partial* answers carrying ``shards_failed``, which are never
-    cached.
+    Every request runs through a
+    :class:`~repro.cluster.coordinator.ClusterCoordinator`
+    (:attr:`cluster`): pass one as ``db`` for sharded serving; a plain
+    :class:`VideoDatabase` is wrapped as one shard with replication 1
+    (:meth:`ClusterCoordinator.wrap`).  The engine keeps **one ingest
+    queue per shard** with workers pinned round-robin, so ingests into
+    different shards overlap; queries take per-shard read locks and
+    may return *partial* answers carrying ``shards_failed``, which are
+    never cached.
 
     Args:
         db: an existing database to serve (a fresh one when omitted),
-            or a cluster coordinator for sharded serving.
+            or a cluster coordinator for sharded serving.  The engine
+            owns it from here on: writes go through the engine.
         config: pipeline configuration for a fresh database.
         n_workers: size of the ingest worker pool.
         cache_capacity: LRU query-cache capacity (entries).
@@ -423,18 +426,19 @@ class ServiceEngine:
         slow_query_ms: traces at least this many milliseconds long are
             additionally retained in the slow-query log and counted in
             the ``slow_queries`` metric (None disables the log).
-        supervisor_threshold: cluster mode only — consecutive scatter
-            failures before the shard supervisor benches a shard.
-        supervisor_retry_s: cluster mode only — cool-down before a
-            benched shard gets a half-open re-admission probe.
-        scrub_interval_s: cluster mode only — pacing interval of the
+        supervisor_threshold: consecutive scatter failures before the
+            shard supervisor benches a shard.
+        supervisor_retry_s: cool-down before a benched shard gets a
+            half-open re-admission probe.
+        scrub_interval_s: cluster databases only (a plain database has
+            no replica to heal from) — pacing interval of the
             background integrity scrubber (None, the default, disables
             it; ``repro cluster scrub`` covers offline scrubbing).
     """
 
     def __init__(
         self,
-        db: VideoDatabase | None = None,
+        db: "VideoDatabase | ClusterCoordinator | None" = None,
         *,
         config: PipelineConfig | None = None,
         n_workers: int = 2,
@@ -457,6 +461,11 @@ class ServiceEngine:
         supervisor_retry_s: float = 5.0,
         scrub_interval_s: float | None = None,
     ) -> None:
+        # repro.cluster imports this module (its shards use
+        # ReadWriteLock), so it is imported here rather than at the top.
+        from ..cluster.coordinator import ClusterCoordinator
+        from ..cluster.repair import IntegrityScrubber
+        from ..cluster.replication import ShardSupervisor
         from .cache import QueryResultCache
         from .metrics import MetricsRegistry
 
@@ -468,6 +477,10 @@ class ServiceEngine:
             raise ValueError(f"max_queue must be >= 1 (or None), got {max_queue}")
         if trace_capacity < 0:
             raise ValueError(f"trace_capacity must be >= 0, got {trace_capacity}")
+        if scrub_interval_s is not None and scrub_interval_s <= 0:
+            raise ValueError(
+                f"scrub_interval_s must be > 0 (or None), got {scrub_interval_s}"
+            )
         self.max_attempts = max_attempts
         self.retry_base_delay = retry_base_delay
         self.ingest_hook = ingest_hook
@@ -479,9 +492,13 @@ class ServiceEngine:
         self._sleep = sleep if sleep is not None else time.sleep
         self._retry_rng = random.Random(retry_seed)
         self.db = db if db is not None else VideoDatabase(config)
-        #: The coordinator when serving a sharded cluster, else None.
-        self.cluster = self.db if getattr(self.db, "is_cluster", False) else None
-        self.lock = ReadWriteLock()
+        if isinstance(self.db, ClusterCoordinator):
+            self.cluster = self.db
+        elif scrub_interval_s is not None:
+            # At R=1 there is no replica for the scrubber to heal from.
+            raise ValueError("scrub_interval_s requires a cluster database")
+        else:
+            self.cluster = ClusterCoordinator.wrap(self.db)
         self.cache = QueryResultCache(cache_capacity)
         self.metrics = MetricsRegistry()
         self.breaker = CircuitBreaker(
@@ -503,18 +520,17 @@ class ServiceEngine:
         self._jobs: dict[str, IngestJob] = {}
         self._jobs_lock = threading.Lock()
         self._job_counter = itertools.count(1)
-        # One ingest queue per shard (one total in single-database
-        # mode): jobs for different shards never queue behind each
-        # other, which is what lets cluster ingest throughput scale.
-        # A bounded max_queue is split evenly (ceil) across queues.
-        self.n_queues = self.cluster.n_shards if self.cluster is not None else 1
+        # One ingest queue per shard: jobs for different shards never
+        # queue behind each other, which is what lets cluster ingest
+        # throughput scale.  A bounded max_queue is split evenly (ceil)
+        # across queues.
+        self.n_queues = self.cluster.n_shards
         per_queue = 0
         if max_queue is not None:
             per_queue = max(1, -(-max_queue // self.n_queues))
         self._queues: list[queue.Queue] = [
             queue.Queue(maxsize=per_queue) for _ in range(self.n_queues)
         ]
-        self._queue = self._queues[0]
         # Lifecycle flags: _accepting gates admission (flipped by
         # begin_drain/shutdown); _stopping tells workers and the
         # watchdog to exit.
@@ -541,35 +557,21 @@ class ServiceEngine:
                 self._workers.append(
                     self._spawn_worker_locked(k % self.n_queues)
                 )
-        # Cluster-mode health loop: the supervisor benches shards that
-        # fail scatters repeatedly (watchdog sweeps run its re-admission
-        # probes); the scrubber re-verifies committed bytes on a pace.
-        self.supervisor = None
+        # Health loop: the supervisor benches shards that fail scatters
+        # repeatedly (watchdog sweeps run its re-admission probes); the
+        # scrubber re-verifies committed bytes on a pace.
+        self.supervisor = ShardSupervisor(
+            self.cluster,
+            threshold=supervisor_threshold,
+            retry_after_s=supervisor_retry_s,
+            clock=self._clock,
+        )
         self.scrubber = None
-        if self.cluster is not None:
-            from ..cluster.repair import IntegrityScrubber
-            from ..cluster.replication import ShardSupervisor
-
-            self.supervisor = ShardSupervisor(
-                self.cluster,
-                threshold=supervisor_threshold,
-                retry_after_s=supervisor_retry_s,
-                clock=self._clock,
+        if scrub_interval_s is not None:
+            self.scrubber = IntegrityScrubber(
+                self.cluster, interval_s=scrub_interval_s, metrics=self.metrics
             )
-            if scrub_interval_s is not None:
-                if scrub_interval_s <= 0:
-                    raise ValueError(
-                        f"scrub_interval_s must be > 0 (or None), "
-                        f"got {scrub_interval_s}"
-                    )
-                self.scrubber = IntegrityScrubber(
-                    self.cluster,
-                    interval_s=scrub_interval_s,
-                    metrics=self.metrics,
-                )
-                self.scrubber.start()
-        elif scrub_interval_s is not None:
-            raise ValueError("scrub_interval_s requires a cluster database")
+            self.scrubber.start()
         self._watchdog: threading.Thread | None = None
         if watchdog_interval > 0:
             self._watchdog = threading.Thread(
@@ -641,12 +643,10 @@ class ServiceEngine:
             )
         job = IngestJob(job_id=f"job-{next(self._job_counter)}", description=description)
         job.submitted_mono = self._clock()
-        # In cluster mode, land the job on its home shard's queue (the
-        # router is deterministic, so the hint — the eventual clip
-        # name — picks the same shard the coordinator will).
-        queue_index = 0
-        if self.cluster is not None and route_hint:
-            queue_index = self.cluster.router.shard_for(route_hint)
+        # Land the job on its home shard's queue (the router is
+        # deterministic, so the hint — the eventual clip name — picks
+        # the same shard the coordinator will).
+        queue_index = self.cluster.router.shard_for(route_hint) if route_hint else 0
         with self._jobs_lock:
             self._jobs[job.job_id] = job
             self._pending += 1
@@ -700,9 +700,6 @@ class ServiceEngine:
                 if self._stopping:
                     return
                 continue
-            if item is None:  # legacy sentinel; still honored
-                my_queue.task_done()
-                return
             job, payload = item
             with self._workers_lock:
                 self._active[name] = (job, self._clock())
@@ -788,29 +785,15 @@ class ServiceEngine:
                 try:
                     if self.ingest_hook is not None:
                         self.ingest_hook(clip)
-                    if self.cluster is not None:
-                        # The coordinator takes only the owning shard's
-                        # write lock, so ingests into other shards (and
-                        # all queries) keep flowing.  Cache coherence
-                        # holds without exclusivity because readers
-                        # snapshot the generation *before* querying —
-                        # this invalidate rejects their late put().
-                        report = self.cluster.ingest(clip, category=category)
-                        self.cache.invalidate()
-                    else:
-                        # The pipeline (detect + tree + features) runs
-                        # inside db.ingest but before it touches shared
-                        # state; the write lock covers the whole call so
-                        # a torn registration is never observable, and
-                        # queries only stall on the final publish because
-                        # they queue behind the waiting writer.
-                        with self.lock.write_locked():
-                            report = self.db.ingest(clip, category=category)
-                            # Invalidate while still exclusive: readers
-                            # that saw the pre-ingest database also saw
-                            # the old generation, so their late put()
-                            # calls are rejected (see cache.py).
-                            self.cache.invalidate()
+                    # The coordinator holds the owning shard's write
+                    # lock through the pipeline and the publish, so a
+                    # torn registration is never observable; ingests
+                    # into other shards keep flowing.  Cache coherence
+                    # holds without exclusivity because readers
+                    # snapshot the generation *before* querying — this
+                    # invalidate rejects their late put().
+                    report = self.cluster.ingest(clip, category=category)
+                    self.cache.invalidate()
                 except (StorageError, OSError) as exc:
                     if not self._is_transient(exc):
                         raise
@@ -902,34 +885,13 @@ class ServiceEngine:
     # query side
     # ------------------------------------------------------------------
 
-    def _read_timeout(self, deadline: Deadline | None) -> float | None:
-        """Lock-acquisition budget for a deadline-carrying read.
-
-        Raises :class:`ServiceTimeout` when the budget is already spent
-        — cheaper than queueing on the lock just to time out there.
+    @staticmethod
+    def _check_deadline(deadline: Deadline | None) -> None:
+        """Raise :class:`ServiceTimeout` when the budget is already spent
+        — cheaper than queueing on a shard lock just to time out there.
         """
-        if deadline is None:
-            return None
-        deadline.check("request")
-        return deadline.remaining()
-
-    @contextmanager
-    def _traced_read_lock(self, timeout: float | None) -> Iterator[None]:
-        """``read_locked`` with the acquisition wait timed as its own
-        span — when a p99 regresses, "queued behind a writer" and
-        "slow index scan" must be distinguishable."""
-        with _span("service.lock_wait") as lock_span:
-            acquired = self.lock.acquire_read(timeout)
-            lock_span.annotate(acquired=acquired)
-        if not acquired:
-            raise ServiceTimeout(
-                f"read lock not acquired within {timeout:.3f}s "
-                f"(a writer is holding or queued)"
-            )
-        try:
-            yield
-        finally:
-            self.lock.release_read()
+        if deadline is not None:
+            deadline.check("request")
 
     def query(
         self,
@@ -949,11 +911,12 @@ class ServiceEngine:
         key, so per-request overrides never alias.
 
         A ``deadline`` bounds the whole call: a cache hit always
-        returns, but a miss gives the read lock only the remaining
-        budget and raises :class:`~repro.errors.ServiceTimeout` instead
-        of queueing indefinitely behind a stalled writer.
+        returns, but a miss gives each shard read lock only the
+        remaining budget and raises :class:`~repro.errors.ServiceTimeout`
+        when no shard answered within it, instead of queueing
+        indefinitely behind a stalled writer.
         """
-        base = self.db.config.query
+        base = self.cluster.config.query
         effective_alpha = base.alpha if alpha is None else float(alpha)
         effective_beta = base.beta if beta is None else float(beta)
         query_config = QueryConfig(alpha=effective_alpha, beta=effective_beta)
@@ -986,47 +949,36 @@ class ServiceEngine:
         config: QueryConfig,
         deadline: Deadline | None,
     ) -> tuple[list[dict[str, Any]], int | None]:
-        """Answer ``points`` on the database or the cluster.
+        """Answer ``points`` in one scatter round of the coordinator.
 
         Returns one payload per point and the cache generation they
-        were read at, or None when they must not be cached.  A single
-        database answers under the engine-wide read lock.  A cluster
-        scatters once for the whole batch: the coordinator holds
-        per-shard locks, so the engine-wide lock is not taken at all,
-        and payloads carry the ``shards_*``/``partial`` coverage
-        fields.  Partial answers reflect a transient outage, not the
-        corpus (caching one would keep serving holes after the shard
-        recovers); failover answers are complete but come from a shard
-        set in flux — neither is cached.
+        were read at, or None when they must not be cached.  Payloads
+        carry the ``shards_*``/``partial`` coverage fields.  Partial
+        answers reflect a transient outage, not the corpus (caching
+        one would keep serving holes after the shard recovers);
+        failover answers are complete but come from a shard set in
+        flux — neither is cached.
+
+        When no shard answered and the deadline ran out, the request
+        fails with :class:`ServiceTimeout` (503) rather than returning
+        an empty partial answer, and the supervisor is not told: the
+        request ran out of time (typically queued behind a writer on
+        every shard), which says nothing about any shard's health.
         """
-        if self.cluster is None:
-            with self._traced_read_lock(self._read_timeout(deadline)):
-                generation = self.cache.generation
-                answers = self.db.query_batch(
-                    points, limit=limit, category=category, config=config
-                )
-                payloads = [self._answer_payload(answer) for answer in answers]
-            return payloads, generation
-        self._read_timeout(deadline)  # fail fast on a spent budget
+        self._check_deadline(deadline)
         generation = self.cache.generation
         answers = self.cluster.query_batch(
             points, limit=limit, category=category, config=config, deadline=deadline
         )
-        payloads = []
-        for answer in answers:
-            payload = self._answer_payload(answer)
-            payload["shards_queried"] = answer.shards_queried
-            payload["shards_failed"] = answer.shards_failed
-            payload["shards_recovered"] = answer.shards_recovered
-            payload["partial"] = answer.partial
-            payloads.append(payload)
+        first = answers[0]
+        if deadline is not None and not first.shards_queried:
+            deadline.check("query: no shard answered")
+        payloads = [self._answer_payload(answer) for answer in answers]
         # One scatter round answered every point, with the same shard
         # coverage: one supervisor observation and one counter tick
         # (per-answer observes would let a single sick scatter count as
         # len(points) consecutive failures).
-        first = answers[0]
-        if self.supervisor is not None:
-            self.supervisor.observe(first)
+        self.supervisor.observe(first)
         if first.partial:
             self.metrics.increment("cluster_partial_answers")
             return payloads, None
@@ -1053,8 +1005,8 @@ class ServiceEngine:
 
         ``queries`` is the request's ``queries`` field: a non-empty
         list of ``{"var_ba": .., "var_oa": ..}`` objects (at most
-        :data:`MAX_BATCH_QUERIES`).  The whole batch runs under one
-        read-lock acquisition (or one cluster scatter-gather round)
+        :data:`MAX_BATCH_QUERIES`).  The whole batch runs in one
+        scatter-gather round (one read-lock acquisition per shard)
         bounded by the request ``deadline``, and shares one
         alpha/beta/limit/category scope.
 
@@ -1081,7 +1033,7 @@ class ServiceEngine:
                 raise QueryError(f"query {k} is missing {exc.args[0]!r}") from exc
             except (TypeError, ValueError) as exc:
                 raise QueryError(f"query {k} has non-numeric variances") from exc
-        base = self.db.config.query
+        base = self.cluster.config.query
         query_config = QueryConfig(
             alpha=base.alpha if alpha is None else float(alpha),
             beta=base.beta if beta is None else float(beta),
@@ -1094,7 +1046,7 @@ class ServiceEngine:
         return {"count": len(results), "results": results}
 
     @staticmethod
-    def _answer_payload(answer: QueryAnswer) -> dict[str, Any]:
+    def _answer_payload(answer: ClusterAnswer) -> dict[str, Any]:
         matches = [
             {
                 "video_id": entry.video_id,
@@ -1121,7 +1073,15 @@ class ServiceEngine:
             }
             for route in answer.routes
         ]
-        return {"count": len(matches), "matches": matches, "routes": routes}
+        return {
+            "count": len(matches),
+            "matches": matches,
+            "routes": routes,
+            "shards_queried": answer.shards_queried,
+            "shards_failed": answer.shards_failed,
+            "shards_recovered": answer.shards_recovered,
+            "partial": answer.partial,
+        }
 
     # ------------------------------------------------------------------
     # read-only views
@@ -1129,85 +1089,54 @@ class ServiceEngine:
 
     def catalog_payload(self, deadline: Deadline | None = None) -> dict[str, Any]:
         """The catalog listing served at ``GET /videos``."""
-        if self.cluster is not None:
-            self._read_timeout(deadline)
-            videos = [
-                entry.to_dict() for entry in self.cluster.catalog_entries(deadline)
-            ]
-            indexed = self.cluster.index_size()
-            return {"count": len(videos), "indexed_shots": indexed, "videos": videos}
-        with self.lock.read_locked(self._read_timeout(deadline)):
-            videos = [entry.to_dict() for entry in self.db.catalog]
-            indexed = len(self.db.index)
+        self._check_deadline(deadline)
+        videos = [entry.to_dict() for entry in self.cluster.catalog_entries(deadline)]
+        indexed = self.cluster.index_size()
         return {"count": len(videos), "indexed_shots": indexed, "videos": videos}
 
     def shots_payload(
         self, video_id: str, deadline: Deadline | None = None
     ) -> dict[str, Any]:
         """One video's indexed shots served at ``GET /videos/<id>/shots``."""
-        if self.cluster is not None:
-            self._read_timeout(deadline)
-            # CatalogError when unknown
-            rows = self.cluster.shot_entries(video_id, deadline)
-            shots = [entry.to_row() for entry in rows]
-            return {"video_id": video_id, "count": len(shots), "shots": shots}
-        with self.lock.read_locked(self._read_timeout(deadline)):
-            self.db.catalog.get(video_id)  # raises CatalogError when unknown
-            rows = sorted(
-                self.db.index.entries_for(video_id),
-                key=lambda e: e.shot_number,
-            )
-            shots = [entry.to_row() for entry in rows]
+        self._check_deadline(deadline)
+        # CatalogError when unknown
+        rows = self.cluster.shot_entries(video_id, deadline)
+        shots = [entry.to_row() for entry in rows]
         return {"video_id": video_id, "count": len(shots), "shots": shots}
 
     def tree_payload(
         self, video_id: str, deadline: Deadline | None = None
     ) -> dict[str, Any]:
         """One video's scene tree served at ``GET /videos/<id>/tree``."""
-        if self.cluster is not None:
-            self._read_timeout(deadline)
-            # CatalogError when unknown
-            tree = self.cluster.scene_tree(video_id, deadline)
-            payload = scene_tree_to_dict(tree)
-            payload["height"] = tree.height
-            payload["n_shots"] = tree.n_shots
-            return payload
-        with self.lock.read_locked(self._read_timeout(deadline)):
-            tree = self.db.scene_tree(video_id)  # raises CatalogError when unknown
-            payload = scene_tree_to_dict(tree)
-            payload["height"] = tree.height
-            payload["n_shots"] = tree.n_shots
+        self._check_deadline(deadline)
+        # CatalogError when unknown
+        tree = self.cluster.scene_tree(video_id, deadline)
+        payload = scene_tree_to_dict(tree)
+        payload["height"] = tree.height
+        payload["n_shots"] = tree.n_shots
         return payload
 
     def health_payload(self) -> dict[str, Any]:
         """The liveness document served at ``GET /health``.
 
         Deliberately lock-free on the database side: liveness must
-        answer even while a writer wedges the reader-writer lock, so
-        the corpus counts here are unsynchronized snapshots.
+        answer even while a writer wedges a shard's reader-writer lock,
+        so the corpus counts here are unsynchronized snapshots.
         """
         jobs = self.jobs()
         by_status: dict[str, int] = {}
         for job in jobs:
             by_status[job.status.value] = by_status.get(job.status.value, 0) + 1
-        if self.cluster is not None:
-            videos = self.cluster.catalog_size()
-            indexed = self.cluster.index_size()
-        else:
-            videos = len(self.db.catalog)
-            indexed = len(self.db.index)
-        payload = {
+        shard_status = [shard.status() for shard in self.cluster.shards]
+        return {
             "status": "ok" if self.ready else "draining",
             "ready": self.ready,
             "uptime_s": round(self._clock() - self._started_mono, 3),
-            "videos": videos,
-            "indexed_shots": indexed,
+            "videos": self.cluster.catalog_size(),
+            "indexed_shots": self.cluster.index_size(),
             "jobs": by_status,
             "breaker": self.breaker.state,
-        }
-        if self.cluster is not None:
-            shard_status = [shard.status() for shard in self.cluster.shards]
-            payload["cluster"] = {
+            "cluster": {
                 "n_shards": self.cluster.n_shards,
                 "replication": self.cluster.replication,
                 "effective_replication": self.cluster.effective_replication,
@@ -1223,13 +1152,12 @@ class ServiceEngine:
                     }
                     for s in shard_status
                 ],
-            }
-            if self.supervisor is not None:
-                payload["cluster"]["supervisor"] = self.supervisor.status()
-            payload["cluster"]["scrubber_running"] = (
-                self.scrubber is not None and self.scrubber.running
-            )
-        return payload
+                "supervisor": self.supervisor.status(),
+                "scrubber_running": (
+                    self.scrubber is not None and self.scrubber.running
+                ),
+            },
+        }
 
     def ready_payload(self) -> dict[str, Any]:
         """The readiness document served at ``GET /ready``."""
@@ -1276,13 +1204,11 @@ class ServiceEngine:
         payload["extractor_cache"] = SignatureExtractor.cache_stats()
         payload["fused_operator_cache"] = operator_cache_stats()
         payload["overload"] = self.overload_payload()
-        if self.cluster is not None:
-            cluster_status = self.cluster.status()
-            if self.supervisor is not None:
-                cluster_status["supervisor"] = self.supervisor.status()
-            if self.scrubber is not None:
-                cluster_status["scrubber"] = self.scrubber.stats_snapshot()
-            payload["cluster"] = cluster_status
+        cluster_status = self.cluster.status()
+        cluster_status["supervisor"] = self.supervisor.status()
+        if self.scrubber is not None:
+            cluster_status["scrubber"] = self.scrubber.stats_snapshot()
+        payload["cluster"] = cluster_status
         if self.traces is not None:
             payload["tracing"] = self.traces.stats()
         payload["uptime_s"] = round(self._clock() - self._started_mono, 3)
@@ -1293,8 +1219,6 @@ class ServiceEngine:
     # ------------------------------------------------------------------
 
     def _admin_shard(self, shard_id: int) -> Any:
-        if self.cluster is None:
-            raise QueryError("shard administration requires cluster mode")
         if not 0 <= shard_id < self.cluster.n_shards:
             raise QueryError(
                 f"shard id {shard_id} out of range "
@@ -1321,7 +1245,7 @@ class ServiceEngine:
         a plain ``mark_up``.
         """
         shard = self._admin_shard(shard_id)
-        if self.supervisor is None or not self.supervisor.readmit(shard.name):
+        if not self.supervisor.readmit(shard.name):
             shard.mark_up()
         self.metrics.increment("admin_shard_revivals")
         return shard.status()
@@ -1430,13 +1354,12 @@ class ServiceEngine:
             self.metrics.increment("workers_replaced", replaced)
         if supplemented:
             self.metrics.increment("workers_supplemented", supplemented)
-        if self.supervisor is not None:
-            # The same sweep runs the shard supervisor's half-open
-            # probes, so benched shards re-enter rotation without a
-            # second background thread.
-            readmitted = self.supervisor.probe()
-            if readmitted:
-                self.metrics.increment("shards_readmitted", len(readmitted))
+        # The same sweep runs the shard supervisor's half-open probes,
+        # so benched shards re-enter rotation without a second
+        # background thread.
+        readmitted = self.supervisor.probe()
+        if readmitted:
+            self.metrics.increment("shards_readmitted", len(readmitted))
         return {"replaced": replaced, "supplemented": supplemented}
 
     def _watchdog_loop(self) -> None:
@@ -1479,20 +1402,12 @@ class ServiceEngine:
                 abandoned += 1
         if abandoned:
             self.metrics.increment("ingest_abandoned", abandoned)
-        if self.cluster is not None:
-            try:
-                self.cluster.save_all()
-            except (StorageError, OSError):  # pragma: no cover - best effort
-                pass
-            self.cluster.close()
-            return
-        root = self.db.storage_root
-        if root is not None:
-            # Durable engines publish every ingest incrementally, so
-            # this is normally a no-op manifest rewrite — but it makes
-            # "drain then exit" leave a clean, current generation even
-            # if the last publish was interrupted.
-            try:
-                self.db.save(root)
-            except (StorageError, OSError):  # pragma: no cover - best effort
-                pass
+        # Durable shards publish every ingest incrementally, so this is
+        # normally a no-op manifest rewrite — but it makes "drain then
+        # exit" leave a clean, current generation even if the last
+        # publish was interrupted.
+        try:
+            self.cluster.save_all()
+        except (StorageError, OSError):  # pragma: no cover - best effort
+            pass
+        self.cluster.close()

@@ -4,7 +4,7 @@ Two small, independently testable pieces the serving layer composes:
 
 * :class:`Deadline` — a per-request time budget.  The server mints one
   from the ``X-Deadline-Ms`` header (or the engine default) and passes
-  it down through the engine and the reader-writer lock, so a request
+  it down through the engine to the shard reader-writer locks, so a request
   that cannot be answered in time fails *fast* with a structured 503
   instead of hanging behind a stalled writer.
 * :class:`CircuitBreaker` — the classic closed/open/half-open state

@@ -158,10 +158,9 @@ class VideoDatabase:
         # Compute everything before touching shared state.  The pipeline
         # (detect + tree + features) is the expensive part; deferring all
         # mutation to the final publish below means a failure mid-ingest
-        # leaves the database untouched, and a concurrent reader that is
-        # serialized against ingest only at this publish step (as the
-        # service engine's reader-writer lock does) never observes a
-        # half-registered video.
+        # leaves the database untouched, and a concurrent reader never
+        # observes a half-registered video (the service also holds the
+        # shard's write lock across the whole call).
         detection = self._detector.detect(clip)
         if callable(archetypes):
             archetypes = archetypes(

@@ -364,6 +364,31 @@ class TestShardSupervisor:
         assert cluster.shards[0].down  # not the supervisor's to reverse
 
 
+class TestReplicatedCounts:
+    def test_served_counts_list_each_video_once(self):
+        """R copies of a video are one video with its shots, in
+        ``/videos`` and ``/health`` alike."""
+        records = make_records(4)
+        plain = VideoDatabase()
+        cluster = ClusterCoordinator.ephemeral(3, replication=2)
+        for record in records:
+            plain.adopt(record)
+            cluster.adopt(record)
+        single = ServiceEngine(plain, n_workers=1, watchdog_interval=0)
+        replicated = ServiceEngine(cluster, n_workers=1, watchdog_interval=0)
+        try:
+            assert replicated.catalog_payload() == single.catalog_payload()
+            want, got = single.health_payload(), replicated.health_payload()
+            assert (got["videos"], got["indexed_shots"]) == (
+                want["videos"],
+                want["indexed_shots"],
+            )
+            assert got["indexed_shots"] == sum(len(r.index_entries) for r in records)
+        finally:
+            single.shutdown(timeout=10)
+            replicated.shutdown(timeout=10)
+
+
 def _get(base_url: str, path: str):
     try:
         with urllib.request.urlopen(base_url + path, timeout=30) as response:
@@ -443,12 +468,14 @@ class TestServiceFailover:
             thread.join(timeout=10)
             engine.shutdown(timeout=10)
 
-    def test_admin_requires_cluster_mode(self):
+    def test_admin_serves_a_plain_database_as_one_shard(self):
         engine = ServiceEngine(
             VideoDatabase(), n_workers=1, watchdog_interval=0
         )
         try:
+            assert engine.kill_shard(0)["up"] is False
+            assert engine.revive_shard(0)["up"] is True
             with pytest.raises(QueryError):
-                engine.kill_shard(0)
+                engine.kill_shard(1)  # a plain database is shard 0 only
         finally:
             engine.shutdown(timeout=10)

@@ -7,7 +7,9 @@
 category filter and the cap, and checks every answer's routes against
 :func:`~repro.index.routing.route_to_scene_nodes` over the oracle's
 matches.  Seeded corpora from :func:`repro.testing.synth_database`
-(about half its videos carry a random category).
+(about half its videos carry a random category).  The same oracle
+checks ``ServiceEngine.query`` and ``query_batch`` over a plain
+database, which the engine serves as a one-shard cluster.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.config import QueryConfig
 from repro.index.query import VarianceQuery, search
 from repro.index.routing import route_to_scene_nodes
 from repro.index.table import IndexTable
+from repro.service.engine import ServiceEngine
 from repro.testing.synth import synth_database
 from repro.workloads.taxonomy import VideoCategory
 
@@ -99,3 +102,63 @@ def test_single_query_and_unexcluded_batch_match_the_oracle(seed):
                 single = db.query(*point, limit=limit, category=scope, config=config)
                 assert single.matches == expected
                 assert single.routes == route_to_scene_nodes(expected, db.trees)
+
+
+def _served_key(payload):
+    """Ranked shot ids and routes of one served answer."""
+    matches = [(m["video_id"], m["shot_number"]) for m in payload["matches"]]
+    routes = [
+        (r["shot_id"], r["scene_node"], r["representative_frame"], r["suggestion"])
+        for r in payload["routes"]
+    ]
+    return matches, routes
+
+
+def _oracle_key(db, matches):
+    """The served form of the oracle's matches and their routes."""
+    routes = [
+        (
+            route.entry.shot_id,
+            route.node.label if route.node is not None else None,
+            route.node.representative_frame if route.node is not None else None,
+            route.suggestion,
+        )
+        for route in route_to_scene_nodes(matches, db.trees)
+    ]
+    return [(m.video_id, m.shot_number) for m in matches], routes
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+def test_engine_over_a_plain_database_matches_the_oracle(seed):
+    """A plain database is served as a one-shard cluster: the engine's
+    single and batch answers are the oracle's, complete, from one shard."""
+    db, category, config, points, _ = _case(seed)
+    engine = ServiceEngine(db, n_workers=1, watchdog_interval=0)
+    scope_kw = {"alpha": config.alpha, "beta": config.beta}
+    try:
+        for limit in (None, 10):
+            for scope in (None, category):
+                for size in BATCH_SIZES:
+                    batch = points[:size]
+                    served = engine.query_batch(
+                        [{"var_ba": ba, "var_oa": oa} for ba, oa in batch],
+                        limit=limit,
+                        category=scope,
+                        **scope_kw,
+                    )
+                    assert served["count"] == size
+                    for point, payload in zip(batch, served["results"]):
+                        expected = _oracle(db, point, config, limit, scope, None)
+                        assert _served_key(payload) == _oracle_key(db, expected)
+                        assert payload["shards_queried"] == 1
+                        assert payload["partial"] is False
+                for point in points:
+                    payload, _ = engine.query(
+                        *point, limit=limit, category=scope, **scope_kw
+                    )
+                    expected = _oracle(db, point, config, limit, scope, None)
+                    assert _served_key(payload) == _oracle_key(db, expected)
+                    assert payload["shards_queried"] == 1
+                    assert payload["partial"] is False
+    finally:
+        engine.shutdown(timeout=10)

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator
+from repro.errors import ServiceTimeout
 from repro.service.engine import JobStatus, ServiceEngine
+from repro.service.resilience import Deadline
 from repro.service.server import create_server
 from repro.testing.chaos import run_overload_burst
 from repro.testing.synth import add_synth_video
@@ -140,9 +142,10 @@ class TestDeadlines:
     def test_expired_deadline_is_a_structured_503(self):
         engine = ServiceEngine(n_workers=1, watchdog_interval=0)
         with _serve(engine) as base_url:
-            # Wedge the read path: a writer holds the lock, so any
+            # Wedge the read path: a writer holds the shard lock, so any
             # deadline-carrying read must give up within its budget.
-            engine.lock.acquire_write()
+            [shard] = engine.cluster.shards
+            shard.lock.acquire_write()
             try:
                 started = time.perf_counter()
                 status, payload, _ = _request(
@@ -150,7 +153,7 @@ class TestDeadlines:
                 )
                 elapsed = time.perf_counter() - started
             finally:
-                engine.lock.release_write()
+                shard.lock.release_write()
             assert status == 503
             assert payload["reason"] == "deadline_exceeded"
             assert elapsed < 5.0, "deadline did not bound the wait"
@@ -193,16 +196,59 @@ class TestDeadlines:
             status, _, _ = _request(base_url, "GET", "/videos/held/tree")
             assert status == 200
 
+    @pytest.mark.parametrize("layout", ["plain", "cluster"])
+    def test_no_shard_answering_by_the_deadline_is_a_timeout(self, layout):
+        """Every shard's write lock is held: a deadline query fails with
+        ServiceTimeout instead of an empty partial answer, and no shard
+        is benched for a lock it does not control."""
+        records = []
+        for k in range(4):
+            scratch = VideoDatabase()
+            add_synth_video(scratch, f"held-{k}", np.random.default_rng(k))
+            records.append(scratch.export_video(f"held-{k}"))
+        if layout == "plain":
+            db = VideoDatabase()
+            for record in records:
+                db.adopt(record)
+        else:
+            db = ClusterCoordinator.ephemeral(2)
+            for record in records:
+                db.adopt(record)
+        engine = ServiceEngine(db, n_workers=1, watchdog_interval=0)
+        wide = {"alpha": 1e6, "beta": 1e6}  # every shot matches
+        try:
+            shards = engine.cluster.shards
+            for shard in shards:
+                shard.lock.acquire_write()
+            try:
+                for _ in range(4):
+                    started = time.perf_counter()
+                    with pytest.raises(ServiceTimeout):
+                        engine.query(1.0, 1.0, deadline=Deadline(0.1), **wide)
+                    assert time.perf_counter() - started < 1.0
+            finally:
+                for shard in shards:
+                    shard.lock.release_write()
+            assert not any(shard.down for shard in shards)
+            payload, cached = engine.query(1.0, 1.0, deadline=Deadline(5.0), **wide)
+            assert not cached
+            assert payload["partial"] is False
+            assert payload["shards_queried"] == len(shards)
+            assert payload["count"] == sum(len(r.index_entries) for r in records)
+        finally:
+            engine.shutdown(timeout=10)
+
     def test_default_deadline_applies_without_header(self):
         engine = ServiceEngine(
             n_workers=1, watchdog_interval=0, default_deadline_ms=100
         )
         with _serve(engine) as base_url:
-            engine.lock.acquire_write()
+            [shard] = engine.cluster.shards
+            shard.lock.acquire_write()
             try:
                 status, payload, _ = _request(base_url, "GET", "/videos")
             finally:
-                engine.lock.release_write()
+                shard.lock.release_write()
             assert status == 503
             assert payload["reason"] == "deadline_exceeded"
 
