@@ -13,8 +13,8 @@ import pytest
 
 from repro.eval.retrieval_metrics import precision_at_k
 from repro.eval.sbd_metrics import score_boundaries
+from repro.index.columnar import ColumnarVarianceIndex
 from repro.index.extended import ExtendedVarianceIndex
-from repro.index.sorted_index import SortedVarianceIndex
 from repro.index.table import IndexTable
 from repro.index.query import VarianceQuery
 from repro.sbd.detector import CameraTrackingDetector
@@ -40,7 +40,7 @@ def bench_extended_vs_base_retrieval(benchmark, corpus_detections):
         for clip, _, detection, labels in corpus_detections:
             base.add_detection_result(detection, archetypes=labels)
             extended.add_detection_result(detection, archetypes=labels)
-        sorted_base = SortedVarianceIndex.from_table(base)
+        sorted_base = ColumnarVarianceIndex.from_table(base)
         base_stats = []
         ext_stats = []
         probes = [e for e in extended.entries if e.archetype][:20]

@@ -1,9 +1,10 @@
 """Perf benches for the fused extraction fast path and diagonal matcher.
 
 Measures frames/sec through signature extraction (fused vs. the
-multi-pass reference path), end-to-end shot boundary detection, and
-the stage-3 matcher (banded diagonal vs. reference DP), asserting the
-two extraction paths stay byte-identical while they are timed.
+multi-pass reference in :mod:`repro.testing.reference`, reported under
+the ``legacy_*`` keys), end-to-end shot boundary detection, and the
+stage-3 matcher (banded diagonal vs. reference DP), asserting the two
+extractions stay byte-identical while they are timed.
 
 Run as benches:
 
@@ -30,12 +31,12 @@ import pytest
 
 from repro.config import ExtractionConfig, SBDConfig
 from repro.sbd.detector import CameraTrackingDetector
-from repro.sbd.stages import longest_match_run, longest_match_run_dp
+from repro.sbd.stages import longest_match_run
 from repro.signature.extract import SignatureExtractor
 from repro.synth.genres import GENRE_MODELS, generate_genre_clip
+from repro.testing.reference import longest_match_run_dp, reference_extract
 
-FUSED = ExtractionConfig(use_fused=True, chunk_frames=None)
-LEGACY = ExtractionConfig(use_fused=False, chunk_frames=None)
+FUSED = ExtractionConfig(chunk_frames=None)
 
 
 def _bench_clip(n_shots: int = 25, seed: int = 17):
@@ -74,7 +75,7 @@ def run_perf_suite(
     extractor = SignatureExtractor.for_clip(clip)
 
     fused_features = extractor.extract_clip(clip, extraction=FUSED)
-    legacy_features = extractor.extract_clip(clip, extraction=LEGACY)
+    legacy_features = reference_extract(extractor, clip.frames)
     byte_identical = _features_identical(fused_features, legacy_features)
     chunked = extractor.extract_clip(
         clip, extraction=ExtractionConfig(chunk_frames=64, workers=2)
@@ -82,9 +83,7 @@ def run_perf_suite(
     chunked_identical = _features_identical(chunked, fused_features)
 
     t_fused = _best_time(lambda: extractor.extract_clip(clip, extraction=FUSED), repeats)
-    t_legacy = _best_time(
-        lambda: extractor.extract_clip(clip, extraction=LEGACY), repeats
-    )
+    t_legacy = _best_time(lambda: reference_extract(extractor, clip.frames), repeats)
 
     detector = CameraTrackingDetector(config=SBDConfig(), extraction=FUSED)
     t_detect = _best_time(lambda: detector.detect(clip), repeats)
@@ -162,7 +161,7 @@ def bench_extraction_legacy(benchmark):
     """Multi-pass reference extraction over the same clip (baseline)."""
     clip = _bench_clip()
     extractor = SignatureExtractor.for_clip(clip)
-    features = benchmark(extractor.extract_clip, clip, extraction=LEGACY)
+    features = benchmark(reference_extract, extractor, clip.frames)
     assert len(features) == len(clip)
     benchmark.extra_info["frames"] = len(clip)
 

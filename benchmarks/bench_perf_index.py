@@ -1,7 +1,7 @@
 """Perf benches: the "large video databases" query-path claim.
 
-The sorted index answers Eq. 7-8 queries in O(log n + band); the table
-scan is O(n).  Measured at 100k indexed shots — roughly a thousand
+The sorted (columnar) index answers Eq. 7-8 queries in O(log n +
+band); the table scan is O(n).  Measured at 100k indexed shots — roughly a thousand
 feature films' worth — plus the key-frame histogram baseline's cost on
 the same corpus size, substantiating the paper's cost-effectiveness
 argument (2 floats/shot vs 3*bins floats/shot).
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.features.vector import FeatureVector
+from repro.index.columnar import ColumnarVarianceIndex
 from repro.index.query import VarianceQuery, search
-from repro.index.sorted_index import SortedVarianceIndex
 from repro.index.table import IndexEntry, IndexTable
 
 N_SHOTS = 100_000
@@ -37,7 +37,7 @@ def big_entries():
 
 @pytest.fixture(scope="module")
 def big_sorted_index(big_entries):
-    return SortedVarianceIndex(big_entries)
+    return ColumnarVarianceIndex(big_entries)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def bench_sorted_vs_scan_agree(benchmark, big_sorted_index, big_table):
 
 def bench_index_build_100k(benchmark, big_entries):
     index = benchmark.pedantic(
-        SortedVarianceIndex, args=(big_entries,), rounds=1, iterations=1
+        ColumnarVarianceIndex, args=(big_entries,), rounds=1, iterations=1
     )
     assert len(index) == N_SHOTS
 

@@ -1,13 +1,15 @@
-"""Query-engine bench: columnar vs entry-list search, batching, open().
+"""Query-engine bench: columnar search vs the scan, batching, open().
 
 Measures the three claims the columnar engine makes, on seeded
-synthetic corpora of 10k and 100k shots:
+synthetic corpora of 2k, 10k and 100k shots:
 
 * **Single-query throughput** — top-10 impression queries against the
   packed column arrays (two ``searchsorted`` probes + one vectorized
-  rank) vs the legacy ``SortedVarianceIndex`` entry-list path
-  (bisect + per-entry Python ranking).  The asserted bar is at the
-  100k corpus, where the per-candidate Python cost dominates.
+  rank) vs the table scan :func:`repro.index.query.search`, the ground
+  truth (Eq. 7-8 tested on every entry, then a Python sort).  The
+  scan is slow, so it is timed on the first ``SCAN_QUERIES`` queries
+  only — the same ones the identity check compares.  The asserted bar
+  is at the 100k corpus.
 * **Batched execution** — one ``search_batch`` of 64 queries vs 64
   sequential singles on the same index.  Batching amortizes the
   per-call fixed cost (argument checks, array dispatch, result
@@ -16,7 +18,7 @@ synthetic corpora of 10k and 100k shots:
   candidate-bandwidth-bound (``search_batch`` switches to its
   per-query kernel) and the ratio is reported unasserted.
 * **open() latency** — deserializing the checksummed binary column
-  format vs parsing the JSON document of the same index.
+  format, and its size (reported, not asserted).
 
 A fourth section bounds the cost of the tracing layer
 (docs/OBSERVABILITY.md): with tracing disabled, the instrumented read
@@ -25,9 +27,9 @@ bench asserts that bound stays under 3% of query cost.  ``--overhead``
 runs just that gate (fast, for CI).
 
 Acceptance bars (asserted by ``main()``, relaxed under ``--smoke``):
-single-query >= 10x at 100k shots, batch-of-64 >= 3x sequential at
-2k shots, binary open() faster than JSON, disabled-tracing overhead
-bound <= 3%.
+single-query >= 100x the scan at 100k shots (>= 25x at 20k under
+``--smoke``), batch-of-64 >= 3x sequential at 2k shots,
+disabled-tracing overhead bound <= 3%.
 
 Run as a bench:
 
@@ -41,6 +43,7 @@ or standalone, writing ``BENCH_query.json``:
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -49,11 +52,15 @@ from typing import Any
 import numpy as np
 
 from repro.features.vector import FeatureVector
-from repro.index import ColumnarVarianceIndex, IndexEntry, SortedVarianceIndex
-from repro.index.query import VarianceQuery
+from repro.index import ColumnarVarianceIndex, IndexEntry
+from repro.index.query import VarianceQuery, search as scan_search
 
 LIMIT = 10
 BATCH = 64
+
+#: Queries the scan is timed on (and the identity check compares): at
+#: 100k shots one scan costs ~60 ms.
+SCAN_QUERIES = 10
 
 
 def build_entries(n_shots: int, seed: int = 42) -> list[IndexEntry]:
@@ -84,42 +91,50 @@ def build_queries(n_queries: int, seed: int = 7) -> list[VarianceQuery]:
     ]
 
 
+def _timed(fn) -> float:
+    """Wall seconds of one call of ``fn``."""
+    started = time.perf_counter()
+    fn()
+    return time.perf_counter() - started
+
+
 def _best_of(fn, rounds: int) -> float:
     """Wall seconds of the fastest round (discards warm-up noise)."""
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+    return min(_timed(fn) for _ in range(rounds))
 
 
 def run_single_query_bench(
     entries: list[IndexEntry], n_queries: int, rounds: int = 3
 ) -> dict[str, Any]:
-    """Top-10 query throughput: columnar vs the entry-list index."""
+    """Top-10 query throughput: columnar vs the table scan."""
     columnar = ColumnarVarianceIndex(entries)
-    legacy = SortedVarianceIndex(entries)
     queries = build_queries(n_queries)
+    scan_queries = queries[:SCAN_QUERIES]
     # Decision identity first — a fast wrong answer is no speedup.
-    for query in queries[:10]:
-        expect = [(e.video_id, e.shot_number) for e in legacy.search(query, limit=LIMIT)]
+    for query in scan_queries:
+        expect = [
+            (e.video_id, e.shot_number)
+            for e in scan_search(entries, query, limit=LIMIT)
+        ]
         got = [(e.video_id, e.shot_number) for e in columnar.search(query, limit=LIMIT)]
-        assert got == expect, f"columnar diverged from legacy on {query}"
+        assert got == expect, f"columnar diverged from the scan on {query}"
 
-    legacy_s = _best_of(
-        lambda: [legacy.search(q, limit=LIMIT) for q in queries], rounds
+    scan_s = _best_of(
+        lambda: [scan_search(entries, q, limit=LIMIT) for q in scan_queries], rounds
     )
     columnar_s = _best_of(
         lambda: [columnar.search(q, limit=LIMIT) for q in queries], rounds
     )
+    scan_qps = len(scan_queries) / scan_s
+    columnar_qps = n_queries / columnar_s
     return {
         "n_shots": len(entries),
         "n_queries": n_queries,
+        "n_scan_queries": len(scan_queries),
         "limit": LIMIT,
-        "legacy_qps": round(n_queries / legacy_s, 1),
-        "columnar_qps": round(n_queries / columnar_s, 1),
-        "speedup": round(legacy_s / columnar_s, 2),
+        "scan_qps": round(scan_qps, 1),
+        "columnar_qps": round(columnar_qps, 1),
+        "speedup": round(columnar_qps / scan_qps, 2),
     }
 
 
@@ -152,22 +167,14 @@ def run_batch_bench(
 
 
 def run_open_bench(entries: list[IndexEntry], rounds: int = 5) -> dict[str, Any]:
-    """Deserialization latency: binary columns vs the JSON document."""
-    index = ColumnarVarianceIndex(entries)
-    binary = index.to_bytes()
-    document = json.dumps(index.to_dict()).encode("utf-8")
-    assert len(ColumnarVarianceIndex.from_payload_bytes(binary)) == len(entries)
-    assert len(ColumnarVarianceIndex.from_payload_bytes(document)) == len(entries)
-
-    json_s = _best_of(lambda: ColumnarVarianceIndex.from_payload_bytes(document), rounds)
-    binary_s = _best_of(lambda: ColumnarVarianceIndex.from_payload_bytes(binary), rounds)
+    """Deserialization latency and size of the binary column format."""
+    binary = ColumnarVarianceIndex(entries).to_bytes()
+    assert len(ColumnarVarianceIndex.from_bytes(binary)) == len(entries)
+    binary_s = _best_of(lambda: ColumnarVarianceIndex.from_bytes(binary), rounds)
     return {
         "n_shots": len(entries),
-        "json_bytes": len(document),
         "binary_bytes": len(binary),
-        "json_open_ms": round(json_s * 1_000, 3),
         "binary_open_ms": round(binary_s * 1_000, 3),
-        "speedup": round(json_s / binary_s, 2),
     }
 
 
@@ -198,15 +205,21 @@ def run_overhead_bench(
     * ``traced_overhead_pct`` — informational: full span bookkeeping
       (begin/end, annotations, tree assembly) on the index search loop,
       the worst case because the traced work is tiny.
+
+    Each round times the query loop, the guard loop and the traced loop
+    back to back, and each number is the median of the per-round
+    ratios: a host speed change between two rounds moves both sides of
+    a ratio together instead of skewing it.
     """
     from repro.obs import TraceContext, current_trace, tracing
 
     columnar = ColumnarVarianceIndex(build_entries(n_shots))
     queries = build_queries(n_queries, seed=23)
+    guard_calls = 100_000
 
-    untraced_s = _best_of(
-        lambda: [columnar.search(q, limit=LIMIT) for q in queries], rounds
-    )
+    def untraced() -> None:
+        for q in queries:
+            columnar.search(q, limit=LIMIT)
 
     def traced() -> None:
         ctx = TraceContext(name="bench")
@@ -215,28 +228,29 @@ def run_overhead_bench(
                 columnar.search(q, limit=LIMIT)
         ctx.finish()
 
-    traced_s = _best_of(traced, rounds)
-
-    guard_calls = 100_000
-
     def guard_loop() -> None:
         for _ in range(guard_calls):
             current_trace()
 
-    guard_s = _best_of(guard_loop, rounds)
-    guard_per_call_s = guard_s / guard_calls
-    per_query_s = untraced_s / n_queries
-    disabled_pct = 100.0 * (GUARD_SITES * guard_per_call_s) / per_query_s
+    untraced()  # warm the lazily built tie ranks and entry objects
+    per_query_s, guard_per_call_s, disabled, traced_pct = [], [], [], []
+    for _ in range(rounds):
+        query_s = _timed(untraced) / n_queries
+        guard_s = _timed(guard_loop) / guard_calls
+        traced_s = _timed(traced) / n_queries
+        per_query_s.append(query_s)
+        guard_per_call_s.append(guard_s)
+        disabled.append(100.0 * GUARD_SITES * guard_s / query_s)
+        traced_pct.append(100.0 * (traced_s - query_s) / query_s)
     return {
         "n_shots": n_shots,
         "n_queries": n_queries,
+        "rounds": rounds,
         "guard_sites": GUARD_SITES,
-        "guard_ns": round(guard_per_call_s * 1e9, 1),
-        "untraced_query_us": round(per_query_s * 1e6, 2),
-        "disabled_overhead_pct": round(disabled_pct, 3),
-        "traced_overhead_pct": round(
-            100.0 * (traced_s - untraced_s) / untraced_s, 1
-        ),
+        "guard_ns": round(statistics.median(guard_per_call_s) * 1e9, 1),
+        "untraced_query_us": round(statistics.median(per_query_s) * 1e6, 2),
+        "disabled_overhead_pct": round(statistics.median(disabled), 3),
+        "traced_overhead_pct": round(statistics.median(traced_pct), 1),
         "max_disabled_overhead_pct": MAX_DISABLED_OVERHEAD_PCT,
     }
 
@@ -258,8 +272,8 @@ def run_query_bench(
             run_batch_bench(corpora[n], rounds=max(rounds, 5)) for n in corpus_sizes
         ],
         "open": [run_open_bench(corpora[n]) for n in corpus_sizes],
-        "overhead": run_overhead_bench(rounds=rounds),
-        "asserted_corpora": {"single": largest, "batch": smallest, "open": largest},
+        "overhead": run_overhead_bench(rounds=max(rounds, 5)),
+        "asserted_corpora": {"single": largest, "batch": smallest},
     }
 
 
@@ -276,18 +290,14 @@ def check_acceptance(report: dict[str, Any], smoke: bool = False) -> None:
     shared CI boxes are too noisy for the strict thresholds)."""
     single = _bar(report, "single")
     batch = _bar(report, "batch")
-    opened = _bar(report, "open")
-    min_single = 2.0 if smoke else 10.0
+    min_single = 25.0 if smoke else 100.0
     min_batch = 1.2 if smoke else 3.0
-    min_open = 1.2
     assert single >= min_single, (
-        f"columnar single-query speedup {single}x below {min_single}x"
+        f"columnar single-query speedup over the scan {single}x below "
+        f"{min_single}x"
     )
     assert batch >= min_batch, (
         f"batch-of-{BATCH} speedup {batch}x below {min_batch}x"
-    )
-    assert opened >= min_open, (
-        f"binary open() speedup {opened}x below {min_open}x"
     )
     overhead = report.get("overhead")
     if overhead is not None:
@@ -309,7 +319,6 @@ def bench_query_engine(benchmark):
     check_acceptance(report, smoke=True)
     benchmark.extra_info["single_speedup"] = _bar(report, "single")
     benchmark.extra_info["batch_speedup"] = _bar(report, "batch")
-    benchmark.extra_info["open_speedup"] = _bar(report, "open")
 
 
 def _print_overhead(row: dict[str, Any]) -> None:
@@ -326,7 +335,7 @@ def main(argv: list[str] | None = None) -> None:
     smoke = "--smoke" in args
     if "--overhead" in args:
         # Fast CI gate: just the disabled-tracing overhead bound.
-        row = run_overhead_bench(n_shots=10_000, n_queries=100, rounds=3)
+        row = run_overhead_bench(n_shots=10_000, n_queries=100, rounds=5)
         _print_overhead(row)
         assert row["disabled_overhead_pct"] <= MAX_DISABLED_OVERHEAD_PCT, (
             f"disabled-tracing overhead bound {row['disabled_overhead_pct']}% "
@@ -341,7 +350,7 @@ def main(argv: list[str] | None = None) -> None:
         report = run_query_bench()
     for row in report["single"]:
         print(
-            f"single {row['n_shots']:>7} shots: legacy {row['legacy_qps']:>9.1f} q/s, "
+            f"single {row['n_shots']:>7} shots: scan {row['scan_qps']:>9.1f} q/s, "
             f"columnar {row['columnar_qps']:>10.1f} q/s ({row['speedup']}x)"
         )
     for row in report["batch"]:
@@ -352,8 +361,8 @@ def main(argv: list[str] | None = None) -> None:
         )
     for row in report["open"]:
         print(
-            f"open   {row['n_shots']:>7} shots: json {row['json_open_ms']:.3f}ms vs "
-            f"binary {row['binary_open_ms']:.3f}ms ({row['speedup']}x)"
+            f"open   {row['n_shots']:>7} shots: binary {row['binary_open_ms']:.3f}ms "
+            f"({row['binary_bytes']} bytes)"
         )
     _print_overhead(report["overhead"])
     check_acceptance(report, smoke=smoke)

@@ -33,7 +33,6 @@ from .errors import ReproError
 from .features.vector import FeatureVector, extract_shot_features
 from .index.columnar import ColumnarVarianceIndex
 from .index.query import VarianceQuery
-from .index.sorted_index import SortedVarianceIndex
 from .index.table import IndexEntry, IndexTable
 from .sbd.detector import CameraTrackingDetector, DetectionResult
 from .sbd.shots import Shot
@@ -70,7 +69,6 @@ __all__ = [
     "IndexTable",
     "IndexEntry",
     "VarianceQuery",
-    "SortedVarianceIndex",
     "ColumnarVarianceIndex",
     "VideoDatabase",
 ]

@@ -43,8 +43,6 @@ ANALYSIS_FPS = 3.0
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig | None:
     """Build a config from the extraction flags (None = library defaults)."""
     kwargs = {}
-    if getattr(args, "legacy_extract", False):
-        kwargs["use_fused"] = False
     chunk = getattr(args, "chunk_frames", None)
     if chunk is not None:
         kwargs["chunk_frames"] = None if chunk == 0 else chunk
@@ -839,7 +837,7 @@ def _fsck_single(
         report_sink.append(report)
     quarantined_files: list[str] = []
     dropped_videos: list[str] = []
-    if args.repair and report.mode != "empty" and (
+    if args.repair and report.mode == "manifest" and (
         report.problems() or report.untracked
     ):
         # Reload what survives first (a corrupt catalog or index is
@@ -879,7 +877,8 @@ def _fsck_single(
     if report.mode == "empty":
         print("  no database here")
         return 1
-    print("clean" if report.clean else "PROBLEMS FOUND (try --repair)")
+    hint = " (try --repair)" if report.mode == "manifest" else ""
+    print("clean" if report.clean else f"PROBLEMS FOUND{hint}")
     return 0 if report.clean else 1
 
 
@@ -932,12 +931,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="N",
             help="threads extracting chunks concurrently (default: 1)",
-        )
-        parser.add_argument(
-            "--legacy-extract",
-            action="store_true",
-            help="use the multi-pass reference extraction instead of the "
-            "fused operators (identical output, slower)",
         )
 
     p = sub.add_parser("ingest", help="analyze a video file into the database")

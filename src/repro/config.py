@@ -63,15 +63,11 @@ class RegionConfig:
 class ExtractionConfig:
     """Execution knobs of the signature-extraction fast path.
 
-    None of these change the extracted features — the fused and the
-    multi-pass reference path are byte-identical after quantization,
-    and chunking/parallelism only reorder the same computations.  See
-    docs/PERFORMANCE.md for how to choose values.
+    Neither changes the extracted features — chunking and parallelism
+    only reorder the same computations.  See docs/PERFORMANCE.md for
+    how to choose values.
 
     Attributes:
-        use_fused: apply the precompiled fused linear operators (one
-            GEMM per region) instead of the multi-pass REDUCE chain.
-            The default; disable only to cross-check the fast path.
         chunk_frames: process clips in blocks of at most this many
             frames, bounding peak intermediate memory on long clips.
             None extracts the whole clip in one block.
@@ -81,7 +77,6 @@ class ExtractionConfig:
             clip into multiple blocks.
     """
 
-    use_fused: bool = True
     chunk_frames: int | None = 256
     workers: int = 1
 

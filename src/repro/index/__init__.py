@@ -3,14 +3,13 @@
 * :mod:`repro.index.table` — the index table of Table 4: one entry per
   shot with ``(Var^BA, Var^OA, sqrt(Var^BA), D^v)``;
 * :mod:`repro.index.query` — the similarity model of Eqs. 7-8 with
-  tolerances alpha = beta = 1.0;
-* :mod:`repro.index.sorted_index` — a sorted, persistent index over
+  tolerances alpha = beta = 1.0, and the table scan that is the ground
+  truth of every query;
+* :mod:`repro.index.columnar` — the query engine: an index sorted by
   ``D^v`` answering range queries in O(log n + k) instead of a table
-  scan;
-* :mod:`repro.index.columnar` — the default engine: the same index
-  packed into parallel numpy columns with vectorized single + batched
-  search and a checksummed binary serialization, decision-identical to
-  the sorted index;
+  scan, packed into parallel numpy columns with vectorized single +
+  batched search and a checksummed binary serialization,
+  decision-identical to the scan;
 * :mod:`repro.index.routing` — mapping matching shots to the largest
   scene-tree nodes sharing their representative frame, the browsing
   hand-off of Sec. 4.2.
@@ -18,7 +17,6 @@
 
 from .table import IndexEntry, IndexTable
 from .query import VarianceQuery, entry_matches, search
-from .sorted_index import SortedVarianceIndex
 from .columnar import ColumnarVarianceIndex
 from .routing import route_to_scene_nodes
 from .extended import ExtendedEntry, ExtendedVarianceIndex
@@ -31,7 +29,6 @@ __all__ = [
     "VarianceQuery",
     "entry_matches",
     "search",
-    "SortedVarianceIndex",
     "ColumnarVarianceIndex",
     "route_to_scene_nodes",
     "ExtendedEntry",

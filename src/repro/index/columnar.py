@@ -1,14 +1,14 @@
-"""A columnar, vectorized variance index — the default query engine.
+"""A columnar, vectorized variance index — the query engine.
 
-The sorted entry list of :mod:`repro.index.sorted_index` answers one
-query in ``O(log n + band)``, but every step of the band work runs at
-interpreter speed: a Python loop applies Eq. 8, and ranking builds a
-``rank_key`` tuple (two square roots, a hypotenuse, two string/int
-comparisons) per entry.  At 100k shots the "uniquely suitable for
-large video databases" claim of Sec. 6 deserves better.
+Eq. 7 is a range predicate on ``D^v``, so an index kept sorted by
+``D^v`` locates the ``[D_q - alpha, D_q + alpha]`` band with two binary
+searches and applies the Eq. 8 filter to the band only: ``O(log n +
+band)`` instead of the ``O(n)`` table scan.  At 100k shots the
+"uniquely suitable for large video databases" claim of Sec. 6 also
+needs the band work itself to leave interpreter speed.
 
-:class:`ColumnarVarianceIndex` packs the same index into parallel
-numpy arrays sorted by ``D^v``:
+:class:`ColumnarVarianceIndex` packs the index into parallel numpy
+arrays sorted by ``D^v``:
 
 * ``var_ba``/``var_oa`` (float64) with derived ``d_v``/``sqrt_var_ba``
   columns — the Eq. 7/8 matching coordinates;
@@ -20,12 +20,12 @@ numpy arrays sorted by ``D^v``:
 ``range_scan`` becomes two :func:`numpy.searchsorted` calls, Eq. 8 a
 boolean mask over the band, and ranking a vectorized distance plus an
 :func:`numpy.lexsort` tie-break.  The engine is **decision-identical**
-to the legacy searchers: distances use the same correctly-rounded
-float64 operations (``sqrt(dx*dx + dy*dy)``) as
-:meth:`VarianceQuery.rank_distance`, and the lexsort keys mirror
-``rank_key``'s ``(distance, d_v, sqrt_var_ba, video_id, shot_number)``
-total order exactly — the contract the cluster scatter-gather merge
-relies on.
+to the table scan :func:`repro.index.query.search`, the ground truth:
+distances use the same correctly-rounded float64 operations
+(``sqrt(dx*dx + dy*dy)``) as :meth:`VarianceQuery.rank_distance`, and
+the lexsort keys mirror ``rank_key``'s ``(distance, d_v, sqrt_var_ba,
+video_id, shot_number)`` total order exactly — the contract the
+cluster scatter-gather merge relies on.
 
 :meth:`search_batch` answers B impression queries in one vectorized
 pass (shared searchsorted, one flat candidate array, one lexsort with
@@ -42,22 +42,17 @@ see a consistent snapshot.
 Persistence is a checksummed little-endian binary column format
 (:meth:`to_bytes` / :meth:`from_bytes`, magic ``RVIX``): loading is
 O(columns) ``frombuffer`` reads instead of O(n) Python object
-construction.  The JSON document of the legacy index is still read
-and written (:meth:`to_dict` / :meth:`from_dict`,
-:meth:`from_payload_bytes` sniffs the magic), so old databases load
-unchanged and migrate to the binary format on their first save.
+construction.  Databases write it through the storage layer's
+manifest publish (:mod:`repro.vdbms.storage`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import threading
 from hashlib import blake2s
-from itertools import count as _counter
-from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -67,19 +62,16 @@ from ..errors import IndexError_
 from ..features.vector import FeatureVector
 from ..obs import current_trace as _current_trace
 from .query import VarianceQuery
-from .sorted_index import _checked
 from .table import IndexEntry, IndexTable
 
 __all__ = ["COLUMNAR_MAGIC", "ColumnarVarianceIndex"]
 
-#: First bytes of the binary column format (format sniffing).
+#: First bytes of the binary column format.
 COLUMNAR_MAGIC = b"RVIX"
 
-#: Binary column format version (the JSON document is "version 1").
+#: Binary column format version ("version 1" was a JSON document,
+#: which this build refuses).
 _BINARY_VERSION = 2
-
-#: JSON document version shared with the legacy sorted index.
-_JSON_VERSION = 1
 
 #: magic, version, flags, n_entries, n_videos, n_archetypes, tables_len
 _HEADER = struct.Struct("<4sHHQIII")
@@ -108,7 +100,18 @@ _COLUMNS = (
     ("archetype_idx", "<i4"),
 )
 
-_STAGING_COUNTER = _counter(1)
+
+def _checked(entry: IndexEntry) -> IndexEntry:
+    """Reject entries whose ``D^v`` is NaN: NaN compares False against
+    everything, so it would silently break the sort invariant and later
+    range scans would drop arbitrary entries instead of failing."""
+    if math.isnan(entry.d_v):
+        raise IndexError_(
+            f"entry {entry.shot_id} has NaN D^v "
+            f"(Var^BA={entry.features.var_ba}, Var^OA={entry.features.var_oa}); "
+            "NaN keys would corrupt the sorted index"
+        )
+    return entry
 
 
 def _checked_int32(value: int, what: str) -> int:
@@ -118,12 +121,8 @@ def _checked_int32(value: int, what: str) -> int:
 
 
 class ColumnarVarianceIndex:
-    """Parallel numpy columns sorted by ``D^v``.
-
-    Drop-in replacement for
-    :class:`~repro.index.sorted_index.SortedVarianceIndex` (same
-    construction, query, and JSON persistence API) with vectorized
-    single and batched search and a binary column serialization.
+    """Parallel numpy columns sorted by ``D^v``, with vectorized single
+    and batched search and a binary column serialization.
 
     Args:
         entries: initial entries (any order; sorted internally).
@@ -180,7 +179,7 @@ class ColumnarVarianceIndex:
         self._arch = cols["archetype_idx"]
         # Derived matching coordinates.  np.sqrt is correctly rounded
         # (IEEE 754), so these agree bit-for-bit with the math.sqrt
-        # values the legacy per-entry properties compute.
+        # values the per-entry properties (IndexEntry.d_v) compute.
         self._sqrt_ba = np.sqrt(self._var_ba)
         self._d_v = self._sqrt_ba - np.sqrt(self._var_oa)
         # Row tie-ranks and materialized entry objects are derived
@@ -341,13 +340,21 @@ class ColumnarVarianceIndex:
         """Index shape summary for ``repro query --explain``.
 
         Read-only: reports the pending-buffer depth as-is instead of
-        forcing a merge."""
+        forcing a merge.  ``videos`` and ``archetypes`` count the codes
+        the rows (merged or pending) reference — the intern tables only
+        grow, so their lengths would still count removed videos."""
         rows = int(self._var_ba.shape[0])
+        pending = list(self._pending)  # _COLUMNS tuples: [5] video, [6] archetype
+        videos = set(np.unique(self._vid).tolist())
+        videos.update(row[5] for row in pending)
+        archetypes = set(np.unique(self._arch).tolist())
+        archetypes.update(row[6] for row in pending)
+        archetypes.discard(-1)
         stats: dict[str, Any] = {
             "rows": rows,
-            "pending": len(self._pending),
-            "videos": len(self._video_ids),
-            "archetypes": len(self._archetypes),
+            "pending": len(pending),
+            "videos": len(videos),
+            "archetypes": len(archetypes),
             "merge_threshold": self._merge_threshold,
         }
         if rows:
@@ -375,8 +382,7 @@ class ColumnarVarianceIndex:
                 archetype=self._archetypes[arch] if arch >= 0 else None,
             )
             # Entries are frozen, so hot rows are materialized once and
-            # shared (the legacy index shares its stored objects the
-            # same way).  Benign if two readers race: same value.
+            # shared.  Benign if two readers race: same value.
             self._entry_objs[i] = entry
             self._entry_done[i] = True
         return entry
@@ -446,8 +452,8 @@ class ColumnarVarianceIndex:
         limit: int | None = None,
         exclude_shot: tuple[str, int] | None = None,
     ) -> list[IndexEntry]:
-        """Answer one impression query (same contract as the legacy
-        searchers, decision-identical results).
+        """Answer one impression query (same contract as the table scan
+        :func:`repro.index.query.search`, decision-identical results).
 
         The Eq. 7 band comes from two searchsorted calls, Eq. 8 is a
         boolean mask over the band, and ranking is a vectorized
@@ -694,48 +700,6 @@ class ColumnarVarianceIndex:
         return results
 
     # ------------------------------------------------------------------
-    # JSON persistence (legacy-compatible, readable fallback)
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialize to the legacy JSON document (version 1)."""
-        self._prepare()
-        return {
-            "version": _JSON_VERSION,
-            "entries": [
-                {
-                    "video_id": e.video_id,
-                    "shot_number": e.shot_number,
-                    "start_frame": e.start_frame,
-                    "end_frame": e.end_frame,
-                    "var_ba": e.features.var_ba,
-                    "var_oa": e.features.var_oa,
-                    "archetype": e.archetype,
-                }
-                for e in self.entries
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ColumnarVarianceIndex":
-        """Rebuild from :meth:`to_dict` output (or the legacy index's)."""
-        if payload.get("version") != _JSON_VERSION:
-            raise IndexError_(
-                f"unsupported index format version {payload.get('version')!r}"
-            )
-        return cls(
-            IndexEntry(
-                video_id=row["video_id"],
-                shot_number=row["shot_number"],
-                start_frame=row["start_frame"],
-                end_frame=row["end_frame"],
-                features=FeatureVector(var_ba=row["var_ba"], var_oa=row["var_oa"]),
-                archetype=row.get("archetype"),
-            )
-            for row in payload["entries"]
-        )
-
-    # ------------------------------------------------------------------
     # binary column persistence
     # ------------------------------------------------------------------
 
@@ -893,50 +857,3 @@ class ColumnarVarianceIndex:
         )
         index._prepare()
         return index
-
-    @classmethod
-    def from_payload_bytes(cls, data: bytes) -> "ColumnarVarianceIndex":
-        """Load either serialization, sniffed by the magic bytes.
-
-        Binary files start with ``RVIX``; anything else is parsed as
-        the legacy JSON document (the readable fallback, auto-migrated
-        to binary on the next save).
-        """
-        if data[: len(COLUMNAR_MAGIC)] == COLUMNAR_MAGIC:
-            return cls.from_bytes(data)
-        try:
-            payload = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise IndexError_(f"unreadable index payload: {exc}") from exc
-        return cls.from_dict(payload)
-
-    def save(self, path: str | Path, fs: Any = None) -> Path:
-        """Write the binary format via staging → fsync → rename.
-
-        The write goes through the :mod:`repro.vdbms.fsio` seam (pass a
-        fault-injecting ``fs`` to exercise it): a crash at any point
-        leaves either the previous file intact or the new one complete,
-        never a torn index.
-        """
-        if fs is None:
-            from ..vdbms.fsio import LocalFS
-
-            fs = LocalFS()
-        path = Path(path)
-        stage = path.with_name(
-            f".{path.name}.stage-{os.getpid()}-{next(_STAGING_COUNTER):06d}"
-        )
-        try:
-            fs.write_bytes(stage, self.to_bytes())
-            fs.fsync(stage)
-            fs.replace(stage, path)
-        except OSError:
-            fs.unlink(stage)
-            raise
-        fs.fsync_dir(path.parent)
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ColumnarVarianceIndex":
-        """Load an index written by :meth:`save` (either format)."""
-        return cls.from_payload_bytes(Path(path).read_bytes())

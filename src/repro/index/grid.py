@@ -10,7 +10,7 @@ neighborhood (a box of half-width alpha/beta can only straddle
 adjacent cells), after which the exact predicate filters the
 candidates.
 
-Compared with the sorted index (:mod:`repro.index.sorted_index`):
+Compared with the sorted index (:mod:`repro.index.columnar`):
 lookups are O(candidates) with a hash per cell instead of two binary
 searches, inserts are O(1), but the cell size is baked in at build
 time — querying with a different alpha/beta than the grid was built
@@ -115,7 +115,7 @@ class QuantizedGridIndex:
         exclude_shot: tuple[str, int] | None = None,
     ) -> list[IndexEntry]:
         """Exact Eq. 7-8 answer via the grid (same contract as the
-        sorted index and the table scan)."""
+        columnar index and the table scan)."""
         config = config or QueryConfig()
         matches = [
             entry

@@ -70,7 +70,7 @@ def compute_index_statistics(
     """Summarize an index's feature distribution.
 
     Accepts any iterable of entries (an :class:`IndexTable`, a
-    :class:`~repro.index.sorted_index.SortedVarianceIndex`'s
+    :class:`~repro.index.columnar.ColumnarVarianceIndex`'s
     ``entries``, ...).
     """
     config = config or QueryConfig()

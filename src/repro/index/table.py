@@ -4,7 +4,7 @@ One :class:`IndexEntry` per shot records the clip it came from, its
 frame range, and the variance feature vector.  :class:`IndexTable` is
 the in-memory collection with convenience constructors from detection
 results; the scan-based query path lives in :mod:`repro.index.query`
-and the sub-linear one in :mod:`repro.index.sorted_index`.
+and the sub-linear one in :mod:`repro.index.columnar`.
 """
 
 from __future__ import annotations

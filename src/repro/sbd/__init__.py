@@ -21,7 +21,6 @@ from .shots import Shot, shots_from_boundaries
 from .stages import (
     classify_pair,
     longest_match_run,
-    longest_match_run_dp,
     stage1_sign_test,
     stage2_signature_test,
     stage3_shift_match,
@@ -49,7 +48,6 @@ __all__ = [
     "Shot",
     "shots_from_boundaries",
     "longest_match_run",
-    "longest_match_run_dp",
     "stage1_sign_test",
     "stage2_signature_test",
     "stage3_shift_match",

@@ -18,8 +18,8 @@ diagonals out as columns of a band and finds every column's longest
 over rows — after pruning diagonals that ``max_shift`` excludes or
 that are too short to ever reach ``min_run``.  The original row-by-row
 dynamic program (``run[i, j] = (run[i-1, j-1] + 1) * match[i, j]``) is
-kept as :func:`longest_match_run_dp`, the independently-derived
-reference the fast matcher is tested against.
+:func:`repro.testing.reference.longest_match_run_dp`, the
+independently-derived reference the fast matcher is tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "stage1_sign_test",
     "stage2_signature_test",
     "longest_match_run",
-    "longest_match_run_dp",
     "stage3_shift_match",
     "classify_pair",
 ]
@@ -105,7 +104,8 @@ def longest_match_run(
     and value-exact whenever it is ``>= min_run``; below the threshold
     it may undershoot the true maximum (only runs that were already too
     short are dropped).  With ``min_run=None`` the result is always the
-    exact maximum and agrees with :func:`longest_match_run_dp`.
+    exact maximum and agrees with
+    :func:`repro.testing.reference.longest_match_run_dp`.
 
     uint8 signatures are compared in int16 (exact, and much cheaper
     than the float64 path).  Returns the run length (0 when nothing
@@ -165,45 +165,6 @@ def longest_match_run(
     idx = np.arange(la, dtype=np.int32)[:, None]
     last_false = np.maximum.accumulate(np.where(band, np.int32(-1), idx), axis=0)
     return int((idx - last_false).max(initial=0))
-
-
-def longest_match_run_dp(
-    signature_a: np.ndarray,
-    signature_b: np.ndarray,
-    pixel_tolerance: float,
-    max_shift: int | None = None,
-) -> int:
-    """Reference row-by-row dynamic program for the stage-3 matcher.
-
-    ``run[i, j] = (run[i-1, j-1] + 1) * match[i, j]`` over the full
-    match matrix.  Independently derived from (and tested against)
-    :func:`longest_match_run`; kept for the equivalence tests and as
-    executable documentation of the recurrence.
-    """
-    a, b = _validate_signature_pair(signature_a, signature_b)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    la, lb = a.shape[0], b.shape[0]
-    # match[i, j] == True when pixel i of a matches pixel j of b.
-    diff = np.abs(a[:, None, :] - b[None, :, :]).max(axis=-1)
-    match = diff < pixel_tolerance * 256.0
-    if max_shift is not None:
-        if max_shift < 0:
-            raise DimensionError(f"max_shift must be >= 0, got {max_shift}")
-        i_idx = np.arange(la)[:, None]
-        j_idx = np.arange(lb)[None, :]
-        match &= np.abs(i_idx - j_idx) <= max_shift
-    best = 0
-    prev = np.zeros(lb, dtype=np.int64)
-    for i in range(la):
-        current = np.zeros(lb, dtype=np.int64)
-        current[0] = match[i, 0]
-        current[1:] = (prev[:-1] + 1) * match[i, 1:]
-        row_best = int(current.max())
-        if row_best > best:
-            best = row_best
-        prev = current
-    return best
 
 
 def stage3_shift_match(

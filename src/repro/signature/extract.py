@@ -1,15 +1,13 @@
 """Batched extraction of signatures and signs from frames and clips.
 
 :class:`SignatureExtractor` binds the region geometry of one frame size
-(Sec. 2.2) and converts frames into their features.  Two execution
-paths produce byte-identical :class:`ClipFeatures`:
-
-* the **fused** path (default) applies the precompiled linear
-  operators of :mod:`repro.pyramid.fused` — one GEMM per region over
-  the whole frame batch, reading the uint8 region views directly;
-* the **reference** path runs the original multi-pass pipeline
-  (crop → unfold → resample → repeated Gaussian REDUCE), kept as the
-  independently-derived ground truth the fast path is tested against.
+(Sec. 2.2) and converts frames into their features by applying the
+precompiled linear operators of :mod:`repro.pyramid.fused` — one GEMM
+per region over the whole frame batch, reading the uint8 region views
+directly.  The original multi-pass pipeline (crop → unfold → resample
+→ repeated Gaussian REDUCE) is
+:func:`repro.testing.reference.reference_extract`, the
+independently-derived ground truth this path matches byte for byte.
 
 Long clips can be processed in bounded-memory chunks, optionally across
 a thread pool (:class:`~repro.config.ExtractionConfig`); extractors
@@ -30,7 +28,6 @@ from ..errors import EmptyClipError, FrameError
 from ..geometry.regions import FrameGeometry, compute_frame_geometry
 from ..pyramid.fused import FusedOperators, operators_for
 from ..pyramid.kernel import DEFAULT_A
-from ..pyramid.reduce import reduce_line
 from ..video.clip import VideoClip
 from ..video.frame import validate_frame, validate_frames
 
@@ -52,7 +49,7 @@ def _quantize(values: np.ndarray) -> np.ndarray:
     rounded byte would otherwise depend on which float summation order
     produced the value.  The nudge maps the whole noise cloud around
     every such tie to the same integer, which is what makes the fused
-    and reference paths byte-identical.
+    and reference pipelines byte-identical.
     """
     values = np.asarray(values, dtype=np.float64)
     return np.clip(np.floor(values + (0.5 + _HALF_UP_EPS)), 0, 255).astype(np.uint8)
@@ -128,10 +125,10 @@ class SignatureExtractor:
         self._foa_row_idx, self._foa_col_idx = self._resample_indices(
             (self.geometry.h_est, self.geometry.b_est), self.geometry.foa_shape
         )
-        # Built on first fused extraction: geometries produced with
+        # Built on first extraction: geometries produced with
         # snap_to_size_set=False cannot be collapsed, and they should
-        # fail at extraction time (as the reference path does), not at
-        # construction time.
+        # fail at extraction time (as the reference pipeline does), not
+        # at construction time.
         self._fused_ops: FusedOperators | None = None
 
     @classmethod
@@ -206,37 +203,14 @@ class SignatureExtractor:
         right_strip = np.rot90(frames[:, w:, g.cols - w :, :], k=1, axes=(1, 2))
         return left_strip, top, right_strip
 
-    def _batch_tba(self, frames: np.ndarray) -> np.ndarray:
-        """Unfold and resample the FBA of a frame stack → ``(n, w, L, 3)``."""
-        raw = np.concatenate(self._batch_fba_strips(frames), axis=2)
-        return raw[:, self._tba_row_idx[:, None], self._tba_col_idx[None, :], :]
-
     def _batch_foa_raw(self, frames: np.ndarray) -> np.ndarray:
         """Crop the raw FOA of a frame stack → ``(n, h', b', 3)`` view."""
         g = self.geometry
         w = g.w_est
         return frames[:, w:, w : g.cols - w, :]
 
-    def _batch_foa(self, frames: np.ndarray) -> np.ndarray:
-        """Crop and resample the FOA of a frame stack → ``(n, h, b, 3)``."""
-        raw = self._batch_foa_raw(frames)
-        return raw[:, self._foa_row_idx[:, None], self._foa_col_idx[None, :], :]
-
-    def _reduce_axis1_to_one(self, stack: np.ndarray) -> np.ndarray:
-        """REDUCE axis 1 until its extent is 1, then drop it.
-
-        Works for ``(n, rows, cols, 3)`` → ``(n, cols, 3)`` and for
-        ``(n, length, 3)`` → ``(n, 3)``.  float64 throughout: this is
-        the reference path the fused operators are checked against
-        byte-for-byte, so both must share the same precision.
-        """
-        data = np.asarray(stack, dtype=np.float64)
-        while data.shape[1] > 1:
-            data = reduce_line(data, a=self._kernel_a, axis=1)
-        return data[:, 0]
-
     # ------------------------------------------------------------------
-    # the two extraction paths (one chunk each)
+    # fused extraction (one chunk)
     # ------------------------------------------------------------------
 
     def _operators(self) -> FusedOperators:
@@ -252,7 +226,7 @@ class SignatureExtractor:
             )
         return self._fused_ops
 
-    def _extract_block_fused(
+    def _extract_block(
         self, frames: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One GEMM per region over a frame block (see pyramid.fused).
@@ -275,18 +249,6 @@ class SignatureExtractor:
         signs_oa = np.einsum("nbc,b->nc", foa_lines, ops.foa_col_weights)
         return _quantize(signatures), _quantize(signs_ba), _quantize(signs_oa)
 
-    def _extract_block_reference(
-        self, frames: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The original multi-pass REDUCE pipeline over a frame block."""
-        tba = self._batch_tba(frames)
-        signatures = self._reduce_axis1_to_one(tba)  # (n, L, 3) float
-        signs_ba = self._reduce_axis1_to_one(signatures)  # (n, 3) float
-        foa = self._batch_foa(frames)
-        foa_lines = self._reduce_axis1_to_one(foa)  # (n, b, 3) float
-        signs_oa = self._reduce_axis1_to_one(foa_lines)  # (n, 3) float
-        return _quantize(signatures), _quantize(signs_ba), _quantize(signs_oa)
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -296,9 +258,9 @@ class SignatureExtractor:
     ) -> ClipFeatures:
         """Extract features for a stack of frames ``(n, rows, cols, 3)``.
 
-        ``extraction`` selects the execution strategy (fused vs.
-        reference path, chunk size, worker threads) without changing
-        the result; the default is the fused path in 256-frame chunks.
+        ``extraction`` selects the execution strategy (chunk size,
+        worker threads) without changing the result; the default is
+        256-frame chunks on one thread.
         """
         options = extraction or ExtractionConfig()
         validate_frames(frames)
@@ -309,23 +271,18 @@ class SignatureExtractor:
                 f"frame stack {frames.shape[1:3]} does not match extractor "
                 f"geometry ({self.geometry.rows}, {self.geometry.cols})"
             )
-        extract = (
-            self._extract_block_fused
-            if options.use_fused
-            else self._extract_block_reference
-        )
         chunk = options.chunk_frames
         if chunk is None or chunk >= len(frames):
-            parts = [extract(frames)]
+            parts = [self._extract_block(frames)]
         else:
             blocks = [frames[k : k + chunk] for k in range(0, len(frames), chunk)]
             if options.workers > 1:
                 with ThreadPoolExecutor(
                     max_workers=min(options.workers, len(blocks))
                 ) as pool:
-                    parts = list(pool.map(extract, blocks))
+                    parts = list(pool.map(self._extract_block, blocks))
             else:
-                parts = [extract(block) for block in blocks]
+                parts = [self._extract_block(block) for block in blocks]
         if len(parts) == 1:
             signatures, signs_ba, signs_oa = parts[0]
         else:

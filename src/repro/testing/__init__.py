@@ -15,6 +15,10 @@ ingest-burst driver for asserting the 429-never-5xx overload contract.
 for three seeded clips as byte-exact JSON fixtures, and
 :mod:`repro.testing.synth` assembles deterministic random databases
 without running detection (for property-based persistence tests).
+
+:mod:`repro.testing.reference` holds the independently-derived
+references the fast paths are checked against: the multi-pass
+extraction pipeline and the stage-3 dynamic program.
 """
 
 from .chaos import (
@@ -37,6 +41,7 @@ from .faults import (
     sweep_kill_points,
 )
 from .golden import GOLDEN_SPECS, GoldenSpec, build_clip
+from .reference import longest_match_run_dp, reference_extract
 from .synth import add_synth_video, synth_database
 
 __all__ = [
@@ -57,6 +62,8 @@ __all__ = [
     "break_shard_queries",
     "build_clip",
     "inject_bit_rot",
+    "longest_match_run_dp",
+    "reference_extract",
     "run_overload_burst",
     "sweep_kill_points",
     "synth_database",

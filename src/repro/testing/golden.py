@@ -5,9 +5,10 @@ Three synthetic clips — each fully determined by a
 pipeline and their observable outputs (``Sign^BA``/``Sign^OA``
 streams, shot boundaries, per-shot ``(Var^BA, Var^OA, D^v)``) are
 frozen as JSON fixtures under ``tests/golden/``.  The test suite
-re-runs both the fused and the legacy multi-pass extraction and
+re-runs the pipeline on both the fused extraction and the multi-pass
+reference (:func:`repro.testing.reference.reference_extract`) and
 requires byte-exact agreement with the fixtures, so any numerical
-drift in either path is caught immediately.
+drift in either is caught immediately.
 
 Regenerate the fixtures (after an *intentional* output change) with::
 
@@ -24,9 +25,8 @@ from typing import Any
 
 import numpy as np
 
-from ..config import ExtractionConfig
 from ..features.vector import extract_shot_features
-from ..sbd.detector import CameraTrackingDetector
+from ..sbd.detector import CameraTrackingDetector, DetectionResult
 from ..video.clip import VideoClip
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "GoldenSpec",
     "build_clip",
     "canonical_json",
+    "detection_payload",
     "expected_payload",
     "fixture_name",
     "write_fixtures",
@@ -91,17 +92,17 @@ def build_clip(spec: GoldenSpec) -> VideoClip:
     )
 
 
-def expected_payload(
-    spec: GoldenSpec, extraction: ExtractionConfig | None = None
-) -> dict[str, Any]:
+def expected_payload(spec: GoldenSpec) -> dict[str, Any]:
     """Run the pipeline on one corpus clip; the fixture document."""
-    clip = build_clip(spec)
-    detector = CameraTrackingDetector(extraction=extraction or ExtractionConfig())
-    result = detector.detect(clip)
+    return detection_payload(spec, CameraTrackingDetector().detect(build_clip(spec)))
+
+
+def detection_payload(spec: GoldenSpec, result: DetectionResult) -> dict[str, Any]:
+    """The fixture document of one detection of a corpus clip."""
     features = extract_shot_features(result)
     return {
         "spec": asdict(spec),
-        "n_frames": len(clip.frames),
+        "n_frames": len(result.features),
         "boundaries": [int(b) for b in result.boundaries],
         "shots": [
             {"index": s.index, "start": s.start, "stop": s.stop}

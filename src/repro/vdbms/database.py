@@ -235,7 +235,7 @@ class VideoDatabase:
 
         ``limit`` caps the answer at the top-k most similar shots.
         Without a category filter the cap is pushed down into the
-        sorted index (a bounded-heap top-k over the band instead of a
+        index (a partition-based top-k over the band instead of a
         full sort) — the shard-side half of the cluster coordinator's
         limit pushdown; with one, the filter must see the full ranking
         first, so the cap applies after it.
@@ -543,7 +543,8 @@ class VideoDatabase:
         :meth:`remove` commits to disk (staging write → fsync →
         manifest swap) before returning, so a crash between operations
         never loses an acknowledged one and a crash mid-operation is
-        invisible after reload.
+        invisible after reload.  A root holding the pre-manifest layout
+        raises :class:`~repro.errors.StorageError` (see :meth:`load`).
         """
         storage = DatabaseStorage(root, fs=fs)
         if storage.exists():
@@ -576,38 +577,23 @@ class VideoDatabase:
         raises too by default; with ``recover=True`` the affected
         video's catalog and index entries are dropped instead (its id
         is recorded in :attr:`quarantined`) and the rest of the
-        database loads normally.
+        database loads normally.  A root without a manifest (including
+        the pre-manifest layout) or with a JSON index raises
+        :class:`~repro.errors.StorageError`.
 
         Detection results (raw per-frame features) are not persisted;
         queries and browsing work immediately, while :meth:`shots`
         requires re-ingesting the raw clip.
         """
         storage = DatabaseStorage(root, fs=fs)
-        db = cls(config=config)
         manifest = storage.read_manifest()
         if manifest is None:
-            # Legacy manifest-less layout: best-effort parse, no digests.
-            db.catalog = storage.load_catalog()
-            db.index = storage.load_index()
-            legacy_bad: list[str] = []
-            for video_id in db.catalog.ids():
-                try:
-                    db.trees[video_id] = storage.load_tree(video_id)
-                except StorageError:
-                    if not recover:
-                        raise
-                    legacy_bad.append(video_id)
-            for video_id in legacy_bad:
-                db.catalog.remove(video_id)
-                db.index.remove_video(video_id)
-                db.quarantined.append(video_id)
-            return db
+            raise StorageError(f"no database at {storage.root} (no manifest.json)")
+        db = cls(config=config)
         db.catalog = Catalog.from_dict(storage.verified_json("catalog", manifest))
         index_bytes = storage.verified_bytes("index", manifest)
         try:
-            # Binary columns or the legacy JSON document, sniffed by
-            # the magic bytes; a JSON index migrates on the next save.
-            db.index = ColumnarVarianceIndex.from_payload_bytes(index_bytes)
+            db.index = ColumnarVarianceIndex.from_bytes(index_bytes)
         except IndexError_ as exc:
             raise StorageError(
                 f"corrupt database file "

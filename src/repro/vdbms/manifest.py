@@ -13,7 +13,7 @@ holds it plus that file's byte size and blake2s digest:
       "files": {
         "catalog":     {"path": "catalog-g00000007.json",
                         "blake2s": "…", "bytes": 412},
-        "index":       {"path": "index-g00000007.json",
+        "index":       {"path": "index-g00000007.bin",
                         "blake2s": "…", "bytes": 3180},
         "tree:figure5": {"path": "trees/figure5-1a2b3c4d-g00000003.json",
                         "blake2s": "…", "bytes": 901}
@@ -42,8 +42,8 @@ from ..errors import StorageError
 
 __all__ = ["MANIFEST_VERSION", "TREE_PREFIX", "FileRecord", "Manifest", "digest_bytes"]
 
-#: Current manifest format.  "Version 1" is the manifest-less legacy
-#: layout (bare ``catalog.json`` + ``index.json``), still readable.
+#: Current manifest format.  "Version 1" is the manifest-less layout
+#: (bare ``catalog.json`` + ``index.json``), which this build refuses.
 MANIFEST_VERSION = 2
 
 #: Logical-name prefix of per-video scene trees (``tree:<video_id>``).

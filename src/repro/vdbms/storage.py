@@ -3,10 +3,7 @@
     <root>/
       manifest.json               the commit point (see vdbms.manifest)
       catalog-g<NNNNNNNN>.json    the video catalog, one file per write
-      index-g<NNNNNNNN>.bin       the variance index (binary columns;
-                                  legacy databases may still hold a
-                                  readable index-g<NNNNNNNN>.json,
-                                  migrated on their next save)
+      index-g<NNNNNNNN>.bin       the variance index (binary columns)
       trees/<id>-g<NNNNNNNN>.json one scene tree per video
       videos/<id>.rvid            raw clips (optional; large; untracked)
       staging/                    in-flight writes (pid + counter names)
@@ -24,8 +21,10 @@ Loads verify every manifest-tracked file's size and blake2s digest
 before parsing, so torn or bit-flipped files surface as a precise
 :class:`~repro.errors.StorageIntegrityError` instead of wrong answers.
 
-The legacy manifest-less layout (bare ``catalog.json`` + ``index.json``
-+ ``trees/<id>.json``) is still readable; the first save migrates it.
+The pre-manifest layout (bare ``catalog.json`` + ``index.json`` +
+``trees/<id>.json``) is refused, never read or deleted: load, open and
+publish raise :class:`~repro.errors.StorageError` naming the way to
+migrate, and fsck reports the directory as not clean.
 """
 
 from __future__ import annotations
@@ -34,14 +33,13 @@ import hashlib
 import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
 from ..errors import IndexError_, StorageError, StorageIntegrityError
-from ..index.columnar import COLUMNAR_MAGIC, ColumnarVarianceIndex
-from ..scenetree.nodes import SceneTree
-from ..scenetree.serialize import scene_tree_from_dict, scene_tree_to_dict
+from ..index.columnar import ColumnarVarianceIndex
 from ..video.clip import VideoClip
 from ..video.io import read_rvid, write_rvid
 from .catalog import Catalog
@@ -54,6 +52,13 @@ __all__ = ["DatabaseStorage", "FileCheck", "FsckReport"]
 #: every staging file unique, so concurrent saves (or a crashed one's
 #: litter) can never collide with a live write.
 _STAGING_COUNTER = itertools.count(1)
+
+#: The generation-suffixed names :meth:`DatabaseStorage._target_relpath`
+#: writes: the only data files publish may sweep and fsck may call
+#: untracked.  Pre-manifest names (``catalog.json``, ``index.json``,
+#: ``trees/<id>-<hash>.json``) never match.
+_ROOT_DATA_NAME = re.compile(r"(catalog-g\d{8,}\.json|index-g\d{8,}\.bin)")
+_TREE_DATA_NAME = re.compile(r".+-g\d{8,}\.json")
 
 
 def _safe_id(video_id: str) -> str:
@@ -86,8 +91,7 @@ class FileCheck:
     """The verdict on one tracked file.
 
     ``status`` is one of ``ok``, ``missing``, ``size-mismatch``,
-    ``checksum-mismatch``, ``corrupt-json``, ``corrupt-binary``,
-    ``legacy-ok``.
+    ``checksum-mismatch``, ``corrupt-json``, ``corrupt-binary``.
     """
 
     logical: str
@@ -97,7 +101,7 @@ class FileCheck:
 
     @property
     def ok(self) -> bool:
-        return self.status in ("ok", "legacy-ok")
+        return self.status == "ok"
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form of this check (for ``fsck --json``)."""
@@ -113,8 +117,9 @@ class FileCheck:
 class FsckReport:
     """Everything ``repro fsck`` learned about one database directory.
 
-    ``mode`` is ``manifest`` (normal), ``legacy`` (pre-manifest layout),
-    or ``empty`` (no database at all).  ``untracked`` lists managed-
+    ``mode`` is ``manifest`` (normal), ``pre-manifest`` (the refused
+    layout; never clean, never repaired), or ``empty`` (no database at
+    all).  ``untracked`` lists managed-
     looking files the manifest does not reference — harmless litter from
     a torn publish, removable with ``--repair``.
     """
@@ -186,50 +191,26 @@ class DatabaseStorage:
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
 
-    @property
-    def catalog_path(self) -> Path:
-        """Legacy (pre-manifest) catalog location; load fallback."""
-        return self.root / "catalog.json"
-
-    @property
-    def index_path(self) -> Path:
-        """Legacy (pre-manifest) index location; load fallback."""
-        return self.root / "index.json"
-
     def video_path(self, video_id: str) -> Path:
         """Path of one video's raw frames under videos/."""
         return self.root / "videos" / f"{_safe_id(video_id)}.rvid"
 
-    def tree_path(self, video_id: str) -> Path:
-        """Legacy (pre-manifest) path of one video's scene tree."""
-        return self.root / "trees" / f"{_safe_id(video_id)}.json"
-
     def current_tree_path(self, video_id: str) -> Path | None:
-        """The committed scene-tree file of one video, or None.
-
-        Resolves through the manifest; falls back to the legacy path
-        when the directory has no manifest yet.
-        """
+        """The committed scene-tree file of one video, or None."""
         manifest = self.read_manifest()
         if manifest is None:
-            legacy = self.tree_path(video_id)
-            return legacy if legacy.exists() else None
+            return None
         record = manifest.files.get(TREE_PREFIX + video_id)
         return self.root / record.path if record is not None else None
 
-    def _target_relpath(self, logical: str, generation: int, data: bytes = b"") -> str:
-        """Where a freshly-written component of one publish lives.
-
-        The index extension follows the serialization actually being
-        written (sniffed from the payload's magic bytes): ``.bin`` for
-        the binary column format, ``.json`` for the readable fallback.
-        """
+    def _target_relpath(self, logical: str, generation: int) -> str:
+        """Where a freshly-written component of one publish lives: the
+        index is binary columns, everything else JSON."""
         suffix = f"g{generation:08d}"
         if logical == "catalog":
             return f"catalog-{suffix}.json"
         if logical == "index":
-            ext = "bin" if data.startswith(COLUMNAR_MAGIC) else "json"
-            return f"index-{suffix}.{ext}"
+            return f"index-{suffix}.bin"
         if logical.startswith(TREE_PREFIX):
             video_id = logical[len(TREE_PREFIX):]
             return f"trees/{_safe_id(video_id)}-{suffix}.json"
@@ -247,23 +228,37 @@ class DatabaseStorage:
         self.fs.mkdir(self.staging_dir)
 
     def exists(self) -> bool:
-        """True when the root holds a saved database (either layout)."""
-        return self.manifest_path.exists() or (
-            self.catalog_path.exists() and self.index_path.exists()
-        )
+        """True when the root holds a saved database; raises
+        :class:`StorageError` on the pre-manifest layout instead of
+        calling it empty."""
+        self._refuse_pre_manifest()
+        return self.manifest_path.exists()
+
+    def _refuse_pre_manifest(self) -> None:
+        """Raise :class:`StorageError` when the root holds the
+        pre-manifest layout (a bare ``catalog.json``, no manifest): this
+        build does not read it, and a publish into it would sweep it."""
+        if (self.root / "catalog.json").exists() and not self.manifest_path.exists():
+            raise StorageError(
+                f"{self.root} holds the pre-manifest layout (catalog.json "
+                "without manifest.json), which this build does not read; "
+                "migrate it by opening the database and saving it once "
+                "with an earlier build that still reads that layout"
+            )
 
     # ------------------------------------------------------------------
     # manifest I/O
     # ------------------------------------------------------------------
 
     def read_manifest(self) -> Manifest | None:
-        """The committed manifest, or None for legacy/empty directories.
+        """The committed manifest, or None for an empty directory.
 
         Raises :class:`StorageError` when a manifest exists but cannot
-        be parsed — that is real corruption, not a layout variant,
-        because manifest writes are atomic.
+        be parsed — that is real corruption, because manifest writes
+        are atomic — and on the pre-manifest layout.
         """
         if not self.manifest_path.exists():
+            self._refuse_pre_manifest()
             return None
         try:
             payload = json.loads(self.manifest_path.read_text(encoding="utf-8"))
@@ -303,7 +298,7 @@ class DatabaseStorage:
         This is the digest-enumeration API the cluster repair subsystem
         builds on: two shards compare a video by comparing the
         ``blake2s`` each side's manifest records for ``tree:<id>`` —
-        no file reads, no re-hashing.  Empty for legacy/unsaved roots.
+        no file reads, no re-hashing.  Empty for unsaved roots.
         """
         manifest = self.current_manifest()
         if manifest is None:
@@ -330,7 +325,7 @@ class DatabaseStorage:
                 status="missing",
                 detail=f"manifest tracks no file for {logical!r}",
             )
-        status, detail = self._check_record(record)
+        status, detail = self._check_record(logical, record)
         return FileCheck(
             logical=logical, path=record.path, status=status, detail=detail
         )
@@ -358,18 +353,19 @@ class DatabaseStorage:
         all the current manifest is returned untouched — a no-op save
         does not even bump the generation.
         """
-        self.initialize()
         # Single-writer fast path: after the first publish this object
         # is the only writer of the root (the engine's/shard's write
         # lock enforces that), so the manifest it committed last time
         # is still the one on disk — no need to re-read and re-parse it
         # on every ingest.  Independent reader objects always see disk
-        # (read_manifest itself never caches).
+        # (read_manifest itself never caches), and refuse a pre-manifest
+        # root before anything is created in it.
         old = (
             self._committed
             if self._committed is not None
             else self.read_manifest()
         )
+        self.initialize()
         old_files = dict(old.files) if old is not None else {}
         generation = (old.generation if old is not None else 0) + 1
 
@@ -391,7 +387,7 @@ class DatabaseStorage:
                 new_files[logical] = prior
                 continue
             record = FileRecord(
-                path=self._target_relpath(logical, generation, data),
+                path=self._target_relpath(logical, generation),
                 blake2s=digest,
                 n_bytes=len(data),
             )
@@ -471,10 +467,10 @@ class DatabaseStorage:
         With the superseded manifest in hand, the only garbage a
         successful publish can create is the set of files that manifest
         tracked and the new one dropped, plus staging litter — a set
-        difference, not a directory scan.  Without one (first publish,
-        or a publish replacing a legacy layout) fall back to sweeping
-        every managed file.  Orphans from *crashed* publishes are out of
-        scope either way: fsck reports them as untracked.
+        difference, not a directory scan.  Without one (the first
+        publish) fall back to sweeping every managed file.  Orphans from
+        *crashed* publishes are out of scope either way: fsck reports
+        them as untracked.
 
         Best-effort: a failure here cannot un-commit the publish, so
         errors are swallowed — the next publish or fsck retries.
@@ -502,15 +498,12 @@ class DatabaseStorage:
                 pass
 
     def _managed_files(self) -> list[Path]:
-        """Every file publish/fsck considers part of the database state
-        (data files of either layout plus staging litter)."""
-        found: list[Path] = []
-        found.extend(self.root.glob("catalog*.json"))
-        found.extend(self.root.glob("index*.json"))
-        found.extend(self.root.glob("index*.bin"))
-        trees = self.root / "trees"
-        if trees.is_dir():
-            found.extend(trees.glob("*.json"))
+        """Every file publish/fsck considers part of the database state:
+        the data file names this build writes, plus staging litter."""
+        found = [p for p in self.root.glob("*") if _ROOT_DATA_NAME.fullmatch(p.name)]
+        found.extend(
+            p for p in self.root.glob("trees/*") if _TREE_DATA_NAME.fullmatch(p.name)
+        )
         if self.staging_dir.is_dir():
             found.extend(p for p in self.staging_dir.iterdir() if p.is_file())
         return sorted(found)
@@ -564,81 +557,9 @@ class DatabaseStorage:
                 f"corrupt database file {self.root / record.path}: {exc}"
             ) from exc
 
-    def _read_json(self, path: Path) -> dict[str, Any]:
-        """Legacy unverified read (manifest-less directories)."""
-        if not path.exists():
-            raise StorageError(f"missing database file {path}")
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StorageError(f"corrupt database file {path}: {exc}") from exc
-
-    def _load_json(self, logical: str, legacy_path: Path) -> dict[str, Any]:
-        manifest = self.read_manifest()
-        if manifest is None:
-            return self._read_json(legacy_path)
-        return self.verified_json(logical, manifest)
-
     # ------------------------------------------------------------------
-    # component persistence
+    # raw clips
     # ------------------------------------------------------------------
-
-    def _publish_single(self, logical: str, payload: dict[str, Any]) -> None:
-        """Commit one component, carrying everything else forward."""
-        old = self.read_manifest()
-        keep = [name for name in (old.files if old else {}) if name != logical]
-        self.publish({logical: payload}, keep=keep)
-
-    def save_catalog(self, catalog: Catalog) -> None:
-        """Atomically commit the catalog (manifest swap included)."""
-        self._publish_single("catalog", catalog.to_dict())
-
-    def load_catalog(self) -> Catalog:
-        """Load the catalog, digest-verified when a manifest exists."""
-        return Catalog.from_dict(self._load_json("catalog", self.catalog_path))
-
-    def save_index(self, index: Any) -> None:
-        """Atomically commit the variance index.
-
-        A :class:`ColumnarVarianceIndex` is written in its checksummed
-        binary column format; anything exposing only ``to_dict`` (the
-        legacy sorted index) falls back to JSON.
-        """
-        payload = (
-            index.to_bytes() if hasattr(index, "to_bytes") else index.to_dict()
-        )
-        self._publish_single("index", payload)
-
-    def load_index(self) -> ColumnarVarianceIndex:
-        """Load the variance index, digest-verified when possible.
-
-        Reads either serialization (binary columns or the legacy JSON
-        document, sniffed by the magic bytes); the next save migrates a
-        JSON index to binary.
-        """
-        manifest = self.read_manifest()
-        if manifest is None:
-            path = self.index_path
-            if not path.exists():
-                raise StorageError(f"missing database file {path}")
-            data = path.read_bytes()
-        else:
-            data = self.verified_bytes("index", manifest)
-            path = self.root / manifest.files["index"].path
-        try:
-            return ColumnarVarianceIndex.from_payload_bytes(data)
-        except IndexError_ as exc:
-            raise StorageError(f"corrupt database file {path}: {exc}") from exc
-
-    def save_tree(self, tree: SceneTree, video_id: str) -> None:
-        """Atomically commit one video's scene tree."""
-        self._publish_single(TREE_PREFIX + video_id, scene_tree_to_dict(tree))
-
-    def load_tree(self, video_id: str) -> SceneTree:
-        """Load one video's scene tree, digest-verified when possible."""
-        return scene_tree_from_dict(
-            self._load_json(TREE_PREFIX + video_id, self.tree_path(video_id))
-        )
 
     def save_video(self, clip: VideoClip) -> Path:
         """Persist the raw clip (optional — clips are large, untracked)."""
@@ -665,6 +586,14 @@ class DatabaseStorage:
         sweep) can assert on the classification.
         """
         report = FsckReport(root=str(self.root), mode="empty")
+        try:
+            self._refuse_pre_manifest()
+        except StorageError as exc:
+            report.mode = "pre-manifest"
+            report.checks.append(
+                FileCheck("manifest", "manifest.json", "missing", str(exc))
+            )
+            return report
         if self.manifest_path.exists():
             report.mode = "manifest"
             try:
@@ -683,7 +612,7 @@ class DatabaseStorage:
             report.generation = manifest.generation
             catalog: Catalog | None = None
             for logical, record in manifest.files.items():
-                status, detail = self._check_record(record)
+                status, detail = self._check_record(logical, record)
                 if status == "ok" and logical == "catalog":
                     try:
                         catalog = Catalog.from_dict(
@@ -713,42 +642,14 @@ class DatabaseStorage:
                 if p not in referenced
             ]
             return report
-        if self.catalog_path.exists() or self.index_path.exists():
-            report.mode = "legacy"
-            for logical, path in (
-                ("catalog", self.catalog_path),
-                ("index", self.index_path),
-            ):
-                try:
-                    self._read_json(path)
-                    status, detail = "legacy-ok", ""
-                except StorageError as exc:
-                    detail = str(exc)
-                    status = "missing" if "missing" in detail else "corrupt-json"
-                report.checks.append(
-                    FileCheck(logical=logical, path=path.name, status=status, detail=detail)
-                )
-            trees = self.root / "trees"
-            if trees.is_dir():
-                for path in sorted(trees.glob("*.json")):
-                    try:
-                        self._read_json(path)
-                        status, detail = "legacy-ok", ""
-                    except StorageError as exc:
-                        status, detail = "corrupt-json", str(exc)
-                    report.checks.append(
-                        FileCheck(
-                            logical=f"tree-file:{path.name}",
-                            path=f"trees/{path.name}",
-                            status=status,
-                            detail=detail,
-                        )
-                    )
-            return report
         return report
 
-    def _check_record(self, record: FileRecord) -> tuple[str, str]:
-        """Classify one manifest record's file: the fsck primitive."""
+    def _check_record(self, logical: str, record: FileRecord) -> tuple[str, str]:
+        """Classify one manifest record's file: the fsck primitive.
+
+        The logical name decides the file's kind: the ``index`` record
+        must hold binary columns, every other record JSON.
+        """
         path = self.root / record.path
         try:
             data = path.read_bytes()
@@ -763,11 +664,13 @@ class DatabaseStorage:
             )
         if digest_bytes(data) != record.blake2s:
             return "checksum-mismatch", "blake2s digest does not match the manifest"
-        if data.startswith(COLUMNAR_MAGIC):
+        if logical == "index":
+            # The digest matched, so a failure here means the writer
+            # produced bad columns — or a build from before the binary
+            # format wrote a JSON index.
             try:
                 ColumnarVarianceIndex.validate_bytes(data)
-            except IndexError_ as exc:  # pragma: no cover - digest
-                # matched, so this means the *writer* produced bad columns
+            except IndexError_ as exc:
                 return "corrupt-binary", str(exc)
             return "ok", ""
         try:

@@ -1,9 +1,10 @@
 """Tests for the fused extraction fast path (repro.pyramid.fused).
 
 The contract under test is *exact* equivalence: the fused single-GEMM
-path and the multi-pass reference path must produce byte-identical
-``ClipFeatures`` after uint8 quantization, on every geometry, for any
-chunking/worker configuration.
+path and the multi-pass reference pipeline
+(:func:`repro.testing.reference.reference_extract`) must produce
+byte-identical ``ClipFeatures`` after uint8 quantization, on every
+geometry, and chunking/worker configurations must not change them.
 """
 
 import numpy as np
@@ -22,11 +23,16 @@ from repro.pyramid.reduce import reduce_line, reduction_schedule
 from repro.sbd.detector import CameraTrackingDetector
 from repro.signature.extract import SignatureExtractor
 from repro.synth.genres import GENRE_MODELS, generate_genre_clip
+from repro.testing.reference import (
+    reduce_to_one,
+    reference_extract,
+    resampled_foa,
+    resampled_tba,
+)
 
 GEOMETRIES = [(60, 80), (48, 64), (72, 96), (120, 160), (50, 50)]
 
-FUSED = ExtractionConfig(use_fused=True, chunk_frames=None)
-REFERENCE = ExtractionConfig(use_fused=False, chunk_frames=None)
+FUSED = ExtractionConfig(chunk_frames=None)
 
 
 def random_frames(rows, cols, n=6, seed=0):
@@ -102,17 +108,17 @@ class TestDenseOperators:
         sig_dense = np.einsum("op,npc->noc", ops.signature_operator(), flat_tba)
         sign_ba_dense = np.einsum("p,npc->nc", ops.sign_ba_operator(), flat_tba)
 
-        resampled = extractor._batch_tba(frames)
-        sig_ref = extractor._reduce_axis1_to_one(resampled)
-        sign_ba_ref = extractor._reduce_axis1_to_one(sig_ref)
+        resampled = resampled_tba(extractor, frames)
+        sig_ref = reduce_to_one(extractor, resampled)
+        sign_ba_ref = reduce_to_one(extractor, sig_ref)
         np.testing.assert_allclose(sig_dense, sig_ref, atol=1e-9)
         np.testing.assert_allclose(sign_ba_dense, sign_ba_ref, atol=1e-9)
 
         raw_foa = extractor._batch_foa_raw(frames).astype(np.float64)
         flat_foa = raw_foa.reshape(len(frames), g.h_est * g.b_est, 3)
         sign_oa_dense = np.einsum("p,npc->nc", ops.sign_oa_operator(), flat_foa)
-        foa_ref = extractor._reduce_axis1_to_one(extractor._batch_foa(frames))
-        sign_oa_ref = extractor._reduce_axis1_to_one(foa_ref)
+        foa_ref = reduce_to_one(extractor, resampled_foa(extractor, frames))
+        sign_oa_ref = reduce_to_one(extractor, foa_ref)
         np.testing.assert_allclose(sign_oa_dense, sign_oa_ref, atol=1e-9)
 
 
@@ -122,7 +128,7 @@ class TestFusedEquivalence:
         extractor = SignatureExtractor(rows, cols)
         frames = random_frames(rows, cols, n=8, seed=rows * 1000 + cols)
         fused = extractor.extract_frames(frames, extraction=FUSED)
-        reference = extractor.extract_frames(frames, extraction=REFERENCE)
+        reference = reference_extract(extractor, frames)
         assert_features_identical(fused, reference)
 
     def test_byte_identical_on_synthetic_clip(self):
@@ -131,7 +137,7 @@ class TestFusedEquivalence:
         )
         extractor = SignatureExtractor.for_clip(clip)
         fused = extractor.extract_clip(clip, extraction=FUSED)
-        reference = extractor.extract_clip(clip, extraction=REFERENCE)
+        reference = reference_extract(extractor, clip.frames)
         assert_features_identical(fused, reference)
 
     def test_extract_frame_matches_batch_row(self):
@@ -153,7 +159,7 @@ class TestFusedEquivalence:
         with pytest.raises(DimensionError):
             extractor.extract_frames(frames, extraction=FUSED)
         with pytest.raises(DimensionError):
-            extractor.extract_frames(frames, extraction=REFERENCE)
+            reference_extract(extractor, frames)
 
 
 class TestChunkedExtraction:
@@ -179,24 +185,19 @@ class TestChunkedExtraction:
         )
         assert_features_identical(parallel, serial)
 
-    def test_chunked_reference_path(self):
-        frames = random_frames(48, 64, n=30, seed=31)
-        extractor = SignatureExtractor(48, 64)
-        whole = extractor.extract_frames(frames, extraction=REFERENCE)
-        chunked = extractor.extract_frames(
-            frames,
-            extraction=ExtractionConfig(use_fused=False, chunk_frames=11, workers=2),
-        )
-        assert_features_identical(chunked, whole)
-
 
 class TestDetectorEquivalence:
     def test_same_boundaries_fused_and_legacy(self):
+        """Detection on the multi-pass reference's features (the legacy
+        extraction) cuts the clip exactly where the fused path does."""
         clip, _ = generate_genre_clip(
             GENRE_MODELS["sports"], "fused-detect", n_shots=6, seed=13
         )
-        fused = CameraTrackingDetector(extraction=FUSED).detect(clip)
-        legacy = CameraTrackingDetector(extraction=REFERENCE).detect(clip)
+        detector = CameraTrackingDetector(extraction=FUSED)
+        fused = detector.detect(clip)
+        reference = reference_extract(SignatureExtractor.for_clip(clip), clip.frames)
+        assert_features_identical(fused.features, reference)
+        legacy = detector.detect_from_features(reference, clip_name=clip.name)
         assert fused.boundaries == legacy.boundaries
         assert [(s.start, s.stop) for s in fused.shots] == [
             (s.start, s.stop) for s in legacy.shots
@@ -268,7 +269,7 @@ class TestKeyedLRU:
 class TestExtractionConfig:
     def test_defaults(self):
         cfg = ExtractionConfig()
-        assert cfg.use_fused and cfg.chunk_frames == 256 and cfg.workers == 1
+        assert cfg.chunk_frames == 256 and cfg.workers == 1
 
     def test_part_of_pipeline_config(self):
         pipeline = PipelineConfig()

@@ -3,29 +3,41 @@
 Three seeded synthetic clips (see :mod:`repro.testing.golden`) have
 their ``Sign^BA``/``Sign^OA`` streams, shot boundaries, and per-shot
 ``(Var^BA, Var^OA, D^v)`` stored as JSON fixtures under
-``tests/golden/``.  Both extraction paths — the fused linear operators
-and the legacy multi-pass reference — must reproduce the fixtures
-byte-exactly; any numerical drift in either path fails here first.
+``tests/golden/``.  The pipeline must reproduce the fixtures
+byte-exactly from both extractions — the fused linear operators and
+the legacy multi-pass reference
+(:func:`repro.testing.reference.reference_extract`); any numerical
+drift in either fails here first.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.config import ExtractionConfig
+from repro.sbd.detector import CameraTrackingDetector
+from repro.signature.extract import SignatureExtractor
 from repro.testing.golden import (
     GOLDEN_SPECS,
+    build_clip,
     canonical_json,
+    detection_payload,
     expected_payload,
     fixture_name,
 )
+from repro.testing.reference import reference_extract
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-_EXTRACTION = {
-    "fused": ExtractionConfig(),
-    "legacy": ExtractionConfig(use_fused=False),
-}
+
+def _reference_payload(spec):
+    """The fixture document with features from the multi-pass reference."""
+    clip = build_clip(spec)
+    features = reference_extract(SignatureExtractor.for_clip(clip), clip.frames)
+    result = CameraTrackingDetector().detect_from_features(features, clip.name)
+    return detection_payload(spec, result)
+
+
+_EXTRACTION = {"fused": expected_payload, "legacy": _reference_payload}
 
 
 def test_corpus_has_three_clips_with_fixtures():
@@ -40,7 +52,7 @@ def test_corpus_has_three_clips_with_fixtures():
 @pytest.mark.parametrize("mode", sorted(_EXTRACTION))
 @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.name)
 def test_pipeline_matches_fixture_byte_exactly(spec, mode):
-    live = canonical_json(expected_payload(spec, _EXTRACTION[mode]))
+    live = canonical_json(_EXTRACTION[mode](spec))
     fixture = (GOLDEN_DIR / fixture_name(spec)).read_text(encoding="utf-8")
     assert live == fixture, (
         f"{spec.name} ({mode} extraction) diverged from its fixture; if "

@@ -1,4 +1,8 @@
-"""Tests for repro.index (table, queries, sorted index, routing)."""
+"""Tests for repro.index (table, queries, sorted index, routing).
+
+The sorted index is :class:`ColumnarVarianceIndex`; the table scan
+:func:`repro.index.query.search` is the ground truth it must match.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +11,8 @@ from repro.config import QueryConfig
 from repro.errors import IndexError_, QueryError
 from repro.features.vector import FeatureVector
 from repro.index.query import VarianceQuery, entry_matches, search
+from repro.index.columnar import ColumnarVarianceIndex
 from repro.index.routing import route_to_scene_nodes
-from repro.index.sorted_index import SortedVarianceIndex
 from repro.index.table import IndexEntry, IndexTable
 from repro.scenetree.builder import SceneTreeBuilder
 
@@ -120,14 +124,14 @@ class TestVarianceQuery:
 
 class TestSortedIndex:
     def test_insert_keeps_order(self):
-        index = SortedVarianceIndex()
+        index = ColumnarVarianceIndex()
         for var_ba in (25.0, 1.0, 9.0):
             index.insert(_entry(var_ba=var_ba, var_oa=0.0))
         d_vs = [e.d_v for e in index.entries]
         assert d_vs == sorted(d_vs)
 
     def test_range_scan(self):
-        index = SortedVarianceIndex(
+        index = ColumnarVarianceIndex(
             [_entry(number=k, var_ba=float(k * k), var_oa=0.0) for k in range(1, 7)]
         )
         band = index.range_scan(2.0, 4.0)  # D^v = k for each entry
@@ -135,23 +139,21 @@ class TestSortedIndex:
 
     def test_range_scan_rejects_inverted(self):
         with pytest.raises(IndexError_):
-            SortedVarianceIndex().range_scan(3.0, 1.0)
+            ColumnarVarianceIndex().range_scan(3.0, 1.0)
 
-    def test_save_load_round_trip(self, tmp_path):
-        index = SortedVarianceIndex(
+    def test_save_load_round_trip(self):
+        index = ColumnarVarianceIndex(
             [_entry(number=k, var_ba=float(k), archetype="a") for k in range(1, 5)]
         )
-        path = index.save(tmp_path / "index.json")
-        loaded = SortedVarianceIndex.load(path)
+        loaded = ColumnarVarianceIndex.from_bytes(index.to_bytes())
         assert len(loaded) == 4
         assert loaded.entries[0].archetype == "a"
 
-    def test_load_rejects_bad_version(self, tmp_path):
-        index = SortedVarianceIndex([_entry()])
-        payload = index.to_dict()
-        payload["version"] = 0
-        with pytest.raises(IndexError_):
-            SortedVarianceIndex.from_dict(payload)
+    def test_load_rejects_bad_version(self):
+        data = bytearray(ColumnarVarianceIndex([_entry()]).to_bytes())
+        data[4:6] = (0).to_bytes(2, "little")  # the header's version field
+        with pytest.raises(IndexError_, match="version"):
+            ColumnarVarianceIndex.from_bytes(bytes(data))
 
     @settings(max_examples=30)
     @given(
@@ -173,7 +175,7 @@ class TestSortedIndex:
             for k, (ba, oa) in enumerate(vars_)
         ]
         table = IndexTable(entries)
-        index = SortedVarianceIndex(entries)
+        index = ColumnarVarianceIndex(entries)
         query = VarianceQuery(var_ba=q_ba, var_oa=q_oa)
         via_scan = [(e.video_id, e.shot_number) for e in search(table, query)]
         via_index = [(e.video_id, e.shot_number) for e in index.search(query)]
@@ -202,7 +204,7 @@ class TestRouting:
 
 
 class TestNaNGuard:
-    """NaN ``D^v`` keys would silently break the bisect ordering
+    """NaN ``D^v`` keys would silently break the sort ordering
     invariant; the index must reject them at the boundary instead."""
 
     def _nan_entry(self):
@@ -212,23 +214,17 @@ class TestNaNGuard:
         return _entry(var_ba=float("nan"), var_oa=1.0)
 
     def test_insert_rejects_nan(self):
-        index = SortedVarianceIndex([_entry()])
+        index = ColumnarVarianceIndex([_entry()])
         with pytest.raises(IndexError_, match="NaN"):
             index.insert(self._nan_entry())
         assert len(index) == 1  # rejected before any mutation
 
     def test_construction_rejects_nan(self):
         with pytest.raises(IndexError_, match="NaN"):
-            SortedVarianceIndex([_entry(), self._nan_entry()])
-
-    def test_from_dict_rejects_nan(self):
-        payload = SortedVarianceIndex([_entry()]).to_dict()
-        payload["entries"][0]["var_oa"] = float("nan")
-        with pytest.raises(IndexError_, match="NaN"):
-            SortedVarianceIndex.from_dict(payload)
+            ColumnarVarianceIndex([_entry(), self._nan_entry()])
 
     def test_range_scan_rejects_nan_bounds(self):
-        index = SortedVarianceIndex([_entry()])
+        index = ColumnarVarianceIndex([_entry()])
         with pytest.raises(IndexError_, match="NaN"):
             index.range_scan(float("nan"), 1.0)
         with pytest.raises(IndexError_, match="NaN"):

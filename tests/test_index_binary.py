@@ -1,18 +1,17 @@
 """The binary index format (RVIX): roundtrip, determinism, corruption
-detection, JSON auto-migration, fsck, and crash-atomic saves.
+detection, refusal of the older JSON index, and fsck.
 
 The columnar index persists as a checksummed little-endian column
 file.  These tests pin the format contract: a byte-identical rewrite
 of an unchanged index (so the publish layer's content dedup still
 works), detection — not silent service — of any truncation or bit
-flip, transparent reads of the older JSON documents with migration to
-binary on the next save, and all-or-nothing saves at every filesystem
-kill point.
+flip, and a loud refusal of the JSON index older builds wrote.  The
+publish path that writes the file has its own kill-point sweeps
+(``tests/test_faults_killpoints.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import numpy as np
@@ -20,14 +19,13 @@ import pytest
 
 from repro.errors import IndexError_, StorageError, StorageIntegrityError
 from repro.features.vector import FeatureVector
-from repro.index import ColumnarVarianceIndex, IndexEntry, SortedVarianceIndex
+from repro.index import ColumnarVarianceIndex, IndexEntry
 from repro.index.columnar import COLUMNAR_MAGIC
 from repro.index.query import VarianceQuery
-from repro.testing import sweep_kill_points, synth_database
+from repro.testing import synth_database
 from repro.vdbms.database import VideoDatabase
+from repro.vdbms.manifest import FileRecord, digest_bytes
 from repro.vdbms.storage import DatabaseStorage
-
-_DIR_COUNTER = itertools.count(1)
 
 
 def _entries(seed: int, n: int = 60) -> list[IndexEntry]:
@@ -66,18 +64,18 @@ class TestRoundtrip:
             (e.video_id, e.shot_number) for e in index.search(query)
         ]
 
-    def test_to_bytes_is_deterministic(self, tmp_path):
+    def test_to_bytes_is_deterministic(self):
         index = ColumnarVarianceIndex(_entries(2))
         data = index.to_bytes()
         assert index.to_bytes() == data
-        # save -> load -> save is byte-identical: the intern tables are
-        # compacted to first-appearance order on every serialization,
-        # so an unchanged index dedups to a no-op at the publish layer.
-        path = index.save(tmp_path / "index.bin")
-        reloaded = ColumnarVarianceIndex.load(path)
+        # to_bytes -> from_bytes -> to_bytes is byte-identical: the
+        # intern tables are compacted to first-appearance order on every
+        # serialization, so an unchanged index dedups to a no-op at the
+        # publish layer.
+        reloaded = ColumnarVarianceIndex.from_bytes(data)
         assert reloaded.to_bytes() == data
-        reloaded.save(tmp_path / "again.bin")
-        assert (tmp_path / "again.bin").read_bytes() == data
+        again = ColumnarVarianceIndex.from_bytes(reloaded.to_bytes())
+        assert again.to_bytes() == data
 
     def test_empty_index_roundtrip(self):
         data = ColumnarVarianceIndex().to_bytes()
@@ -115,8 +113,8 @@ class TestCorruptionDetection:
     def test_wrong_magic_and_garbage_payloads(self):
         with pytest.raises(IndexError_):
             ColumnarVarianceIndex.from_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(IndexError_, match="unreadable index payload"):
-            ColumnarVarianceIndex.from_payload_bytes(b"\x01\x02 not json")
+        with pytest.raises(IndexError_):
+            ColumnarVarianceIndex.from_bytes(b"\x01\x02 not json")
 
     def test_validate_bytes_accepts_good_rejects_bad(self):
         data = ColumnarVarianceIndex(_entries(6, n=8)).to_bytes()
@@ -124,56 +122,45 @@ class TestCorruptionDetection:
         with pytest.raises(IndexError_):
             ColumnarVarianceIndex.validate_bytes(data[:-1])
 
-    def test_json_payload_still_readable(self):
-        index = ColumnarVarianceIndex(_entries(7, n=12))
-        payload = json.dumps(index.to_dict()).encode("utf-8")
-        reloaded = ColumnarVarianceIndex.from_payload_bytes(payload)
-        assert [e.to_row() for e in reloaded.entries] == [
-            e.to_row() for e in index.entries
-        ]
-
 
 class TestMigration:
-    def test_legacy_bare_json_migrates_to_binary_on_save(self, tmp_path):
-        db = synth_database(11, n_videos=2)
-        root = tmp_path / "legacy"
-        storage = DatabaseStorage(root)
-        storage.initialize()
-        from repro.scenetree.serialize import scene_tree_to_dict
-
-        storage.catalog_path.write_text(json.dumps(db.catalog.to_dict()))
-        storage.index_path.write_text(json.dumps(db.index.to_dict()))
-        for vid, tree in db.trees.items():
-            storage.tree_path(vid).write_text(json.dumps(scene_tree_to_dict(tree)))
-
-        loaded = VideoDatabase.load(root)
-        assert len(loaded.index) == len(db.index)
-        loaded.save(root)
-        binaries = sorted(root.glob("index-g*.bin"))
-        assert binaries, "first save after migration must produce a binary index"
-        assert not list(root.glob("index-g*.json"))
-        again = VideoDatabase.load(root)
-        assert [e.to_row() for e in again.index.entries] == [
-            e.to_row() for e in loaded.index.entries
-        ]
-
-    def test_manifest_tracked_json_payload_migrates(self, tmp_path):
+    def test_manifest_tracked_json_index_is_refused(self, tmp_path):
+        """Builds between the manifest and the binary index committed
+        the index as a JSON document; this build fails loudly on it."""
         root = tmp_path / "db"
         db = synth_database(12, n_videos=2)
         db.save(root)
         storage = DatabaseStorage(root)
-        # Rewrite the index record as the pre-binary JSON document, the
-        # way an older build would have left it.
-        storage._publish_single("index", db.index.to_dict())
         manifest = storage.read_manifest()
-        assert manifest.files["index"].path.endswith(".json")
+        document = {
+            "version": 1,
+            "entries": [
+                {
+                    "video_id": e.video_id,
+                    "shot_number": e.shot_number,
+                    "start_frame": e.start_frame,
+                    "end_frame": e.end_frame,
+                    "var_ba": e.features.var_ba,
+                    "var_oa": e.features.var_oa,
+                    "archetype": e.archetype,
+                }
+                for e in db.index.entries
+            ],
+        }
+        data = json.dumps(document).encode("utf-8")
+        relpath = f"index-g{manifest.generation + 1:08d}.json"
+        (root / relpath).write_bytes(data)
+        manifest.generation += 1
+        manifest.files["index"] = FileRecord(relpath, digest_bytes(data), len(data))
+        storage.manifest_path.write_text(json.dumps(manifest.to_dict()))
 
-        loaded = VideoDatabase.load(root)
-        assert len(loaded.index) == len(db.index)
-        loaded.save(root)
-        manifest = storage.read_manifest()
-        assert manifest.files["index"].path.endswith(".bin")
-        assert len(VideoDatabase.load(root).index) == len(db.index)
+        with pytest.raises(StorageError, match="binary index magic"):
+            VideoDatabase.load(root)
+        report = storage.fsck()
+        assert not report.clean
+        by_logical = {c.logical: c.status for c in report.checks}
+        assert by_logical["index"] == "corrupt-binary"
+        assert by_logical["catalog"] == "ok"
 
     def test_save_load_cycle_keeps_binary_format(self, tmp_path):
         root = tmp_path / "db"
@@ -206,62 +193,3 @@ class TestFsckOnBinary:
         assert "checksum-mismatch" in statuses
         with pytest.raises((StorageError, StorageIntegrityError)):
             VideoDatabase.load(root)
-
-
-@pytest.mark.faults
-class TestSaveKillPoints:
-    """Both index save paths are all-or-nothing at every kill point."""
-
-    def _sweep(self, tmp_path, index_cls, suffix, detect_corrupt):
-        small = _entries(21, n=6)
-        big = _entries(21, n=24)
-
-        def setup():
-            root = tmp_path / f"sweep-{next(_DIR_COUNTER)}"
-            root.mkdir()
-            path = root / f"index{suffix}"
-            index_cls(small).save(path)
-            return {"path": path}
-
-        def operation(ctx, fs):
-            index_cls(big).save(ctx["path"], fs=fs)
-
-        def classify(ctx, mode):
-            path = ctx["path"]
-            assert path.exists(), f"{mode} fault lost the index file"
-            if suffix == ".bin":
-                try:
-                    loaded = ColumnarVarianceIndex.load(path)
-                except IndexError_:
-                    assert mode == "corrupt", f"{mode} produced unreadable index"
-                    return "detected"
-            else:
-                loaded = SortedVarianceIndex.from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))
-                )
-            if len(loaded) == len(small):
-                return "pre"
-            if len(loaded) == len(big):
-                return "post"
-            raise AssertionError(f"torn index after {mode}: {len(loaded)} entries")
-
-        modes = ("crash", "torn", "corrupt") if detect_corrupt else ("crash", "torn")
-        report = sweep_kill_points(setup, operation, classify, modes=modes)
-        assert report.points, "sweep recorded no filesystem operations"
-        states = report.states()
-        assert "pre" in states and "post" in states
-        if detect_corrupt:
-            assert any(r.state == "detected" for r in report.by_mode("corrupt"))
-        for mode in ("crash", "torn"):
-            for run in report.by_mode(mode):
-                assert run.state in ("pre", "post")
-
-    def test_columnar_binary_save_is_atomic(self, tmp_path):
-        # The checksum trailer turns a silently flipped byte into a
-        # load-time detection, so all three fault modes are swept.
-        self._sweep(tmp_path, ColumnarVarianceIndex, ".bin", detect_corrupt=True)
-
-    def test_legacy_json_save_is_atomic(self, tmp_path):
-        # JSON has no checksum: a flipped byte may still parse, so only
-        # the crash/torn modes carry an atomicity guarantee.
-        self._sweep(tmp_path, SortedVarianceIndex, ".json", detect_corrupt=False)

@@ -1,17 +1,14 @@
 """Property: the columnar engine is decision-identical to the legacy
-searchers.
+searcher, the linear scan.
 
 For 50 seeded corpora — tie-heavy by construction (variances drawn
 from a small discrete grid, so many shots share exact ``D^v`` and
 ``sqrt(Var^BA)`` coordinates and the ``rank_key`` tie-break decides) —
-every query must return exactly the same ranked entries from
-
-* the linear scan (:func:`repro.index.query.search`),
-* the legacy sorted index (:class:`SortedVarianceIndex`), and
-* the columnar engine (:class:`ColumnarVarianceIndex`),
-
-for every limit and exclusion variant, and a batch of B queries must
-equal B sequential singles.  The same bar holds through the cluster:
+every query must return exactly the same ranked entries from the
+columnar engine (:class:`ColumnarVarianceIndex`) as from the linear
+scan (:func:`repro.index.query.search`, the ground truth), for every
+limit and exclusion variant, and a batch of B queries must equal B
+sequential singles.  The same bar holds through the cluster:
 batched scatter-gather answers match the single database during and
 after a rebalance.
 """
@@ -27,12 +24,7 @@ import pytest
 from repro.config import QueryConfig
 from repro.errors import IndexError_
 from repro.features.vector import FeatureVector
-from repro.index import (
-    ColumnarVarianceIndex,
-    IndexEntry,
-    SortedVarianceIndex,
-    VarianceQuery,
-)
+from repro.index import ColumnarVarianceIndex, IndexEntry, VarianceQuery
 from repro.index.query import search as scan_search
 from repro.cluster import ClusterCoordinator, Rebalancer
 from repro.testing.synth import add_synth_video
@@ -93,19 +85,17 @@ def _ids(entries: list[IndexEntry]) -> list[tuple[str, int]]:
 def test_columnar_matches_legacy_searchers(seed):
     entries = _corpus(seed)
     columnar = ColumnarVarianceIndex(entries)
-    legacy = SortedVarianceIndex(entries)
     config = QueryConfig()
     for query in _queries(seed, entries):
         expected = scan_search(entries, query, config)
-        assert _ids(legacy.search(query, config)) == _ids(expected)
         assert _ids(columnar.search(query, config)) == _ids(expected)
         for limit in (1, 3, 10):
             assert _ids(columnar.search(query, config, limit=limit)) == _ids(
-                expected[:limit]
+                scan_search(entries, query, config, limit=limit)
             )
         exclude = (entries[seed % len(entries)].video_id, seed % len(entries))
         assert _ids(columnar.search(query, config, exclude_shot=exclude)) == _ids(
-            legacy.search(query, config, exclude_shot=exclude)
+            scan_search(entries, query, config, exclude_shot=exclude)
         )
 
 
@@ -113,7 +103,6 @@ def test_columnar_matches_legacy_searchers(seed):
 def test_tight_and_wide_tolerances_match(seed):
     entries = _corpus(seed)
     columnar = ColumnarVarianceIndex(entries)
-    legacy = SortedVarianceIndex(entries)
     for config in (
         QueryConfig(alpha=0.0, beta=0.0),  # exact-coordinate matches only
         QueryConfig(alpha=0.5, beta=2.0),
@@ -121,7 +110,7 @@ def test_tight_and_wide_tolerances_match(seed):
     ):
         for query in _queries(seed, entries)[:5]:
             assert _ids(columnar.search(query, config)) == _ids(
-                legacy.search(query, config)
+                scan_search(entries, query, config)
             )
 
 
@@ -153,7 +142,7 @@ def test_batch_equals_sequential_singles(seed):
 class TestPendingBuffer:
     def test_inserts_merge_at_threshold_and_on_read(self):
         index = ColumnarVarianceIndex(merge_threshold=8)
-        mirror = SortedVarianceIndex()
+        mirror: list[IndexEntry] = []
         rng = np.random.default_rng(3)
         for k in range(30):
             entry = IndexEntry(
@@ -166,17 +155,16 @@ class TestPendingBuffer:
                 ),
             )
             index.insert(entry)
-            mirror.insert(entry)
+            mirror.append(entry)
             # Every read sees all pending inserts, merged or not.
             assert len(index) == k + 1
             query = VarianceQuery.from_features(entry.features)
-            assert _ids(index.search(query)) == _ids(mirror.search(query))
-        # Physical order within equal D^v is not part of the contract
-        # (legacy insort_left reverses tie order, the columnar merge
-        # keeps it) — the row *sets* and the sort invariant are.
+            assert _ids(index.search(query)) == _ids(scan_search(mirror, query))
+        # Physical order within equal D^v is not part of the contract —
+        # the row *sets* and the sort invariant are.
         key = lambda row: (row["d_v"], row["shot"])
         assert sorted((e.to_row() for e in index.entries), key=key) == sorted(
-            (e.to_row() for e in mirror.entries), key=key
+            (e.to_row() for e in mirror), key=key
         )
         d_vs = [e.d_v for e in index.entries]
         assert d_vs == sorted(d_vs)
@@ -215,22 +203,21 @@ class TestContracts:
 
     def test_range_scan_errors_match_legacy(self):
         columnar = ColumnarVarianceIndex()
-        legacy = SortedVarianceIndex()
         for low, high in ((math.nan, 1.0), (1.0, math.nan)):
             with pytest.raises(IndexError_, match="must not be NaN"):
                 columnar.range_scan(low, high)
-            with pytest.raises(IndexError_, match="must not be NaN"):
-                legacy.range_scan(low, high)
         with pytest.raises(IndexError_, match="empty range"):
             columnar.range_scan(2.0, 1.0)
 
     def test_range_scan_band_matches_legacy(self):
+        """The Eq. 7 band is the entries filtered by ``D^v``, in the
+        stable ``D^v`` order of the corpus."""
         entries = _corpus(9)
         columnar = ColumnarVarianceIndex(entries)
-        legacy = SortedVarianceIndex(entries)
+        by_d_v = sorted(entries, key=lambda e: e.d_v)
         for low, high in ((-5.0, 5.0), (0.0, 0.0), (2.0, 3.0), (100.0, 200.0)):
             assert [e.to_row() for e in columnar.range_scan(low, high)] == [
-                e.to_row() for e in legacy.range_scan(low, high)
+                e.to_row() for e in by_d_v if low <= e.d_v <= high
             ]
 
     def test_int32_overflow_rejected(self):
@@ -252,22 +239,35 @@ class TestContracts:
         assert index.search_batch([VarianceQuery(var_ba=1.0, var_oa=0.0)]) == [[]]
         assert index.entries == ()
 
-    def test_json_roundtrip_matches_legacy_document(self):
-        entries = _corpus(4)
-        columnar = ColumnarVarianceIndex(entries)
-        legacy = SortedVarianceIndex(entries)
-        assert columnar.to_dict() == legacy.to_dict()
-        reloaded = ColumnarVarianceIndex.from_dict(legacy.to_dict())
-        assert [e.to_row() for e in reloaded.entries] == [
-            e.to_row() for e in legacy.entries
-        ]
-
     def test_entries_is_cached_immutable_view(self):
         columnar = ColumnarVarianceIndex(_corpus(5, n=20))
-        legacy = SortedVarianceIndex(_corpus(5, n=20))
         assert columnar.entries is columnar.entries  # no copy per access
-        assert legacy.entries is legacy.entries
-        assert isinstance(legacy.entries, tuple)
+        assert isinstance(columnar.entries, tuple)
+
+    def test_stats_match_the_reloaded_copy(self):
+        """``stats()`` counts the videos and archetypes the rows use, so
+        a removed video stops counting before any reload compacts the
+        intern tables."""
+
+        def entry(video, shot, archetype):
+            return IndexEntry(
+                video_id=video,
+                shot_number=shot,
+                start_frame=0,
+                end_frame=1,
+                features=FeatureVector(var_ba=float(shot), var_oa=0.0),
+                archetype=archetype,
+            )
+
+        index = ColumnarVarianceIndex([entry("a", 1, "closeup"), entry("b", 2, None)])
+        index.remove_video("a")
+        reloaded = ColumnarVarianceIndex.from_bytes(index.to_bytes())
+        assert index.stats() == reloaded.stats()
+        assert (index.stats()["videos"], index.stats()["archetypes"]) == (1, 0)
+        # Pending rows count without forcing a merge.
+        index.insert(entry("c", 3, "wide"))
+        stats = index.stats()
+        assert (stats["pending"], stats["videos"], stats["archetypes"]) == (1, 2, 1)
 
     def test_lookup_and_entries_for(self):
         entries = _corpus(6, n=40)

@@ -6,8 +6,8 @@ import pytest
 from repro.eval.sbd_metrics import score_boundaries
 from repro.eval.tree_metrics import tree_quality
 from repro.features.vector import extract_shot_features
+from repro.index.columnar import ColumnarVarianceIndex
 from repro.index.query import VarianceQuery, search
-from repro.index.sorted_index import SortedVarianceIndex
 from repro.index.table import IndexTable
 from repro.sbd.detector import CameraTrackingDetector, validate_shots_cover
 from repro.scenetree.builder import SceneTreeBuilder
@@ -58,7 +58,7 @@ class TestFullPipelineOnGenreClip:
 
     def test_query_round_trips_through_sorted_index(self, pipeline):
         _, _, detection, _, table = pipeline
-        index = SortedVarianceIndex.from_table(table)
+        index = ColumnarVarianceIndex.from_table(table)
         vectors = extract_shot_features(detection)
         for vector in vectors[:5]:
             query = VarianceQuery.from_features(vector)

@@ -1,7 +1,8 @@
 """Tests for the banded-diagonal stage-3 matcher vs. the reference DP.
 
 ``longest_match_run`` (vectorized diagonal walk) and
-``longest_match_run_dp`` (row-by-row dynamic program) are independent
+``repro.testing.reference.longest_match_run_dp`` (row-by-row dynamic
+program) are independent
 implementations of the same definition; with ``min_run=None`` they
 must agree exactly on every input.
 """
@@ -10,13 +11,9 @@ import numpy as np
 import pytest
 
 from repro.errors import DimensionError
-from repro.sbd.stages import (
-    classify_pair,
-    longest_match_run,
-    longest_match_run_dp,
-    stage3_shift_match,
-)
+from repro.sbd.stages import classify_pair, longest_match_run, stage3_shift_match
 from repro.config import SBDConfig
+from repro.testing.reference import longest_match_run_dp
 
 
 def random_signatures(rng, la, lb, spread):

@@ -1,5 +1,6 @@
 """Checksummed-manifest persistence: commit protocol, verification,
-recovery, legacy migration, and the ``repro fsck`` CLI."""
+recovery, refusal of the pre-manifest layout, and the ``repro fsck``
+CLI."""
 
 import json
 
@@ -10,7 +11,7 @@ from repro.errors import StorageError, StorageIntegrityError
 from repro.testing import FaultyFS, synth_database
 from repro.vdbms.database import VideoDatabase
 from repro.vdbms.manifest import MANIFEST_VERSION, TREE_PREFIX, digest_bytes
-from repro.vdbms.storage import DatabaseStorage
+from repro.vdbms.storage import DatabaseStorage, _safe_id
 
 
 def _saved_db(tmp_path, seed=3, n_videos=2):
@@ -150,51 +151,73 @@ class TestVerifiedLoads:
             VideoDatabase.load(root)
 
 
-class TestLegacyLayout:
-    def _write_legacy(self, tmp_path, seed=5):
+def _snapshot(root):
+    """Every file and directory under ``root`` -> its bytes (None for
+    directories)."""
+    return {
+        path.relative_to(root).as_posix(): None if path.is_dir() else path.read_bytes()
+        for path in sorted(root.rglob("*"))
+    }
+
+
+class TestPreManifestLayout:
+    """The layout older builds wrote before the manifest (bare
+    ``catalog.json`` + ``index.json`` + ``trees/<id>.json``) is refused,
+    never read, repaired or swept."""
+
+    def _write_pre_manifest(self, tmp_path, seed=5):
         """Materialize the pre-manifest layout by hand."""
         db = synth_database(seed, n_videos=2)
-        root = tmp_path / "legacy"
-        storage = DatabaseStorage(root)
-        storage.initialize()
+        root = tmp_path / "pre-manifest"
+        (root / "trees").mkdir(parents=True)
+        (root / "videos").mkdir()
         from repro.scenetree.serialize import scene_tree_to_dict
 
-        storage.catalog_path.write_text(json.dumps(db.catalog.to_dict()))
-        storage.index_path.write_text(json.dumps(db.index.to_dict()))
-        for vid, tree in db.trees.items():
-            storage.tree_path(vid).write_text(
+        (root / "catalog.json").write_text(json.dumps(db.catalog.to_dict()))
+        rows = [
+            {
+                "video_id": e.video_id,
+                "shot_number": e.shot_number,
+                "start_frame": e.start_frame,
+                "end_frame": e.end_frame,
+                "var_ba": e.features.var_ba,
+                "var_oa": e.features.var_oa,
+                "archetype": e.archetype,
+            }
+            for e in db.index.entries
+        ]
+        (root / "index.json").write_text(json.dumps({"version": 1, "entries": rows}))
+        # One id shaped like a generation suffix: its old tree file must
+        # not look like a file this build writes.
+        trees = dict(db.trees)
+        trees["clip-g00000001"] = next(iter(db.trees.values()))
+        for vid, tree in trees.items():
+            (root / "trees" / f"{_safe_id(vid)}.json").write_text(
                 json.dumps(scene_tree_to_dict(tree))
             )
-        return db, root, storage
+        return root
 
-    def test_legacy_database_still_loads(self, tmp_path):
-        db, root, storage = self._write_legacy(tmp_path)
-        assert storage.read_manifest() is None
-        loaded = VideoDatabase.load(root)
-        assert loaded.catalog.ids() == db.catalog.ids()
-        assert len(loaded.index) == len(db.index)
-
-    def test_first_save_migrates_to_manifest(self, tmp_path):
-        db, root, storage = self._write_legacy(tmp_path)
-        loaded = VideoDatabase.load(root)
-        loaded.save(root)
-        manifest = storage.read_manifest()
-        assert manifest is not None and manifest.generation == 1
-        # The bare legacy files are garbage once the manifest commits.
-        assert not storage.catalog_path.exists()
-        assert not storage.index_path.exists()
-        again = VideoDatabase.load(root)
-        assert again.catalog.ids() == db.catalog.ids()
-
-    def test_legacy_recover_drops_corrupt_tree(self, tmp_path):
-        db, root, storage = self._write_legacy(tmp_path)
-        victim = db.catalog.ids()[0]
-        storage.tree_path(victim).write_text("{broken", encoding="utf-8")
-        with pytest.raises(StorageError):
+    def test_load_open_and_save_refuse_and_touch_nothing(self, tmp_path):
+        root = self._write_pre_manifest(tmp_path)
+        before = _snapshot(root)
+        with pytest.raises(StorageError, match="pre-manifest layout"):
             VideoDatabase.load(root)
-        loaded = VideoDatabase.load(root, recover=True)
-        assert loaded.quarantined == [victim]
-        assert victim not in loaded.catalog
+        with pytest.raises(StorageError, match="pre-manifest layout"):
+            VideoDatabase.open(root)
+        with pytest.raises(StorageError, match="pre-manifest layout"):
+            VideoDatabase().save(root)
+        assert DatabaseStorage(root)._managed_files() == []
+        assert _snapshot(root) == before
+
+    def test_fsck_reports_it_and_repair_refuses(self, tmp_path, capsys):
+        root = self._write_pre_manifest(tmp_path)
+        before = _snapshot(root)
+        report = DatabaseStorage(root).fsck()
+        assert report.mode == "pre-manifest"
+        assert not report.clean
+        assert cli_main(["fsck", str(root), "--repair"]) != 0
+        assert "pre-manifest layout" in capsys.readouterr().out
+        assert _snapshot(root) == before
 
 
 class TestFsck:
@@ -219,13 +242,13 @@ class TestFsck:
         trunc.write_bytes(trunc.read_bytes()[:-5])
         gone = root / manifest.files[TREE_PREFIX + ids[2]].path
         gone.unlink()
-        (root / "trees" / "stray.json").write_text("{}")
+        (root / "trees" / "stray-g00000009.json").write_text("{}")
         by_logical = {c.logical: c for c in storage.fsck().checks}
         assert by_logical[TREE_PREFIX + ids[0]].status == "checksum-mismatch"
         assert by_logical[TREE_PREFIX + ids[1]].status == "size-mismatch"
         assert by_logical[TREE_PREFIX + ids[2]].status == "missing"
         assert by_logical["catalog"].status == "ok"
-        assert storage.fsck().untracked == ["trees/stray.json"]
+        assert storage.fsck().untracked == ["trees/stray-g00000009.json"]
 
     def test_untracked_litter_is_not_a_problem(self, tmp_path):
         db, root, storage = _saved_db(tmp_path)

@@ -7,6 +7,7 @@ from repro.config import PipelineConfig, QueryConfig
 from repro.errors import CatalogError, StorageError
 from repro.vdbms.catalog import Catalog, CatalogEntry
 from repro.vdbms.database import VideoDatabase
+from repro.vdbms.manifest import TREE_PREFIX
 from repro.vdbms.storage import DatabaseStorage
 from repro.video.clip import VideoClip
 from repro.workloads.taxonomy import VideoCategory
@@ -78,15 +79,13 @@ class TestStorage:
         assert not storage.exists()  # nothing saved yet
 
     def test_missing_file_raises(self, tmp_path):
-        storage = DatabaseStorage(tmp_path)
         with pytest.raises(StorageError):
-            storage.load_catalog()
+            VideoDatabase.load(tmp_path)
 
     def test_corrupt_json_raises(self, tmp_path):
-        storage = DatabaseStorage(tmp_path)
-        storage.catalog_path.write_text("{not json")
+        (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(StorageError):
-            storage.load_catalog()
+            VideoDatabase.load(tmp_path)
 
     def test_video_round_trip(self, tmp_path):
         storage = DatabaseStorage(tmp_path)
@@ -248,6 +247,10 @@ class TestRemove:
         assert report.n_shots == 10
 
 
+def _tree_relpath(storage, video_id, generation=1):
+    return storage._target_relpath(TREE_PREFIX + video_id, generation)
+
+
 class TestSafeIdInjective:
     """Regression: ids like ``a/b`` and ``a_b`` used to sanitize to the
     same filename and silently overwrite each other's trees/videos."""
@@ -255,12 +258,13 @@ class TestSafeIdInjective:
     def test_colliding_ids_get_distinct_paths(self, tmp_path):
         storage = DatabaseStorage(tmp_path)
         for left, right in [("a/b", "a_b"), ("a b", "a_b"), ("x:y", "x_y")]:
-            assert storage.tree_path(left) != storage.tree_path(right)
+            assert _tree_relpath(storage, left) != _tree_relpath(storage, right)
             assert storage.video_path(left) != storage.video_path(right)
 
     def test_same_id_is_stable(self, tmp_path):
         storage = DatabaseStorage(tmp_path)
-        assert storage.tree_path("a/b") == storage.tree_path("a/b")
+        assert _tree_relpath(storage, "a/b") == _tree_relpath(storage, "a/b")
+        assert storage.video_path("a/b") == storage.video_path("a/b")
 
     def test_colliding_videos_both_survive(self, tmp_path):
         storage = DatabaseStorage(tmp_path)
