@@ -4,14 +4,17 @@ Measures the sharded database at 1, 2, and 4 shards over the same
 seeded corpus:
 
 * **Durable ingest throughput** — registering pre-derived videos
-  through each shard's checksummed publish path (staging write ->
-  fsync -> manifest swap), one feeder thread per shard.  This
-  deliberately benchmarks the *database/commit* side of ingest, which
-  is what sharding parallelizes: publishes to different shards overlap
-  their fsyncs, and each shard's manifest payload is a fraction of the
-  monolith's.  (The CPU-bound Step 1-2-3 pipeline is benchmarked
-  separately in ``bench_perf_pipeline.py`` and is embarrassingly
-  parallel across processes.)
+  through each shard's checksummed publish path (record write ->
+  fsync -> delta rename), one feeder thread per shard.  This
+  deliberately benchmarks the *database/commit* side of ingest.  A
+  publish writes one video's record and one small manifest delta, so
+  its cost does not grow with the shard's corpus: the 1-shard run
+  ingests its last quarter about as fast as its first, and sharding
+  adds only overlapped fsyncs (publishes to different shards), not the
+  relief from a smaller per-shard rewrite it once gave.  (The
+  CPU-bound Step 1-2-3 pipeline is benchmarked separately in
+  ``bench_perf_pipeline.py`` and is embarrassingly parallel across
+  processes.)
 * **Query latency** — p50/p99 of impression queries through the
   scatter-gather coordinator, against the K=1 cluster as the
   single-shard baseline (same code path, no fan-out).  The asserted
@@ -21,17 +24,20 @@ seeded corpus:
 * **Replication** — durable ingest at R=2 (4 shards) vs R=1
   (2 shards): the shard count scales with R so the *per-shard corpus
   is identical* (512 videos each at the default sizes), isolating the
-  cost of the extra committed copy from the O(shard size) manifest
-  growth that doubling a shard's corpus would add on top.  The
-  write-amplification ceiling is then the 2 checksummed commits per
-  video, i.e. ~2x.  Alongside it: query p50/p99 with one shard of an
-  R=2 cluster killed mid-corpus — every answer must stay complete
-  (failover from replicas, zero partial).
+  cost of the extra committed copy.  The write-amplification ceiling
+  is the 2 checksummed commits per video, i.e. ~2x.  Alongside it:
+  query p50/p99 with one shard of an R=2 cluster killed mid-corpus —
+  every answer must stay complete (failover from replicas, zero
+  partial).
 
 Acceptance bars (asserted by ``main()``, relaxed under ``--smoke``):
-4-shard ingest throughput >= 2.5x the 1-shard run, 4-shard query
-p99 within 1.5x of single-shard, and R=2 ingest overhead <= 2.2x
-the R=1 run.
+the 1-shard run ingests the last quarter of its corpus at >= 0.5x the
+rate of its first quarter (commit cost does not grow with the shard;
+on a 2-vCPU host 0.62-1.38, against 0.24-0.41 when every publish
+rewrote the shard's index and manifest), a 4-shard run ingests at
+least as fast as a 1-shard run (>= 1.0x; read 1.03-2.18x there),
+4-shard query p99 within 1.5x of single-shard, and R=2 ingest overhead
+<= 2.2x the R=1 run.
 
 Run as a bench:
 
@@ -45,7 +51,6 @@ or standalone, writing ``BENCH_cluster.json``:
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import statistics
 import sys
@@ -88,11 +93,13 @@ def run_ingest_round(
         groups = cluster.router.assignment([r.video_id for r in records])
         by_id = {r.video_id: r for r in records}
         errors: list[str] = []
+        done_at: list[float] = []  # commit times, all feeders
 
         def feed(shard_id: int) -> None:
             try:
                 for video_id in groups[shard_id]:
                     cluster.adopt(by_id[video_id])
+                    done_at.append(time.perf_counter())
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(f"shard {shard_id}: {exc}")
 
@@ -108,12 +115,21 @@ def run_ingest_round(
         wall_s = time.perf_counter() - started
         assert not errors, errors
         assert cluster.catalog_size() == len(records)
+        # Rate of the first and of the last quarter of the commits: a
+        # publish whose cost grows with the shard slows down as it fills.
+        done_at.sort()
+        quarter = len(done_at) // 4
+        first_s = done_at[quarter - 1] - started
+        last_s = done_at[-1] - done_at[-quarter - 1]
         return {
             "n_shards": n_shards,
             "replication": replication,
             "videos": len(records),
             "wall_s": round(wall_s, 4),
             "ingest_per_s": round(len(records) / wall_s, 2),
+            "first_quarter_per_s": round(quarter / first_s, 2),
+            "last_quarter_per_s": round(quarter / last_s, 2),
+            "last_vs_first_quarter": round(first_s / last_s, 3),
             "videos_per_shard": [len(groups[s]) for s in range(n_shards)],
         }
     finally:
@@ -235,10 +251,9 @@ def run_cluster_bench(
     Ingest and query rounds run ``rounds`` times per shard count and
     keep the best (highest throughput / lowest p99) — single-round
     numbers on a shared box swing with background I/O.  The corpus
-    must be large enough that the per-commit manifest rewrite (the
-    O(shard size) cost sharding divides) dominates the
-    fixed per-publish fsync latency, which one journal serializes
-    regardless of shard count; 1024 videos is comfortably past that.
+    must be large enough that a commit cost growing with the shard
+    would show between its first and last quarter; 1024 videos is
+    comfortably past that.
     """
     records = build_records(n_videos, seed=seed)
     ingest = []
@@ -320,16 +335,27 @@ def check_acceptance(report: dict[str, Any], smoke: bool = False) -> None:
     """The PR's acceptance bars (looser under --smoke: tiny samples on
     shared CI boxes are too noisy for the strict thresholds)."""
     speedup4 = report["ingest_speedup_vs_single"]["4"]
+    quarters1 = report["ingest"][0]["last_vs_first_quarter"]
     p99_ratio4 = report["query_p99_ratio_vs_single"]["4"]
     overhead_r2 = report["replication"]["ingest_overhead_r2_vs_r1"]
-    # On a single-core box the only ingest parallelism left to harvest
-    # is fsync-wait overlap, and a fast disk leaves little of it — the
-    # speedup then comes mostly from the smaller per-shard manifests
-    # (~2.1-2.3x measured), so the strict 2.5x bar needs >=2 cores.
-    multi_core = (os.cpu_count() or 1) >= 2
-    min_speedup = 1.2 if smoke else (2.5 if multi_core else 1.8)
+    # A publish writes one record and one delta, so neither the shard
+    # size nor the shard count should change its cost much: the bars
+    # are "no slowdown as the shard fills" and "sharding does not
+    # hurt".  (Before, each publish rewrote the shard's whole index
+    # and manifest: the 1-shard run slowed to a fraction of its first
+    # quarter's rate, and 4 shards ingested ~3x faster than 1.)
+    # At the smoke size (32 videos, 8 per quarter, one round) the
+    # quarter ratio read 0.59-1.84 and 4 vs 1 shard 0.93-1.46x on a
+    # 2-vCPU host, and the whole-database publish read alike (it is
+    # cheap on 32 videos): there the bars only catch a gross slowdown.
+    min_quarters = 0.25 if smoke else 0.5
+    min_speedup = 0.5 if smoke else 1.0
     max_ratio = 3.0 if smoke else 1.5
     max_overhead = 4.0 if smoke else 2.2
+    assert quarters1 >= min_quarters, (
+        f"1-shard ingest ran its last quarter at {quarters1}x its first "
+        f"quarter's rate (bar: {min_quarters}x)"
+    )
     assert speedup4 >= min_speedup, (
         f"4-shard ingest speedup {speedup4}x below {min_speedup}x"
     )
@@ -368,7 +394,8 @@ def main(argv: list[str] | None = None) -> None:
     for row in report["ingest"]:
         print(
             f"ingest  {row['n_shards']} shard(s): {row['ingest_per_s']:8.1f}/s "
-            f"({row['wall_s']}s for {row['videos']} videos)"
+            f"({row['wall_s']}s for {row['videos']} videos; last quarter "
+            f"{row['last_vs_first_quarter']}x the first's rate)"
         )
     for row in report["queries"]:
         print(

@@ -747,7 +747,7 @@ def _fsck_cluster(args: argparse.Namespace) -> int:
 
     from .cluster import ClusterCoordinator
 
-    from .vdbms.manifest import TREE_PREFIX
+    from .vdbms.manifest import RECORD_PREFIX
 
     cluster = ClusterCoordinator.open(args.root, recover=True)
     shard_roots = [
@@ -783,8 +783,8 @@ def _fsck_cluster(args: argparse.Namespace) -> int:
             code = _fsck_single(shard_args, report_sink=sink)
         for report in sink:
             for check in report.problems():
-                if check.logical.startswith(TREE_PREFIX):
-                    video_id = check.logical[len(TREE_PREFIX):]
+                if check.logical.startswith(RECORD_PREFIX):
+                    video_id = check.logical[len(RECORD_PREFIX):]
                     damaged_videos.setdefault(video_id, set()).add(name)
         worst = max(worst, code)
     # A damaged video with a copy on a shard fsck did *not* flag is
@@ -840,7 +840,7 @@ def _fsck_single(
     if args.repair and report.mode == "manifest" and (
         report.problems() or report.untracked
     ):
-        # Reload what survives first (a corrupt catalog or index is
+        # Reload what survives first (a broken manifest chain is
         # beyond repair and raises here), then move damaged and
         # untracked files aside and rewrite a clean generation.
         db = VideoDatabase.load(args.root, recover=True)
@@ -873,7 +873,7 @@ def _fsck_single(
     for relpath in quarantined_files:
         print(f"  quarantined {relpath}")
     for video_id in dropped_videos:
-        print(f"  dropped video {video_id!r} (unreadable scene tree)")
+        print(f"  dropped video {video_id!r} (unreadable record)")
     if report.mode == "empty":
         print("  no database here")
         return 1

@@ -604,49 +604,43 @@ class ClusterCoordinator:
         category: VideoCategory | None = None,
         archetypes: Any = None,
     ) -> IngestReport:
-        """Route ``clip`` to its home shard, ingest, and fan replicas out.
+        """Route ``clip`` to its home shard: claim, derive, then adopt.
 
         The cluster-wide duplicate check happens at claim time (under
         the placement mutex), so two concurrent ingests of the same id
         cannot both proceed even when racing.  The primary shard's
-        write lock covers the whole pipeline + durable publish (a
-        plain database served as one shard gets exactly this); with
-        replication > 1 the derived state is then exported once and
-        adopted — through the same checksummed staged-publish protocol
-        — on each replica shard under its own write lock.  An ingest is
-        acknowledged only with all R copies committed; any failure rolls
-        the committed copies back and releases the claim.
+        database derives the clip with no lock held — queries and
+        browses on the shard keep flowing through the whole pipeline —
+        and the derived record is then adopted on the primary and on
+        each replica under that shard's write lock (:meth:`adopt`'s
+        fan-out).  An ingest is acknowledged only with all R copies
+        committed; any failure rolls the committed copies back and
+        releases the claim.
         """
         targets = self._write_targets(clip.name, "ingest")
         self._claim(clip.name, [shard.shard_id for shard in targets])
-        primary, current = targets[0], targets[0]
-        committed: list[Shard] = []
         try:
-            with primary.lock.write_locked():
-                report = primary.db.ingest(
-                    clip, category=category, archetypes=archetypes
-                )
-            committed.append(primary)
-            primary.ingests += 1
-            if len(targets) > 1:
-                with primary.lock.read_locked():
-                    record = primary.db.export_video(clip.name)
-                for replica in targets[1:]:
-                    current = replica
-                    with replica.lock.write_locked():
-                        replica.db.adopt(record)
-                    committed.append(replica)
-                    replica.replications += 1
-            return report
+            return targets[0].db.ingest(
+                clip,
+                category=category,
+                archetypes=archetypes,
+                adopt=lambda record: self._adopt_on(targets, record),
+            )
         except BaseException:
-            current.errors += 1
-            self._rollback_copies(clip.name, committed)
+            # A failed derive has no copy to roll back; a failed adopt
+            # already rolled back and unclaimed (idempotent).
+            self._unclaim(clip.name)
             raise
 
     def adopt(self, record: VideoRecord) -> int:
         """Register already-derived state on its home + replica shards."""
         targets = self._write_targets(record.video_id, "adopt")
         self._claim(record.video_id, [shard.shard_id for shard in targets])
+        return self._adopt_on(targets, record)
+
+    def _adopt_on(self, targets: list[Shard], record: VideoRecord) -> int:
+        """Adopt ``record`` on the primary, then each replica, each under
+        its shard's write lock — all or nothing."""
         current = targets[0]
         committed: list[Shard] = []
         n = 0
@@ -711,10 +705,11 @@ class ClusterCoordinator:
         return True
 
     def _scatter(
-        self, one: Callable[[Shard], Any], deadline: Deadline | None
+        self, one: Callable[[Shard, set[int]], Any], deadline: Deadline | None
     ) -> tuple[dict[int, Any], list[dict[str, Any]]]:
-        """Run ``one(shard)`` on every shard, each call bounded by the
-        deadline's remaining budget.
+        """Run ``one(shard, locked)`` on every shard, each call bounded
+        by the deadline's remaining budget; a call adds its shard's id
+        to ``locked`` once it holds the shard's read lock.
 
         Pooled on a multi-core host, inline otherwise and over a single
         shard (the pool cannot overlap one sub-query); both share the
@@ -723,8 +718,9 @@ class ClusterCoordinator:
         ``shards_failed`` entry per shard that did not.
         """
         shards = list(self.shards)
+        locked: set[int] = set()
         if self.parallel_scatter and len(shards) > 1:
-            futures = [self._pool.submit(one, shard) for shard in shards]
+            futures = [self._pool.submit(one, shard, locked) for shard in shards]
         else:
             futures = [None] * len(shards)
         results: dict[int, Any] = {}
@@ -739,15 +735,24 @@ class ClusterCoordinator:
                 elif deadline is not None and deadline.remaining() <= 0:
                     raise FutureTimeout()
                 else:
-                    results[shard.shard_id] = one(shard)
-            except (FutureTimeout, ServiceTimeout):
+                    results[shard.shard_id] = one(shard, locked)
+            except (FutureTimeout, ServiceTimeout) as exc:
                 if future is not None:
                     future.cancel()
+                # A budget spent before the call held the shard's read
+                # lock (queued behind a writer) is "busy": retryable,
+                # but no sign of a sick shard (ShardSupervisor does not
+                # count it).  A call that held the lock and still ran
+                # late is a slow shard: "deadline".
+                busy = isinstance(exc, ServiceTimeout) or (
+                    future is not None and shard.shard_id not in locked
+                )
                 failed.append(
                     {
                         "shard": shard.name,
-                        "reason": "deadline",
-                        "error": "per-shard deadline budget exhausted",
+                        "reason": "busy" if busy else "deadline",
+                        "error": "per-shard deadline budget exhausted"
+                        + (" waiting for the shard lock" if busy else ""),
                     }
                 )
             except ShardUnavailableError as exc:
@@ -769,7 +774,7 @@ class ClusterCoordinator:
         self,
         failed: list[dict[str, Any]],
         results: dict[int, Any],
-        one: Callable[[Shard], Any],
+        one: Callable[[Shard, set[int]], Any],
         deadline: Deadline | None,
     ) -> tuple[list[dict[str, Any]], list[str]]:
         """Automatic failover after a scatter (no-op when R == 1).
@@ -796,11 +801,11 @@ class ClusterCoordinator:
                 remaining.append(failure)
                 recovered.append(shard.name)
                 continue
-            retryable = failure["reason"] in ("deadline", "error")
+            retryable = failure["reason"] in ("busy", "deadline", "error")
             in_budget = deadline is None or deadline.remaining() > 0
             if retryable and in_budget and not shard.down:
                 try:
-                    results[shard.shard_id] = one(shard)
+                    results[shard.shard_id] = one(shard, set())
                     continue  # the retry answered: shard is not failed
                 except Exception:
                     pass  # the original failure entry stands
@@ -875,13 +880,16 @@ class ClusterCoordinator:
         if scatter is not None and not single:
             scatter.annotate(n_queries=len(queries))
 
-        def one(shard: Shard) -> tuple[list[QueryAnswer], dict[str, SceneTree]]:
+        def one(
+            shard: Shard, locked: set[int]
+        ) -> tuple[list[QueryAnswer], dict[str, SceneTree]]:
             # Re-attach the trace on pool workers so per-shard spans
             # parent under the scatter span (no-op when untraced).
             with _attach(ctx, scatter):
                 with _span(shard_span_name, shard=shard.name) as shard_span:
                     shard.check_up("query")
                     with shard.traced_read(_budget(deadline)):
+                        locked.add(shard.shard_id)
                         answers = shard.db.query_batch(
                             points,
                             limit=limit,
@@ -1018,8 +1026,8 @@ class ClusterCoordinator:
 
         A ``deadline`` bounds the shard read-lock wait by its remaining
         budget (:class:`~repro.errors.ServiceTimeout` past it), here and
-        in the other lookups — an ingest holds its shard's write lock
-        through the whole pipeline and publish.
+        in the other lookups — an adopt holds its shard's write lock
+        through its publish.
         """
         shard = self.locate(video_id)
         shard.check_up("scene_tree")

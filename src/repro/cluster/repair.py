@@ -9,11 +9,12 @@ every video it compares the shards that *should* hold a copy
 
 * copies missing replicas from a healthy holder (export -> adopt, the
   same staged, checksummed publish path every write takes),
-* repairs divergent replicas — detected by comparing the per-video
-  fingerprint of each holder: the ``blake2s`` the shard's *manifest*
-  records for ``tree:<id>`` (no re-hashing; see
-  ``DatabaseStorage.tracked_records``) plus the video's index rows —
-  by re-adopting the primary's copy, and
+* repairs divergent replicas — detected by comparing each holder's
+  fingerprint of the video, the digest of its record file
+  (``VideoDatabase.record_digest``: the ``blake2s`` a durable shard's
+  manifest records for ``video:<id>``, no re-hashing; an in-memory
+  shard hashes the bytes the same serializer would write) — by
+  re-adopting the primary's copy, and
 * drops stray copies living outside the expected set (left by a crash
   between a rebalance copy and its source delete), but only when a
   legitimate holder exists.
@@ -23,13 +24,13 @@ every durable shard's manifest-tracked files and re-verifies each
 against its committed digest — the same check ``fsck`` runs, but
 continuously and at a configurable pace (``files_per_tick`` files per
 shard, ``interval_s`` sleep between ticks, so a big corpus is scrubbed
-gently in the background rather than in one IO storm).  A corrupt
-per-video file is quarantined (evidence preserved), the video is
-dropped from the sick shard, and a fresh copy is adopted from a
-healthy replica; a corrupt catalog/index file is quarantined and
-republished from the shard's live in-memory state.  A video with no
-healthy replica (R=1, or every copy rotten) is counted in
-``videos_lost`` — exactly the loss replication exists to prevent.
+gently in the background rather than in one IO storm).  A rotted
+record file is quarantined (evidence preserved), the video is dropped
+from the sick shard, and a fresh copy is adopted from a healthy holder
+(``videos_repaired``); with none, the record is rewritten from the
+shard's own in-memory copy, which was verified when it was loaded
+(``files_republished``).  Only a video with no healthy copy on disk or
+in memory is counted in ``videos_lost``.
 
 Both loops are safe against live traffic: checks run under shard read
 locks (so a publish can never be half-observed) and repairs under the
@@ -38,16 +39,13 @@ usual write locks, like any other ingest.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..errors import CatalogError
-from ..scenetree.serialize import scene_tree_to_dict
-from ..vdbms.manifest import TREE_PREFIX
+from ..vdbms.manifest import RECORD_PREFIX
 from .replication import copy_video
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,31 +56,6 @@ __all__ = ["AntiEntropyRepairer", "IntegrityScrubber", "RepairReport"]
 
 #: Lock budget for repair-side reads/writes (outwaits a publish).
 _LOCK_TIMEOUT_S = 30.0
-
-
-def _video_fingerprint(shard: "Shard", video_id: str) -> tuple[Any, Any]:
-    """A comparable identity for one shard's copy of one video.
-
-    Durable shards compare for free via the manifest digest of the
-    video's scene-tree file; in-memory shards fall back to hashing the
-    canonical tree serialization.  Index rows ride along in both cases
-    so a divergent feature row is caught even when trees agree.
-    """
-    rows = tuple(
-        sorted(
-            (entry.shot_number, entry.features.var_ba, entry.features.var_oa)
-            for entry in shard.db.index.entries_for(video_id)
-        )
-    )
-    storage = shard.db.storage
-    digest = storage.video_digest(video_id) if storage is not None else None
-    if digest is None:
-        tree = shard.db.trees.get(video_id)
-        if tree is None:
-            return None, rows
-        payload = json.dumps(scene_tree_to_dict(tree), sort_keys=True)
-        digest = "mem:" + hashlib.blake2s(payload.encode("utf-8")).hexdigest()
-    return digest, rows
 
 
 @dataclass
@@ -172,7 +145,7 @@ class AntiEntropyRepairer:
                     report.unrepairable.append(video_id)
                 continue
             source = cluster.shard(source_id)
-            source_print = _video_fingerprint(source, video_id)
+            source_print = source.db.record_digest(video_id)
 
             for shard_id in expected:
                 if shard_id == source_id:
@@ -185,7 +158,7 @@ class AntiEntropyRepairer:
                     if shard_id not in holders:
                         if copy_video(cluster, video_id, source, dest):
                             report.copies_added += 1
-                    elif _video_fingerprint(dest, video_id) != source_print:
+                    elif dest.db.record_digest(video_id) != source_print:
                         if copy_video(
                             cluster, video_id, source, dest, replace=True
                         ):
@@ -332,6 +305,9 @@ class IntegrityScrubber:
     # ------------------------------------------------------------------
 
     def _repair(self, shard: "Shard", logical: str, relpath: str) -> None:
+        """Quarantine a rotted record and restore the video: re-adopt it
+        from a healthy holder, else rewrite it from this shard's own
+        in-memory copy (verified when it was loaded)."""
         storage = shard.db.storage
         assert storage is not None
         try:
@@ -339,22 +315,19 @@ class IntegrityScrubber:
                 storage.quarantine(relpath)  # preserve the evidence
         except OSError:
             pass
-        if logical.startswith(TREE_PREFIX):
-            self._repair_video(shard, logical[len(TREE_PREFIX):])
-        else:
-            # catalog/index: the shard's in-memory state is the live
-            # truth — republish it (the quarantined file is missing on
-            # disk now, so publish rewrites instead of carrying over).
+        if not logical.startswith(RECORD_PREFIX):
+            # A version-2 file: migrating the shard rewrites its state
+            # from memory as records.
             try:
                 with shard.lock.write_locked(_LOCK_TIMEOUT_S):
                     shard.db.save(storage.root)
                 self._bump("files_republished")
             except Exception:
-                shard.mark_down(f"scrubber: cannot republish {logical}")
-
-    def _repair_video(self, shard: "Shard", video_id: str) -> None:
+                shard.mark_down(f"scrubber: cannot migrate past {logical}")
+            return
+        video_id = logical[len(RECORD_PREFIX):]
         cluster = self.cluster
-        record = None
+        record, stat = None, "videos_repaired"
         try:
             holders = cluster.holders_of(video_id)
         except CatalogError:
@@ -373,19 +346,24 @@ class IntegrityScrubber:
                 continue
         try:
             with shard.lock.write_locked(_LOCK_TIMEOUT_S):
-                try:
-                    shard.db.remove(video_id)
-                except CatalogError:
-                    pass
+                held = video_id in shard.db.catalog
+                if record is None and held:
+                    record = shard.db.export_video(video_id)
+                    stat = "files_republished"
                 if record is not None:
-                    shard.db.adopt(record)
+                    # Replicas are byte-identical, so the fresh copy
+                    # matches the manifest digest of the rotted file; if
+                    # the quarantine above failed, that file is still in
+                    # place and must be rewritten, not carried over.
+                    storage.distrust(logical)
+                    (shard.db.replace if held else shard.db.adopt)(record)
         except Exception:
             shard.mark_down(f"scrubber: cannot repair {video_id}")
             return
         if record is not None:
             cluster.note_copy(video_id, shard.shard_id)
             shard.repairs += 1
-            self._bump("videos_repaired")
+            self._bump(stat)
         else:
             cluster.note_drop(video_id, shard.shard_id)
             self._bump("videos_lost")

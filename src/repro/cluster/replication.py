@@ -49,11 +49,12 @@ def copy_video(
     """Copy one video's committed state from ``source`` onto ``dest``.
 
     Exports under the source's read lock, adopts under the destination's
-    write lock (a full durable publish on durable shards), and records
-    the new copy in the coordinator's holder map.  With ``replace=True``
-    an existing copy on ``dest`` is dropped first — the divergence
-    repair path.  Returns False when the video vanished from the source
-    meanwhile (already-removed videos are not an error for repair).
+    write lock (one record file and one manifest delta on durable
+    shards), and records the new copy in the coordinator's holder map.
+    With ``replace=True`` an existing copy on ``dest`` is swapped for
+    the source's in one commit — the divergence repair path.  Returns
+    False when the video vanished from the source meanwhile
+    (already-removed videos are not an error for repair).
     """
     try:
         with source.lock.read_locked(_COPY_LOCK_TIMEOUT_S):
@@ -61,10 +62,11 @@ def copy_video(
     except CatalogError:
         return False
     with dest.lock.write_locked(_COPY_LOCK_TIMEOUT_S):
-        if replace and video_id in dest.db.catalog:
-            dest.db.remove(video_id)
         try:
-            dest.db.adopt(record)
+            if replace and video_id in dest.db.catalog:
+                dest.db.replace(record)
+            else:
+                dest.db.adopt(record)
         except CatalogError:
             return True  # raced with another repairer: copy already there
     cluster.note_copy(video_id, dest.shard_id)
@@ -78,7 +80,10 @@ class ShardSupervisor:
     ``observe`` is fed every :class:`ClusterAnswer`; shards failing
     ``threshold`` scatters *in a row* (reason ``error`` or ``deadline``
     — a shard someone already marked down is not double-counted) are
-    benched via ``mark_down``.  ``probe`` re-admits benched shards
+    benched via ``mark_down``.  A ``busy`` failure (the budget ran out
+    queued for the shard's lock behind a writer) neither counts nor
+    resets a streak: a busy shard is not a sick one.  ``probe``
+    re-admits benched shards
     after ``retry_after_s`` once a trivial read succeeds, and is called
     from the service watchdog; ``readmit`` is the explicit post-repair
     hook.  Only shards *this supervisor benched* are ever re-admitted —
@@ -118,16 +123,12 @@ class ShardSupervisor:
         """Fold one scatter outcome in; returns shards benched by it."""
         if not answer.shards_failed and not self._consecutive:
             return []  # a clean scatter and no streak to reset
-        transient = {
-            failure["shard"]
-            for failure in answer.shards_failed
-            if failure["reason"] in ("error", "deadline")
-        }
+        failed = {f["shard"]: f["reason"] for f in answer.shards_failed}
         benched: list[str] = []
         with self._lock:
             for shard in self.cluster.shards:
                 name = shard.name
-                if name in transient:
+                if failed.get(name) in ("error", "deadline"):
                     count = self._consecutive.get(name, 0) + 1
                     self._consecutive[name] = count
                     if count >= self.threshold and not shard.down:
@@ -137,7 +138,7 @@ class ShardSupervisor:
                         self._benched[name] = self._clock()
                         self.trips += 1
                         benched.append(name)
-                elif not shard.down:
+                elif name not in failed and not shard.down:
                     self._consecutive.pop(name, None)
         return benched
 

@@ -42,8 +42,11 @@ see a consistent snapshot.
 Persistence is a checksummed little-endian binary column format
 (:meth:`to_bytes` / :meth:`from_bytes`, magic ``RVIX``): loading is
 O(columns) ``frombuffer`` reads instead of O(n) Python object
-construction.  Databases write it through the storage layer's
-manifest publish (:mod:`repro.vdbms.storage`).
+construction.  Databases store one video's rows per record file
+(:mod:`repro.vdbms.storage`): :meth:`video_rows` encodes every video
+from the columns in one pass, :meth:`encode_rows` one video from its
+entries, and :meth:`from_parts` concatenates the per-video columns and
+sorts once.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import math
 import struct
 import threading
 from hashlib import blake2s
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,6 +103,9 @@ _COLUMNS = (
     ("archetype_idx", "<i4"),
 )
 
+#: Bytes per row across the persisted columns.
+_ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
+
 
 def _checked(entry: IndexEntry) -> IndexEntry:
     """Reject entries whose ``D^v`` is NaN: NaN compares False against
@@ -118,6 +124,50 @@ def _checked_int32(value: int, what: str) -> int:
     if not _INT32_MIN <= value <= _INT32_MAX:
         raise IndexError_(f"{what} {value} does not fit an int32 column")
     return value
+
+
+def _first_appearance(
+    codes: np.ndarray, table: list[str]
+) -> tuple[np.ndarray, list[str]]:
+    """Compact ``codes`` (indices into ``table``, -1 for none) to the
+    table entries they use, renumbered by first appearance — so litter
+    from removed videos never leaks into a file and equal rows encode
+    to equal bytes."""
+    used, first = np.unique(codes[codes >= 0], return_index=True)
+    used = used[np.argsort(first, kind="stable")]
+    remap = np.full(len(table) + 1, -1, dtype="<i4")  # [-1] stays -1
+    remap[used] = np.arange(used.size, dtype="<i4")
+    return remap[codes], [table[int(code)] for code in used]
+
+
+def _encode(
+    cols: dict[str, np.ndarray], videos: list[str], archetypes: list[str]
+) -> bytes:
+    """RVIX bytes of columns already in file order (see :meth:`to_bytes`)."""
+    vid_col, video_table = _first_appearance(cols["video_idx"], videos)
+    arch_col, arch_table = _first_appearance(cols["archetype_idx"], archetypes)
+    tables = json.dumps({"videos": video_table, "archetypes": arch_table}).encode(
+        "utf-8"
+    )
+    coded = {**cols, "video_idx": vid_col, "archetype_idx": arch_col}
+    parts = [
+        _HEADER.pack(
+            COLUMNAR_MAGIC,
+            _BINARY_VERSION,
+            0,
+            int(cols["var_ba"].shape[0]),
+            len(video_table),
+            len(arch_table),
+            len(tables),
+        ),
+        tables,
+    ]
+    parts.extend(
+        np.ascontiguousarray(coded[name], dtype=dtype).tobytes()
+        for name, dtype in _COLUMNS
+    )
+    body = b"".join(parts)
+    return body + blake2s(body, digest_size=_CHECKSUM_BYTES).digest()
 
 
 class ColumnarVarianceIndex:
@@ -189,6 +239,18 @@ class ColumnarVarianceIndex:
         self._entry_objs = np.empty(self._var_ba.shape[0], dtype=object)
         self._entry_done = np.zeros(self._var_ba.shape[0], dtype=np.bool_)
 
+    def _columns(self) -> dict[str, np.ndarray]:
+        """The main columns by persisted name (``_COLUMNS`` order)."""
+        return {
+            "var_ba": self._var_ba,
+            "var_oa": self._var_oa,
+            "shot_number": self._shot,
+            "start_frame": self._start,
+            "end_frame": self._end,
+            "video_idx": self._vid,
+            "archetype_idx": self._arch,
+        }
+
     def _intern_video(self, video_id: str) -> int:
         code = self._video_code.get(video_id)
         if code is None:
@@ -250,16 +312,8 @@ class ColumnarVarianceIndex:
                     for k, (name, dtype) in enumerate(_COLUMNS)
                 }
                 merged = {
-                    name: np.concatenate([getattr(self, attr), fresh[name]])
-                    for name, attr in (
-                        ("var_ba", "_var_ba"),
-                        ("var_oa", "_var_oa"),
-                        ("shot_number", "_shot"),
-                        ("start_frame", "_start"),
-                        ("end_frame", "_end"),
-                        ("video_idx", "_vid"),
-                        ("archetype_idx", "_arch"),
-                    )
+                    name: np.concatenate([col, fresh[name]])
+                    for name, col in self._columns().items()
                 }
                 d_v = np.sqrt(merged["var_ba"]) - np.sqrt(merged["var_oa"])
                 order = np.argsort(d_v, kind="stable")
@@ -320,15 +374,7 @@ class ColumnarVarianceIndex:
         if removed:
             keep = ~mask
             self._set_columns(
-                {
-                    "var_ba": self._var_ba[keep],
-                    "var_oa": self._var_oa[keep],
-                    "shot_number": self._shot[keep],
-                    "start_frame": self._start[keep],
-                    "end_frame": self._end[keep],
-                    "video_idx": self._vid[keep],
-                    "archetype_idx": self._arch[keep],
-                }
+                {name: col[keep] for name, col in self._columns().items()}
             )
             self._entries_cache = None
         return removed
@@ -712,75 +758,108 @@ class ColumnarVarianceIndex:
         checksum over everything before it.  Deterministic for a given
         entry set and order: string tables are compacted to used codes
         in first-appearance order, so repeated saves of the same state
-        are byte-identical (the storage layer's no-op-save dedup).
+        are byte-identical.
         """
         self._prepare()
-        n = int(self._var_ba.shape[0])
-        # Compact the tables: only codes the columns reference, coded
-        # by first appearance, so litter from removed videos does not
-        # leak into the file.
-        vid_map: dict[int, int] = {}
-        videos: list[str] = []
-        for code in self._vid:
-            code = int(code)
-            if code not in vid_map:
-                vid_map[code] = len(videos)
-                videos.append(self._video_ids[code])
-        arch_map: dict[int, int] = {-1: -1}
-        archetypes: list[str] = []
-        for code in self._arch:
-            code = int(code)
-            if code not in arch_map:
-                arch_map[code] = len(archetypes)
-                archetypes.append(self._archetypes[code])
-        tables = json.dumps(
-            {"videos": videos, "archetypes": archetypes}
-        ).encode("utf-8")
-        vid_col = np.array(
-            [vid_map[int(c)] for c in self._vid], dtype="<i4"
-        )
-        arch_col = np.array(
-            [arch_map[int(c)] for c in self._arch], dtype="<i4"
-        )
-        parts = [
-            _HEADER.pack(
-                COLUMNAR_MAGIC,
-                _BINARY_VERSION,
-                0,
-                n,
-                len(videos),
-                len(archetypes),
-                len(tables),
-            ),
-            tables,
-            np.ascontiguousarray(self._var_ba, dtype="<f8").tobytes(),
-            np.ascontiguousarray(self._var_oa, dtype="<f8").tobytes(),
-            np.ascontiguousarray(self._shot, dtype="<i4").tobytes(),
-            np.ascontiguousarray(self._start, dtype="<i4").tobytes(),
-            np.ascontiguousarray(self._end, dtype="<i4").tobytes(),
-            vid_col.tobytes(),
-            arch_col.tobytes(),
-        ]
-        body = b"".join(parts)
-        return body + blake2s(body, digest_size=_CHECKSUM_BYTES).digest()
+        return _encode(self._columns(), self._video_ids, self._archetypes)
+
+    def video_rows(self) -> Iterator[tuple[str, bytes]]:
+        """Every video's rows as its own RVIX file, in one pass.
+
+        Rows are grouped by video and put in the canonical order
+        ``(D^v, shot_number)``, so a video's bytes depend only on its
+        rows — not on insertion history or on the other videos — and
+        equal :meth:`encode_rows` of the same entries.  Yields
+        ``(video_id, bytes)`` in video-code order.
+        """
+        self._prepare()
+        if not self._var_ba.shape[0]:
+            return
+        order = np.lexsort((self._shot, self._d_v, self._vid))
+        bounds = np.flatnonzero(np.diff(self._vid[order])) + 1
+        cols = self._columns()
+        for rows in np.split(order, bounds):
+            video_id = self._video_ids[int(self._vid[rows[0]])]
+            yield video_id, _encode(
+                {name: col[rows] for name, col in cols.items()},
+                self._video_ids,
+                self._archetypes,
+            )
+
+    @classmethod
+    def encode_rows(cls, entries: Iterable[IndexEntry]) -> bytes:
+        """One video's entries as RVIX bytes, canonical order (see
+        :meth:`video_rows`); raises :class:`IndexError_` when the
+        entries span several videos."""
+        index = cls(entries)
+        encoded = [data for _, data in index.video_rows()]
+        if len(encoded) > 1:
+            raise IndexError_(f"rows of {len(encoded)} videos in one record")
+        return encoded[0] if encoded else index.to_bytes()
+
+    @classmethod
+    def from_parts(
+        cls, parts: Iterable[tuple[str, bytes]]
+    ) -> "ColumnarVarianceIndex":
+        """Build from per-video RVIX files, ``(video_id, bytes)`` each.
+
+        Every part is validated (and must hold rows of its video only);
+        its columns are appended to one buffer per column, and the
+        index is then sorted once by ``D^v`` — how a database opens its
+        record files without building ``IndexEntry`` objects.  Parts
+        are consumed lazily and not retained, so a caller streaming
+        files never holds more than one file's bytes.
+        """
+        index = cls()
+        buffers = {name: bytearray() for name, _ in _COLUMNS}
+        for video_id, data in parts:
+            _, videos, archetypes, cols = cls._parse_binary(data, False)
+            if videos not in ([], [video_id]):
+                raise IndexError_(f"rows of {videos!r} filed under {video_id!r}")
+            # Trailing -1 maps "no archetype" (code -1) to itself.
+            amap = np.array(
+                [index._intern_archetype(a) for a in archetypes] + [-1], dtype="<i4"
+            )
+            cols["video_idx"] = np.full(
+                cols["video_idx"].shape, index._intern_video(video_id), dtype="<i4"
+            )
+            cols["archetype_idx"] = amap[cols["archetype_idx"]]
+            for name, col in cols.items():
+                buffers[name] += col.tobytes()
+        if buffers["var_ba"]:
+            var_ba = np.frombuffer(buffers["var_ba"], dtype="<f8")
+            var_oa = np.frombuffer(buffers["var_oa"], dtype="<f8")
+            cls._check_variances(var_ba, var_oa, sorted_d_v=False)
+            order = np.argsort(np.sqrt(var_ba) - np.sqrt(var_oa), kind="stable")
+            del var_ba, var_oa
+            # Sort one column at a time, freeing its buffer as it goes:
+            # the open's peak memory stays near one copy of the rows.
+            merged = {}
+            for name, dtype in _COLUMNS:
+                col = np.frombuffer(buffers.pop(name), dtype=dtype)[order]
+                merged[name] = col.astype(np.dtype(dtype).newbyteorder("="), copy=False)
+            index._set_columns(merged)
+        index._prepare()
+        return index
 
     @classmethod
     def _parse_binary(
-        cls, data: bytes
+        cls, data: bytes, check_variances: bool = True
     ) -> tuple[int, list[str], list[str], dict[str, np.ndarray]]:
         """Validate the binary layout and return (n, tables, columns).
 
         Raises :class:`IndexError_` on any structural problem — torn
         tail, checksum mismatch, bad counts, out-of-range codes, NaN or
-        unsorted ``D^v``.
+        unsorted ``D^v`` (the last two unless ``check_variances`` is
+        off: :meth:`from_parts` checks them once on the merged rows).
         """
         if len(data) < _HEADER.size + _CHECKSUM_BYTES:
             raise IndexError_(
                 f"binary index truncated: {len(data)} bytes is shorter "
                 "than the fixed header"
             )
-        magic, version, _flags, n, n_videos, n_arch, tables_len = _HEADER.unpack(
-            data[: _HEADER.size]
+        magic, version, _flags, n, n_videos, n_arch, tables_len = _HEADER.unpack_from(
+            data
         )
         if magic != COLUMNAR_MAGIC:
             raise IndexError_(f"bad binary index magic {magic!r}")
@@ -789,8 +868,7 @@ class ColumnarVarianceIndex:
                 f"unsupported binary index version {version} "
                 f"(this build reads {_BINARY_VERSION})"
             )
-        row_bytes = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
-        expected = _HEADER.size + tables_len + n * row_bytes + _CHECKSUM_BYTES
+        expected = _HEADER.size + tables_len + n * _ROW_BYTES + _CHECKSUM_BYTES
         if len(data) != expected:
             raise IndexError_(
                 f"binary index is {len(data)} bytes, header implies "
@@ -814,29 +892,39 @@ class ColumnarVarianceIndex:
         cols: dict[str, np.ndarray] = {}
         offset = _HEADER.size + tables_len
         for name, dtype in _COLUMNS:
-            cols[name] = np.frombuffer(data, dtype=dtype, count=n, offset=offset)
-            offset += n * np.dtype(dtype).itemsize
+            col = np.frombuffer(data, dtype=dtype, count=n, offset=offset)
+            cols[name] = col
+            offset += col.nbytes
         if n:
-            if np.isnan(cols["var_ba"]).any() or np.isnan(cols["var_oa"]).any():
-                raise IndexError_("binary index contains NaN variances")
-            if (cols["var_ba"] < 0).any() or (cols["var_oa"] < 0).any():
-                raise IndexError_("binary index contains negative variances")
-            d_v = np.sqrt(cols["var_ba"]) - np.sqrt(cols["var_oa"])
-            if np.isnan(d_v).any():
-                raise IndexError_("binary index contains NaN D^v keys")
-            if (np.diff(d_v) < 0).any():
-                raise IndexError_("binary index D^v column is not sorted")
             vid = cols["video_idx"]
-            if (vid < 0).any() or (vid >= n_videos).any():
+            if vid.min() < 0 or vid.max() >= n_videos:
                 raise IndexError_("binary index video codes out of range")
             arch = cols["archetype_idx"]
-            if (arch < -1).any() or (arch >= n_arch).any():
+            if arch.min() < -1 or arch.max() >= n_arch:
                 raise IndexError_("binary index archetype codes out of range")
+            if check_variances:
+                cls._check_variances(cols["var_ba"], cols["var_oa"], sorted_d_v=True)
         return n, videos, archetypes, cols
+
+    @staticmethod
+    def _check_variances(
+        var_ba: np.ndarray, var_oa: np.ndarray, sorted_d_v: bool
+    ) -> None:
+        """Reject NaN or negative variances (and, with ``sorted_d_v``,
+        a ``D^v`` column out of order)."""
+        if np.isnan(var_ba).any() or np.isnan(var_oa).any():
+            raise IndexError_("binary index contains NaN variances")
+        if (var_ba < 0).any() or (var_oa < 0).any():
+            raise IndexError_("binary index contains negative variances")
+        d_v = np.sqrt(var_ba) - np.sqrt(var_oa)
+        if np.isnan(d_v).any():
+            raise IndexError_("binary index contains NaN D^v keys")
+        if sorted_d_v and (np.diff(d_v) < 0).any():
+            raise IndexError_("binary index D^v column is not sorted")
 
     @classmethod
     def validate_bytes(cls, data: bytes) -> None:
-        """Structural + checksum validation (the fsck primitive)."""
+        """Structural + checksum validation of a whole-index file."""
         cls._parse_binary(data)
 
     @classmethod

@@ -178,7 +178,13 @@ class SceneTree:
         parent.
         """
         seen_ids: set[int] = set()
-        for node in self.root.iter_subtree():
+        # Pre-order with an explicit stack: the recursive iter_subtree
+        # generator costs O(depth) per node, and every tree a database
+        # opens is validated.
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            stack.extend(reversed(node.children))
             if node.node_id in seen_ids:
                 raise SceneTreeError(f"duplicate node id {node.node_id}")
             seen_ids.add(node.node_id)

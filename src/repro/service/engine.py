@@ -6,8 +6,9 @@ engine serves every database through a
 :class:`~repro.cluster.coordinator.ClusterCoordinator` — a plain
 :class:`~repro.vdbms.database.VideoDatabase` is a one-shard cluster
 with replication 1 — and each shard sits behind a reader-writer lock:
-any number of queries proceed concurrently, while an ingest holds its
-shard's write side through the pipeline and the publish.
+any number of queries proceed concurrently; an ingest analyses its
+clip with no lock held and takes its shard's write side only to
+register and publish the derived video.
 
 Ingest itself is asynchronous: ``submit_*`` enqueues a job on a
 ``queue.Queue`` drained by a small pool of worker threads and returns a
@@ -785,10 +786,10 @@ class ServiceEngine:
                 try:
                     if self.ingest_hook is not None:
                         self.ingest_hook(clip)
-                    # The coordinator holds the owning shard's write
-                    # lock through the pipeline and the publish, so a
-                    # torn registration is never observable; ingests
-                    # into other shards keep flowing.  Cache coherence
+                    # The coordinator derives the clip lock-free, then
+                    # holds each owning shard's write lock through the
+                    # registration and publish, so a torn registration
+                    # is never observable.  Cache coherence
                     # holds without exclusivity because readers
                     # snapshot the generation *before* querying — this
                     # invalidate rejects their late put().

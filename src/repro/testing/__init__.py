@@ -42,7 +42,7 @@ from .faults import (
 )
 from .golden import GOLDEN_SPECS, GoldenSpec, build_clip
 from .reference import longest_match_run_dp, reference_extract
-from .synth import add_synth_video, synth_database
+from .synth import add_synth_video, synth_database, synth_record
 
 __all__ = [
     "FakeClock",
@@ -67,4 +67,5 @@ __all__ = [
     "run_overload_burst",
     "sweep_kill_points",
     "synth_database",
+    "synth_record",
 ]

@@ -325,8 +325,8 @@ def inject_bit_rot(
     digests included — stays exactly as the last publish wrote it, so
     nothing short of digest re-verification (``fsck``, the cluster's
     integrity scrubber) can notice.  ``logical`` picks the tracked file
-    to rot (``catalog``, ``index``, ``tree:<id>``; default: first in
-    sorted order); ``offset`` the byte to flip (default: the middle).
+    to rot (``video:<id>``; default: first in sorted order); ``offset``
+    the byte to flip (default: the middle).
     Returns the path that was corrupted.
     """
     from ..vdbms.storage import DatabaseStorage

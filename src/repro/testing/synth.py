@@ -22,10 +22,10 @@ from ..features.vector import FeatureVector
 from ..index.table import IndexEntry
 from ..scenetree.builder import SceneTreeBuilder
 from ..vdbms.catalog import CatalogEntry
-from ..vdbms.database import VideoDatabase
+from ..vdbms.database import VideoDatabase, VideoRecord
 from ..workloads.taxonomy import VideoCategory
 
-__all__ = ["add_synth_video", "synth_database"]
+__all__ = ["add_synth_video", "synth_database", "synth_record"]
 
 _GENRES = ("comedy", "crime", "western", "horror", "fantasy")
 _FORMS = ("feature", "television series")
@@ -34,10 +34,9 @@ _FORMS = ("feature", "television series")
 _ID_DECOR = ("", "clip/", "take ", "x:", "a_b.")
 
 
-def add_synth_video(
-    db: VideoDatabase, video_id: str, rng: np.random.Generator
-) -> None:
-    """Register one synthetic video (tree + catalog row + index rows)."""
+def synth_record(video_id: str, rng: np.random.Generator) -> VideoRecord:
+    """One synthetic video's derived state (tree + catalog row + index
+    rows) as a detached record, for :meth:`VideoDatabase.adopt`."""
     n_shots = int(rng.integers(3, 7))
     shot_signs = [
         rng.integers(-1, 2, size=(int(rng.integers(3, 7)), 3)).astype(np.int8)
@@ -50,24 +49,23 @@ def add_synth_video(
             genres=(str(rng.choice(_GENRES)),),
             forms=(str(rng.choice(_FORMS)),),
         )
-    db.catalog.add(
-        CatalogEntry(
-            video_id=video_id,
-            n_frames=int(sum(len(s) for s in shot_signs)),
-            rows=120,
-            cols=160,
-            fps=3.0,
-            n_shots=n_shots,
-            category=category,
-        )
+    entry = CatalogEntry(
+        video_id=video_id,
+        n_frames=int(sum(len(s) for s in shot_signs)),
+        rows=120,
+        cols=160,
+        fps=3.0,
+        n_shots=n_shots,
+        category=category,
     )
+    rows = []
     start = 1
     for k, signs in enumerate(shot_signs):
         features = FeatureVector(
             var_ba=float(rng.uniform(0.0, 400.0)),
             var_oa=float(rng.uniform(0.0, 400.0)),
         )
-        db.index.insert(
+        rows.append(
             IndexEntry(
                 video_id=video_id,
                 shot_number=k + 1,
@@ -77,7 +75,20 @@ def add_synth_video(
             )
         )
         start += len(signs)
-    db.trees[video_id] = tree
+    return VideoRecord(entry=entry, tree=tree, index_entries=tuple(rows))
+
+
+def add_synth_video(
+    db: VideoDatabase, video_id: str, rng: np.random.Generator
+) -> None:
+    """Register one synthetic video in memory only (no publish, even
+    on a durable database; use ``db.adopt(synth_record(...))`` for
+    that)."""
+    record = synth_record(video_id, rng)
+    db.catalog.add(record.entry)
+    for entry in record.index_entries:
+        db.index.insert(entry)
+    db.trees[video_id] = record.tree
 
 
 def synth_database(

@@ -6,6 +6,12 @@ Ingesting a clip runs the full Step 1-2-3 pipeline:
 2. the scene-tree builder assembles the browsing hierarchy;
 3. per-shot ``(Var^BA, Var^OA)`` vectors enter the sorted index.
 
+Ingest is *derive, then adopt*: the pipeline produces a detached
+:class:`VideoRecord` without touching the database, and
+:meth:`VideoDatabase.adopt` — the one write path, shared with replicas
+and repair — registers it and, on a durable database, publishes that
+one video's record file.
+
 Queries are impression queries (Eqs. 7-8); answers carry both the
 matching shots and the scene-tree nodes to start browsing from
 (Sec. 4.2's hand-off).  The whole database round-trips through a
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..config import PipelineConfig, QueryConfig
 from ..errors import CatalogError, IndexError_, StorageError
@@ -30,13 +36,13 @@ from ..scenetree.builder import SceneTreeBuilder
 from ..scenetree.nodes import SceneTree
 from ..sbd.detector import CameraTrackingDetector, DetectionResult
 from ..sbd.shots import Shot
-from ..scenetree.serialize import scene_tree_from_dict, scene_tree_to_dict
+from ..scenetree.serialize import scene_tree_from_dict
 from ..video.clip import VideoClip
 from ..workloads.taxonomy import VideoCategory
 from .catalog import Catalog, CatalogEntry
 from .fsio import LocalFS
-from .manifest import TREE_PREFIX
-from .storage import DatabaseStorage
+from .manifest import MANIFEST_VERSION, RECORD_PREFIX, Manifest, digest_bytes
+from .storage import DatabaseStorage, record_bytes
 
 __all__ = ["IngestReport", "QueryAnswer", "VideoDatabase", "VideoRecord"]
 
@@ -56,12 +62,14 @@ class IngestReport:
 class VideoRecord:
     """One video's complete derived state, detached from any database.
 
-    The unit of transfer for the cluster rebalancer (and the fast
-    corpus loaders in :mod:`repro.testing`): everything
-    :meth:`VideoDatabase.adopt` needs to register the video on another
-    database without re-running the Step 1-2-3 pipeline.  Raw frames
-    and detection features are *not* carried — they are recomputable
-    and are not persisted by :meth:`VideoDatabase.save` either.
+    The unit of ingest (:meth:`VideoDatabase.derive` produces it), of
+    transfer (the cluster rebalancer, replicas, repair and the fast
+    corpus loaders in :mod:`repro.testing`) and of storage: one record
+    file per video (:func:`~repro.vdbms.storage.record_bytes`).
+    Everything :meth:`VideoDatabase.adopt` needs to register the video
+    without re-running the Step 1-2-3 pipeline.  Raw frames and
+    detection features are *not* carried — they are recomputable and
+    are not persisted by :meth:`VideoDatabase.save` either.
     """
 
     entry: CatalogEntry
@@ -71,6 +79,15 @@ class VideoRecord:
     @property
     def video_id(self) -> str:
         return self.entry.video_id
+
+    def to_bytes(self) -> bytes:
+        """The record file's bytes: a pure function of the record, so
+        every replica of a video writes identical bytes."""
+        return record_bytes(
+            self.entry,
+            self.tree,
+            ColumnarVarianceIndex.encode_rows(self.index_entries),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,6 +149,45 @@ class VideoDatabase:
     # ingest
     # ------------------------------------------------------------------
 
+    def derive(
+        self,
+        clip: VideoClip,
+        category: VideoCategory | None = None,
+        archetypes: dict[int, str]
+        | Callable[[list[tuple[int, int]]], dict[int, str]]
+        | None = None,
+    ) -> tuple[VideoRecord, DetectionResult]:
+        """Run the Step 1-2-3 pipeline on ``clip`` without touching the
+        database: detection, scene tree and index rows, as a detached
+        :class:`VideoRecord` plus the detection result.
+
+        Pure and lock-free, so concurrent derives are safe: the
+        detector is configured once at construction, and the sign
+        extractors it shares are a locked LRU.  ``category`` and
+        ``archetypes`` are as in :meth:`ingest`.
+        """
+        detection = self._detector.detect(clip)
+        if callable(archetypes):
+            archetypes = archetypes(
+                [(shot.start, shot.stop) for shot in detection.shots]
+            )
+        builder = SceneTreeBuilder(config=self.config.scene_tree)
+        tree = builder.build_from_detection(detection)
+        entries = IndexTable().add_detection_result(
+            detection, video_id=clip.name, archetypes=archetypes
+        )
+        entry = CatalogEntry(
+            video_id=clip.name,
+            n_frames=len(clip),
+            rows=clip.rows,
+            cols=clip.cols,
+            fps=clip.fps,
+            n_shots=detection.n_shots,
+            category=category,
+        )
+        record = VideoRecord(entry=entry, tree=tree, index_entries=tuple(entries))
+        return record, detection
+
     def ingest(
         self,
         clip: VideoClip,
@@ -139,8 +195,12 @@ class VideoDatabase:
         archetypes: dict[int, str]
         | Callable[[list[tuple[int, int]]], dict[int, str]]
         | None = None,
+        *,
+        adopt: Callable[[VideoRecord], int] | None = None,
     ) -> IngestReport:
-        """Run the full pipeline on ``clip`` and register everything.
+        """Derive ``clip`` (:meth:`derive`), then register it with
+        :meth:`adopt` — the one place for the duplicate check,
+        registration, publish and rollback.
 
         Args:
             clip: the video to add; its name becomes the video id.
@@ -152,63 +212,23 @@ class VideoDatabase:
                 (e.g. ``GroundTruth.archetypes_for_ranges``, which
                 assigns labels by overlap and so stays correct when
                 detection merges scripted shots).
+            adopt: what commits the derived record; this database's
+                own :meth:`adopt` by default.  The cluster coordinator
+                passes one that adopts on every target shard under
+                that shard's write lock, so no lock is held while the
+                clip is analysed.
         """
         if clip.name in self.catalog:
             raise CatalogError(f"video {clip.name!r} already ingested")
-        # Compute everything before touching shared state.  The pipeline
-        # (detect + tree + features) is the expensive part; deferring all
-        # mutation to the final publish below means a failure mid-ingest
-        # leaves the database untouched, and a concurrent reader never
-        # observes a half-registered video (the service also holds the
-        # shard's write lock across the whole call).
-        detection = self._detector.detect(clip)
-        if callable(archetypes):
-            archetypes = archetypes(
-                [(shot.start, shot.stop) for shot in detection.shots]
-            )
-        builder = SceneTreeBuilder(config=self.config.scene_tree)
-        tree = builder.build_from_detection(detection)
-        table = IndexTable()
-        entries = table.add_detection_result(
-            detection, video_id=clip.name, archetypes=archetypes
-        )
-        catalog_entry = CatalogEntry(
-            video_id=clip.name,
-            n_frames=len(clip),
-            rows=clip.rows,
-            cols=clip.cols,
-            fps=clip.fps,
-            n_shots=detection.n_shots,
-            category=category,
-        )
-        # Publish: catalog first (it re-checks uniqueness), then the
-        # derived structures.
-        self.catalog.add(catalog_entry)
-        for entry in entries:
-            self.index.insert(entry)
-        self.trees[clip.name] = tree
+        record, detection = self.derive(clip, category, archetypes)
+        (adopt or self.adopt)(record)
         self.detections[clip.name] = detection
-        if self._storage is not None:
-            # Durable mode: commit this ingest to disk via a manifest
-            # swap before reporting success.  A failed publish leaves
-            # the disk at the pre-ingest state (the manifest was not
-            # swapped), so roll the in-memory registration back too —
-            # memory and disk always agree, and a retry can re-run the
-            # whole ingest without tripping the duplicate check.
-            try:
-                self._publish_incremental(new_tree_id=clip.name)
-            except StorageError:
-                self.catalog.remove(clip.name)
-                self.index.remove_video(clip.name)
-                self.trees.pop(clip.name, None)
-                self.detections.pop(clip.name, None)
-                raise
         return IngestReport(
             video_id=clip.name,
             n_frames=len(clip),
             n_shots=detection.n_shots,
-            tree_height=tree.height,
-            indexed_entries=len(entries),
+            tree_height=record.tree.height,
+            indexed_entries=len(record.index_entries),
         )
 
     # ------------------------------------------------------------------
@@ -357,24 +377,34 @@ class VideoDatabase:
         committed durably before returning; otherwise the on-disk copy
         (if any) is untouched until the next :meth:`save`.
         """
-        entry = self.catalog.remove(video_id)  # raises CatalogError when unknown
-        tree = self.trees.pop(video_id, None)
+        old = self._unregister(video_id)  # raises CatalogError when unknown
         detection = self.detections.pop(video_id, None)
-        index_entries = self.index.entries_for(video_id)
-        removed = self.index.remove_video(video_id)
         if self._storage is not None:
             try:
-                self._publish_incremental()
+                self._commit(video_id, None)
             except StorageError:
-                self.catalog.add(entry)
-                for index_entry in index_entries:
-                    self.index.insert(index_entry)
-                if tree is not None:
-                    self.trees[video_id] = tree
+                self._register(old)
                 if detection is not None:
                     self.detections[video_id] = detection
                 raise
-        return removed
+        return len(old.index_entries)
+
+    def _register(self, record: VideoRecord) -> None:
+        self.catalog.add(record.entry)
+        for entry in record.index_entries:
+            self.index.insert(entry)
+        self.trees[record.video_id] = record.tree
+
+    def _unregister(self, video_id: str) -> VideoRecord:
+        """Drop a video from memory, returning it (for rollback)."""
+        entry = self.catalog.remove(video_id)  # raises CatalogError when unknown
+        record = VideoRecord(
+            entry=entry,
+            tree=self.trees.pop(video_id),
+            index_entries=tuple(self.index.entries_for(video_id)),
+        )
+        self.index.remove_video(video_id)
+        return record
 
     # ------------------------------------------------------------------
     # record transfer (cluster rebalancing)
@@ -398,29 +428,49 @@ class VideoDatabase:
         )
 
     def adopt(self, record: VideoRecord) -> int:
-        """Register an exported video without re-running the pipeline.
+        """Register a derived video: the one write path.
 
-        The mirror of :meth:`ingest` for already-derived state: the
-        catalog row, index entries, and scene tree from ``record`` are
-        published through the same checksummed manifest-swap path, with
-        the same rollback-on-failed-publish guarantee.  Returns the
-        number of index entries registered.
+        :meth:`ingest` ends here, as do replica copies, rebalancing
+        moves and repair.  The catalog row, index entries and scene
+        tree from ``record`` are registered; a durable database then
+        publishes the video's record file and commits it with one small
+        manifest delta.  A failed publish leaves the disk at the prior
+        state, so the registration is rolled back too — memory and disk
+        always agree, and a retry does not trip the duplicate check.
+        Returns the number of index entries registered.
         """
         video_id = record.entry.video_id
         if video_id in self.catalog:
             raise CatalogError(f"video {video_id!r} already ingested")
-        self.catalog.add(record.entry)
-        for entry in record.index_entries:
-            self.index.insert(entry)
-        self.trees[video_id] = record.tree
+        self._register(record)
         if self._storage is not None:
             try:
-                self._publish_incremental(new_tree_id=video_id)
+                self._commit(video_id, record)
             except StorageError:
-                self.catalog.remove(video_id)
-                self.index.remove_video(video_id)
-                self.trees.pop(video_id, None)
+                self._unregister(video_id)
                 raise
+        return len(record.index_entries)
+
+    def replace(self, record: VideoRecord) -> int:
+        """Swap a held video's derived state for ``record`` in one
+        commit: how repair heals a divergent or rotted copy with no
+        moment at which the video is missing, on disk or in memory.
+
+        Raises :class:`CatalogError` when the video is not held; rolls
+        back to the old copy when the publish fails.  Returns the
+        number of index entries registered.
+        """
+        video_id = record.video_id
+        old = self._unregister(video_id)
+        self._register(record)
+        if self._storage is not None:
+            try:
+                self._commit(video_id, record)
+            except StorageError:
+                self._unregister(video_id)
+                self._register(old)
+                raise
+        self.detections.pop(video_id, None)
         return len(record.index_entries)
 
     def ask(self, text: str) -> QueryAnswer:
@@ -473,13 +523,14 @@ class VideoDatabase:
         *,
         fs: LocalFS | None = None,
     ) -> Path:
-        """Persist catalog, index and scene trees under ``root``.
+        """Persist every video's record under ``root``.
 
-        The whole state is committed through one atomic manifest swap
-        (see :mod:`repro.vdbms.storage`): a crash mid-save leaves the
-        previous save fully intact.  Scene trees whose content is
-        unchanged are carried over without rewriting; tree files of
-        removed videos are garbage-collected after the commit.
+        The whole state is committed through one atomic publish (see
+        :mod:`repro.vdbms.storage`): a crash mid-save leaves the
+        previous save fully intact.  Records whose bytes are unchanged
+        are carried over without rewriting; records of videos no longer
+        in the database are dropped and their files garbage-collected
+        after the commit.
 
         Raw frames are only written with ``include_videos=True`` (they
         dominate disk usage); detection features are recomputed on
@@ -491,42 +542,64 @@ class VideoDatabase:
             storage = self._storage
         else:
             storage = DatabaseStorage(root, fs=fs)
-        storage.publish(self._full_state_payloads())
+        self._publish_all(storage)
         return storage.root
 
-    def _full_state_payloads(self) -> dict[str, Any]:
-        payloads: dict[str, Any] = {
-            "catalog": self.catalog.to_dict(),
-            # Pre-serialized binary columns; the storage layer writes
-            # bytes payloads verbatim.
-            "index": self.index.to_bytes(),
+    def _publish_all(self, storage: DatabaseStorage) -> None:
+        """Publish the whole state: every record, dropping the rest
+        (in a version-2 directory, its catalog, index and tree files:
+        the migration).  Rows are serialized from the index columns in
+        one pass (no ``IndexEntry`` objects)."""
+        rows = dict(self.index.video_rows())
+        empty = ColumnarVarianceIndex().to_bytes()
+        payloads = {
+            RECORD_PREFIX + entry.video_id: record_bytes(
+                entry, self.trees[entry.video_id], rows.get(entry.video_id, empty)
+            )
+            for entry in self.catalog
         }
-        for video_id, tree in self.trees.items():
-            payloads[TREE_PREFIX + video_id] = scene_tree_to_dict(tree)
-        return payloads
+        manifest = storage.current_manifest()
+        tracked = manifest.files if manifest is not None else {}
+        storage.publish(
+            payloads, drop=[logical for logical in tracked if logical not in payloads]
+        )
 
-    def _publish_incremental(self, new_tree_id: str | None = None) -> None:
-        """Commit the current state, rewriting as little as possible.
+    def _commit(self, video_id: str, record: VideoRecord | None) -> None:
+        """Durably publish one video's change: its record, or (``None``)
+        its removal.
 
-        Only the catalog, the index, and trees the current manifest
-        does not already track (normally just the freshly ingested one)
-        are serialized; every other tree is carried over by reference.
+        Records of videos a recovering load quarantined are dropped
+        along the way.  The first publish into an empty root or a
+        version-2 directory writes the whole state instead (the latter
+        is the migration).
         """
         assert self._storage is not None
         manifest = self._storage.current_manifest()
-        tracked = set(manifest.files) if manifest is not None else set()
-        payloads: dict[str, Any] = {
-            "catalog": self.catalog.to_dict(),
-            "index": self.index.to_bytes(),
-        }
-        keep: list[str] = []
-        for video_id, tree in self.trees.items():
-            logical = TREE_PREFIX + video_id
-            if video_id == new_tree_id or logical not in tracked:
-                payloads[logical] = scene_tree_to_dict(tree)
-            else:
-                keep.append(logical)
-        self._storage.publish(payloads, keep=keep)
+        if manifest is None or manifest.version < MANIFEST_VERSION:
+            self._publish_all(self._storage)
+            return
+        logical = RECORD_PREFIX + video_id
+        drop = [
+            RECORD_PREFIX + quarantined
+            for quarantined in self.quarantined
+            if quarantined not in self.catalog
+        ]
+        if record is None:
+            self._storage.publish({}, drop=[logical, *drop])
+        else:
+            self._storage.publish({logical: record.to_bytes()}, drop=drop)
+
+    def record_digest(self, video_id: str) -> str | None:
+        """The blake2s of one video's record file, its fingerprint: the
+        manifest digest on a durable database, otherwise the digest of
+        the bytes a publish would write.  None for an unknown video."""
+        if self._storage is not None:
+            return self._storage.video_digest(video_id)
+        try:
+            record = self.export_video(video_id)
+        except CatalogError:
+            return None
+        return digest_bytes(record.to_bytes())
 
     @classmethod
     def open(
@@ -539,21 +612,22 @@ class VideoDatabase:
     ) -> "VideoDatabase":
         """Load-or-create a database *bound* to ``root``.
 
-        A bound database is durable: every :meth:`ingest` and
-        :meth:`remove` commits to disk (staging write → fsync →
-        manifest swap) before returning, so a crash between operations
-        never loses an acknowledged one and a crash mid-operation is
-        invisible after reload.  A root holding the pre-manifest layout
-        raises :class:`~repro.errors.StorageError` (see :meth:`load`).
+        A bound database is durable: every :meth:`ingest`,
+        :meth:`adopt` and :meth:`remove` commits to disk (record write →
+        fsync → delta or checkpoint rename) before returning, so a
+        crash between operations never loses an acknowledged one and a
+        crash mid-operation is invisible after reload.  A root holding
+        the pre-manifest layout raises
+        :class:`~repro.errors.StorageError` (see :meth:`load`).
         """
         storage = DatabaseStorage(root, fs=fs)
         if storage.exists():
             db = cls.load(root, config=config, recover=recover, fs=fs)
-            # A quarantined video's tree file is still on disk, rotted,
-            # with an intact manifest digest; re-adopting the same
-            # content must rewrite it rather than carry it over.
+            # A quarantined video's record file is still on disk,
+            # rotted, with an intact manifest digest; re-adopting the
+            # same content must rewrite it rather than carry it over.
             for video_id in db.quarantined:
-                storage.distrust(TREE_PREFIX + video_id)
+                storage.distrust(RECORD_PREFIX + video_id)
         else:
             db = cls(config=config)
         db._storage = storage
@@ -570,16 +644,20 @@ class VideoDatabase:
     ) -> "VideoDatabase":
         """Reload a database saved with :meth:`save`.
 
-        Every manifest-tracked file is verified (size + blake2s digest)
-        before use.  A corrupt catalog or index always raises
-        :class:`~repro.errors.StorageError` — there is no partial state
-        worth serving without them.  A corrupt or missing scene tree
-        raises too by default; with ``recover=True`` the affected
-        video's catalog and index entries are dropped instead (its id
-        is recorded in :attr:`quarantined`) and the rest of the
-        database loads normally.  A root without a manifest (including
-        the pre-manifest layout) or with a JSON index raises
-        :class:`~repro.errors.StorageError`.
+        Every tracked file is verified (size + blake2s digest) before
+        use.  A corrupt or missing record raises
+        :class:`~repro.errors.StorageError` by default; with
+        ``recover=True`` the video is dropped instead (its id is
+        recorded in :attr:`quarantined`) and the rest of the database
+        loads normally.  An unreadable manifest chain always raises —
+        there is no partial state worth serving without it — as does a
+        root without a manifest (including the pre-manifest layout).
+
+        Records are streamed: each one is verified, its tree, catalog
+        entry and row columns kept and its bytes dropped; the index is
+        then built by concatenating the columns and sorting once.  A
+        version-2 directory loads from its catalog, index and tree
+        files.
 
         Detection results (raw per-frame features) are not persisted;
         queries and browsing work immediately, while :meth:`shots`
@@ -590,27 +668,58 @@ class VideoDatabase:
         if manifest is None:
             raise StorageError(f"no database at {storage.root} (no manifest.json)")
         db = cls(config=config)
-        db.catalog = Catalog.from_dict(storage.verified_json("catalog", manifest))
+        if manifest.version < MANIFEST_VERSION:
+            db._load_version_2(storage, manifest, recover)
+            return db
+
+        def rows() -> Iterator[tuple[str, bytes]]:
+            # One record's bytes alive at a time: the index keeps the
+            # columns, the database the entry and the tree.
+            for video_id in manifest.video_ids():
+                try:
+                    entry, tree, data = storage.verified_record(
+                        RECORD_PREFIX + video_id, manifest
+                    )
+                except StorageError:
+                    if not recover:
+                        raise
+                    db.quarantined.append(video_id)
+                    continue
+                db.catalog.add(entry)
+                db.trees[video_id] = tree
+                yield video_id, data
+
+        try:
+            db.index = ColumnarVarianceIndex.from_parts(rows())
+        except IndexError_ as exc:
+            raise StorageError(
+                f"corrupt record rows under {storage.root}: {exc}"
+            ) from exc
+        return db
+
+    def _load_version_2(
+        self, storage: DatabaseStorage, manifest: Manifest, recover: bool
+    ) -> None:
+        """Load a version-2 directory: one catalog file, one index file
+        (either corrupt raises, even with ``recover``) and one tree
+        file per video."""
+        self.catalog = Catalog.from_dict(storage.verified_json("catalog", manifest))
         index_bytes = storage.verified_bytes("index", manifest)
         try:
-            db.index = ColumnarVarianceIndex.from_bytes(index_bytes)
+            self.index = ColumnarVarianceIndex.from_bytes(index_bytes)
         except IndexError_ as exc:
             raise StorageError(
                 f"corrupt database file "
                 f"{storage.root / manifest.files['index'].path}: {exc}"
             ) from exc
-        bad: list[str] = []
-        for video_id in db.catalog.ids():
+        for video_id in self.catalog.ids():
             try:
-                db.trees[video_id] = scene_tree_from_dict(
-                    storage.verified_json(TREE_PREFIX + video_id, manifest)
+                self.trees[video_id] = scene_tree_from_dict(
+                    storage.verified_json("tree:" + video_id, manifest)
                 )
             except StorageError:
                 if not recover:
                     raise
-                bad.append(video_id)
-        for video_id in bad:
-            db.catalog.remove(video_id)
-            db.index.remove_video(video_id)
-            db.quarantined.append(video_id)
-        return db
+                self.catalog.remove(video_id)
+                self.index.remove_video(video_id)
+                self.quarantined.append(video_id)

@@ -1,30 +1,40 @@
 """On-disk layout of a video database, with crash-safe publishing.
 
     <root>/
-      manifest.json               the commit point (see vdbms.manifest)
-      catalog-g<NNNNNNNN>.json    the video catalog, one file per write
-      index-g<NNNNNNNN>.bin       the variance index (binary columns)
-      trees/<id>-g<NNNNNNNN>.json one scene tree per video
-      videos/<id>.rvid            raw clips (optional; large; untracked)
-      staging/                    in-flight writes (pid + counter names)
-      quarantine/                 where fsck --repair moves bad files
+      manifest.json                  the checkpoint (see vdbms.manifest)
+      deltas/manifest-g<N>.json      one delta per publish since it
+      records/<id>-g<N>.rvr          one record per video: catalog
+                                     entry, scene tree, index rows
+      videos/<id>.rvid               raw clips (optional; large; untracked)
+      staging/                       in-flight writes (pid + counter names)
+      quarantine/                    where fsck --repair moves bad files
 
-Every save goes through :meth:`DatabaseStorage.publish`: changed
-components are serialized, written to uniquely-named staging files,
-fsynced, renamed to fresh generation-suffixed names, and only then does
-an atomic manifest swap commit the new state.  A crash at *any* point
-leaves the previous manifest in force, so the previous database loads
-intact; leftover unreferenced files are garbage-collected by the next
-successful publish or by ``repro fsck``.
+The video is the unit of storage and of commit.  Every publish goes
+through :meth:`DatabaseStorage.publish`: the changed videos' records
+are written to uniquely-named staging files, fsynced, and renamed to
+fresh generation-suffixed names; only then does one small delta (or,
+when the deltas since the last checkpoint would outgrow it, a new
+``manifest.json`` checkpoint) get renamed into place — the commit
+point.  A crash at *any* point leaves the previous chain in force, so
+the previous database loads intact; leftover unreferenced files are
+garbage-collected by the next successful publish or by ``repro fsck``.
 
-Loads verify every manifest-tracked file's size and blake2s digest
-before parsing, so torn or bit-flipped files surface as a precise
+A record's bytes are a pure function of the video (no generation, path
+or shard inside), so every replica of a video is byte-identical and
+the manifest digest is the video's fingerprint.
+
+Loads verify every tracked file's size and blake2s digest before
+parsing, so torn or bit-flipped files surface as a precise
 :class:`~repro.errors.StorageIntegrityError` instead of wrong answers.
 
-The pre-manifest layout (bare ``catalog.json`` + ``index.json`` +
-``trees/<id>.json``) is refused, never read or deleted: load, open and
-publish raise :class:`~repro.errors.StorageError` naming the way to
-migrate, and fsck reports the directory as not clean.
+A version-2 directory (``catalog-g<N>.json`` + ``index-g<N>.bin`` +
+``trees/<id>-g<N>.json``) still loads; its first publish writes every
+record and a version-3 checkpoint, and garbage collection then deletes
+the files the version-2 manifest tracked.  The pre-manifest layout
+(bare ``catalog.json`` + ``index.json`` + ``trees/<id>.json``) is
+refused, never read or deleted: load, open and publish raise
+:class:`~repro.errors.StorageError` naming the way to migrate, and
+fsck reports the directory as not clean.
 """
 
 from __future__ import annotations
@@ -34,32 +44,50 @@ import itertools
 import json
 import os
 import re
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
 from ..errors import IndexError_, StorageError, StorageIntegrityError
 from ..index.columnar import ColumnarVarianceIndex
+from ..scenetree.nodes import SceneTree
+from ..scenetree.serialize import scene_tree_from_dict, scene_tree_to_dict
 from ..video.clip import VideoClip
 from ..video.io import read_rvid, write_rvid
-from .catalog import Catalog
+from .catalog import CatalogEntry
 from .fsio import LocalFS
-from .manifest import TREE_PREFIX, FileRecord, Manifest, digest_bytes
+from .manifest import (
+    MANIFEST_VERSION,
+    RECORD_PREFIX,
+    FileRecord,
+    Manifest,
+    digest_bytes,
+)
 
-__all__ = ["DatabaseStorage", "FileCheck", "FsckReport"]
+__all__ = [
+    "DatabaseStorage",
+    "FileCheck",
+    "FsckReport",
+    "parse_record",
+    "record_bytes",
+]
 
 #: Process-wide staging-name counter; combined with the pid it makes
 #: every staging file unique, so concurrent saves (or a crashed one's
 #: litter) can never collide with a live write.
 _STAGING_COUNTER = itertools.count(1)
 
-#: The generation-suffixed names :meth:`DatabaseStorage._target_relpath`
-#: writes: the only data files publish may sweep and fsck may call
-#: untracked.  Pre-manifest names (``catalog.json``, ``index.json``,
-#: ``trees/<id>-<hash>.json``) never match.
-_ROOT_DATA_NAME = re.compile(r"(catalog-g\d{8,}\.json|index-g\d{8,}\.bin)")
-_TREE_DATA_NAME = re.compile(r".+-g\d{8,}\.json")
+#: The generation-suffixed names this build writes: the only files
+#: publish may sweep and fsck may call untracked.  Version-2 and
+#: pre-manifest names never match.
+_RECORD_NAME = re.compile(r".+-g\d{8,}\.rvr")
+_DELTA_NAME = re.compile(r"manifest-g(\d{8,})\.json")
 
+#: Record file header: magic, format version, flags, metadata length.
+_RECORD_MAGIC = b"RVRC"
+_RECORD_VERSION = 1
+_RECORD_HEADER = struct.Struct("<4sHHI")
 
 def _safe_id(video_id: str) -> str:
     """File-system-safe, collision-free rendering of a video id.
@@ -79,6 +107,64 @@ def _safe_id(video_id: str) -> str:
 
 def _json_bytes(payload: dict[str, Any]) -> bytes:
     return json.dumps(payload).encode("utf-8")
+
+
+# ----------------------------------------------------------------------
+# the record file
+# ----------------------------------------------------------------------
+
+
+def record_bytes(entry: CatalogEntry, tree: SceneTree, rows: bytes) -> bytes:
+    """One video's record file: header, a compact JSON document with
+    the catalog entry and scene tree, then the video's index rows in
+    the RVIX column codec (``ColumnarVarianceIndex.encode_rows`` or
+    ``video_rows``).  A pure function of its inputs."""
+    meta = json.dumps(
+        {"entry": entry.to_dict(), "tree": scene_tree_to_dict(tree)},
+        separators=(",", ":"),
+    ).encode("utf-8")
+    header = _RECORD_HEADER.pack(_RECORD_MAGIC, _RECORD_VERSION, 0, len(meta))
+    return header + meta + rows
+
+
+def parse_record(data: bytes) -> tuple[CatalogEntry, SceneTree, bytes]:
+    """Decode a record file (see :func:`record_bytes`) into its catalog
+    entry, scene tree and index rows (RVIX bytes, validated when they
+    are loaded: ``ColumnarVarianceIndex.from_parts``).
+
+    Raises :class:`StorageError` on a structural defect: bad magic or
+    version, a torn metadata block, or malformed metadata.
+    """
+    if len(data) < _RECORD_HEADER.size:
+        raise StorageError(f"record truncated: {len(data)} bytes")
+    magic, version, _flags, meta_len = _RECORD_HEADER.unpack_from(data)
+    if magic != _RECORD_MAGIC:
+        raise StorageError(f"bad record magic {magic!r}")
+    if version != _RECORD_VERSION:
+        raise StorageError(f"unsupported record version {version}")
+    end = _RECORD_HEADER.size + meta_len
+    if end > len(data):
+        raise StorageError("record metadata runs past the end of the file")
+    try:
+        meta = json.loads(data[_RECORD_HEADER.size:end])
+        entry = CatalogEntry.from_dict(meta["entry"])
+        tree = scene_tree_from_dict(meta["tree"])
+    except Exception as exc:
+        raise StorageError(f"corrupt record metadata: {exc}") from exc
+    return entry, tree, data[end:]
+
+
+def _parse_tracked_record(
+    logical: str, record: FileRecord, data: bytes
+) -> tuple[CatalogEntry, SceneTree, bytes]:
+    """:func:`parse_record` of a tracked file, plus the check that it
+    holds the video its logical name (``video:<id>``) says."""
+    entry, tree, rows = parse_record(data)
+    if RECORD_PREFIX + entry.video_id != logical:
+        raise StorageError(
+            f"{record.path} holds {entry.video_id!r}, not {logical!r}"
+        )
+    return entry, tree, rows
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +241,25 @@ class FsckReport:
 # ----------------------------------------------------------------------
 
 
+@dataclass(slots=True)
+class _Chain:
+    """The manifest chain on disk: the checkpoint's size, and the live
+    deltas after it (paths and total bytes)."""
+
+    checkpoint_bytes: int = 0
+    delta_bytes: int = 0
+    deltas: list[Path] = field(default_factory=list)
+
+
+class _ChainError(StorageError):
+    """An unreadable manifest chain; names the file and fsck status."""
+
+    def __init__(self, message: str, path: str, status: str) -> None:
+        super().__init__(message)
+        self.path = path
+        self.status = status
+
+
 class DatabaseStorage:
     """Reads and writes one database directory.
 
@@ -167,8 +272,13 @@ class DatabaseStorage:
     def __init__(self, root: str | Path, fs: LocalFS | None = None) -> None:
         self.root = Path(root)
         self.fs = fs if fs is not None else LocalFS()
-        # The manifest this object committed last (publish fast path).
+        # The manifest (and chain) this object committed last (publish
+        # fast path).
         self._committed: Manifest | None = None
+        self._chain = _Chain()
+        # A generation whose commit file may be on disk although its
+        # publish failed: the next publish writes a checkpoint past it.
+        self._floor = 0
         # Logical names whose on-disk bytes are known not to match the
         # manifest digest (bit rot found by a recovering load).  publish
         # must not carry these forward on a digest match — the digest
@@ -184,6 +294,10 @@ class DatabaseStorage:
         return self.root / "manifest.json"
 
     @property
+    def deltas_dir(self) -> Path:
+        return self.root / "deltas"
+
+    @property
     def staging_dir(self) -> Path:
         return self.root / "staging"
 
@@ -195,26 +309,23 @@ class DatabaseStorage:
         """Path of one video's raw frames under videos/."""
         return self.root / "videos" / f"{_safe_id(video_id)}.rvid"
 
-    def current_tree_path(self, video_id: str) -> Path | None:
-        """The committed scene-tree file of one video, or None."""
+    def record_path(self, video_id: str) -> Path | None:
+        """The committed record file of one video, or None."""
         manifest = self.read_manifest()
         if manifest is None:
             return None
-        record = manifest.files.get(TREE_PREFIX + video_id)
+        record = manifest.files.get(RECORD_PREFIX + video_id)
         return self.root / record.path if record is not None else None
 
     def _target_relpath(self, logical: str, generation: int) -> str:
-        """Where a freshly-written component of one publish lives: the
-        index is binary columns, everything else JSON."""
-        suffix = f"g{generation:08d}"
-        if logical == "catalog":
-            return f"catalog-{suffix}.json"
-        if logical == "index":
-            return f"index-{suffix}.bin"
-        if logical.startswith(TREE_PREFIX):
-            video_id = logical[len(TREE_PREFIX):]
-            return f"trees/{_safe_id(video_id)}-{suffix}.json"
-        raise StorageError(f"unknown logical file {logical!r}")
+        """Where a freshly-written record of one publish lives."""
+        if not logical.startswith(RECORD_PREFIX):
+            raise StorageError(f"unknown logical file {logical!r}")
+        video_id = logical[len(RECORD_PREFIX):]
+        return f"records/{_safe_id(video_id)}-g{generation:08d}.rvr"
+
+    def _delta_path(self, generation: int) -> Path:
+        return self.deltas_dir / f"manifest-g{generation:08d}.json"
 
     def _staging_path(self, name: str) -> Path:
         """A write target no other save (live or crashed) can collide
@@ -223,9 +334,8 @@ class DatabaseStorage:
 
     def initialize(self) -> None:
         """Create the directory skeleton."""
-        self.fs.mkdir(self.root / "videos")
-        self.fs.mkdir(self.root / "trees")
-        self.fs.mkdir(self.staging_dir)
+        for directory in ("videos", "records", "deltas", "staging"):
+            self.fs.mkdir(self.root / directory)
 
     def exists(self) -> bool:
         """True when the root holds a saved database; raises
@@ -251,22 +361,82 @@ class DatabaseStorage:
     # ------------------------------------------------------------------
 
     def read_manifest(self) -> Manifest | None:
-        """The committed manifest, or None for an empty directory.
+        """The committed manifest — checkpoint plus deltas, folded — or
+        None for an empty directory.
 
-        Raises :class:`StorageError` when a manifest exists but cannot
-        be parsed — that is real corruption, because manifest writes
-        are atomic — and on the pre-manifest layout.
+        Raises :class:`StorageError` when the checkpoint or a delta
+        cannot be parsed, or a delta is missing from the chain — that
+        is real corruption, because every commit is atomic — and on the
+        pre-manifest layout.
         """
+        return self._read_chain()[0]
+
+    def _delta_files(self) -> list[tuple[int, Path]]:
+        """Every delta file on disk, by generation."""
+        if not self.deltas_dir.is_dir():
+            return []
+        found = []
+        for path in self.deltas_dir.iterdir():
+            match = _DELTA_NAME.fullmatch(path.name)
+            if match is not None:
+                found.append((int(match.group(1)), path))
+        return sorted(found)
+
+    def _read_json(self, path: Path, what: str) -> tuple[bytes, dict[str, Any]]:
+        relpath = path.relative_to(self.root).as_posix()
+        try:
+            data = path.read_bytes()
+            payload = json.loads(data)
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise _ChainError(
+                f"corrupt {what} {path}: {exc}", relpath, "corrupt-json"
+            ) from exc
+        if not isinstance(payload, dict):
+            raise _ChainError(
+                f"corrupt {what} {path}: not an object", relpath, "corrupt-json"
+            )
+        return data, payload
+
+    def _read_chain(self) -> tuple[Manifest | None, _Chain]:
+        """Read the checkpoint, then the deltas after it in generation
+        order.  Deltas at or below the checkpoint's generation were
+        folded into it (litter a crash left before their deletion)."""
         if not self.manifest_path.exists():
             self._refuse_pre_manifest()
-            return None
+            return None, _Chain()
+        data, payload = self._read_json(self.manifest_path, "manifest")
         try:
-            payload = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StorageError(
-                f"corrupt manifest {self.manifest_path}: {exc}"
+            manifest = Manifest.from_dict(payload)
+        except StorageError as exc:
+            raise _ChainError(
+                str(exc), self.manifest_path.name, "corrupt-json"
             ) from exc
-        return Manifest.from_dict(payload)
+        chain = _Chain(checkpoint_bytes=len(data))
+        if manifest.version < MANIFEST_VERSION:
+            return manifest, chain
+        for generation, path in self._delta_files():
+            if generation <= manifest.generation:
+                continue
+            if generation != manifest.generation + 1:
+                missing = self._delta_path(manifest.generation + 1)
+                raise _ChainError(
+                    f"manifest chain broken: {missing.name} is missing "
+                    f"but {path.name} exists",
+                    missing.relative_to(self.root).as_posix(),
+                    "missing",
+                )
+            data, payload = self._read_json(path, "manifest delta")
+            try:
+                manifest.apply_delta(payload)
+            except StorageError as exc:
+                raise _ChainError(
+                    f"corrupt manifest delta {path}: {exc}",
+                    path.relative_to(self.root).as_posix(),
+                    "corrupt-json",
+                ) from exc
+            chain.delta_bytes += len(data)
+            chain.deltas.append(path)
+        return manifest, chain
 
     def current_manifest(self) -> Manifest | None:
         """The committed manifest, skipping the disk read when this
@@ -276,14 +446,14 @@ class DatabaseStorage:
         return self.read_manifest()
 
     def distrust(self, logical: str) -> None:
-        """Mark a tracked component's on-disk file as not matching its
+        """Mark a tracked record's on-disk file as not matching its
         manifest digest (bit rot found by a recovering load).
 
-        The next :meth:`publish` that receives ``logical`` as a payload
-        rewrites the file even when the serialized bytes match the
-        recorded digest — without this, re-ingesting a quarantined
-        video whose content is unchanged would be carried over as a
-        "no-op" and leave the rotted bytes on disk.
+        The next :meth:`publish` that receives ``logical`` rewrites the
+        file even when the serialized bytes match the recorded digest —
+        without this, re-adopting a quarantined video whose content is
+        unchanged would be carried over as a "no-op" and leave the
+        rotted bytes on disk.
         """
         self._distrusted.add(logical)
 
@@ -297,7 +467,7 @@ class DatabaseStorage:
 
         This is the digest-enumeration API the cluster repair subsystem
         builds on: two shards compare a video by comparing the
-        ``blake2s`` each side's manifest records for ``tree:<id>`` —
+        ``blake2s`` each side's manifest records for ``video:<id>`` —
         no file reads, no re-hashing.  Empty for unsaved roots.
         """
         manifest = self.current_manifest()
@@ -306,9 +476,9 @@ class DatabaseStorage:
         return dict(manifest.files)
 
     def video_digest(self, video_id: str) -> str | None:
-        """The committed blake2s of one video's scene-tree file, or
-        None when the manifest does not track that video."""
-        record = self.tracked_records().get(TREE_PREFIX + video_id)
+        """The committed blake2s of one video's record file, or None
+        when the manifest does not track that video."""
+        record = self.tracked_records().get(RECORD_PREFIX + video_id)
         return record.blake2s if record is not None else None
 
     def check_tracked(self, logical: str) -> "FileCheck":
@@ -335,46 +505,43 @@ class DatabaseStorage:
     # ------------------------------------------------------------------
 
     def publish(
-        self, payloads: dict[str, Any], keep: Iterable[str] = ()
+        self, records: dict[str, bytes], drop: Iterable[str] = ()
     ) -> Manifest:
-        """Atomically commit a new database state.
+        """Atomically commit a change of the database state.
 
         Args:
-            payloads: logical name (``catalog``, ``index``,
-                ``tree:<video_id>``) → JSON-compatible document.  The
-                new manifest references exactly ``payloads | keep``;
-                anything else the old manifest tracked is dropped (and
-                its file deleted after commit).
-            keep: logical names carried over unchanged from the current
-                manifest without rewriting their files.
+            records: logical name (``video:<id>``) → record bytes; the
+                new state tracks these.
+            drop: logical names the new state no longer tracks (their
+                files are deleted after the commit).  Every other
+                record is carried over by reference.
 
-        Payloads whose serialized bytes match the current manifest's
-        digest are carried over too (no write).  When nothing changes at
-        all the current manifest is returned untouched — a no-op save
-        does not even bump the generation.
+        Records whose bytes match the current manifest's digest are
+        carried over too (no write).  When nothing changes at all the
+        current manifest is returned untouched — a no-op save does not
+        even bump the generation.  The commit is one small delta file,
+        or a new ``manifest.json`` checkpoint when there is none yet,
+        the current one is version 2 (the caller drops its files), or
+        the deltas since it would hold more bytes than it does.
         """
         # Single-writer fast path: after the first publish this object
         # is the only writer of the root (the engine's/shard's write
-        # lock enforces that), so the manifest it committed last time
-        # is still the one on disk — no need to re-read and re-parse it
-        # on every ingest.  Independent reader objects always see disk
-        # (read_manifest itself never caches), and refuse a pre-manifest
-        # root before anything is created in it.
-        old = (
-            self._committed
-            if self._committed is not None
-            else self.read_manifest()
-        )
+        # lock enforces that), so the chain it committed last time is
+        # still the one on disk — no need to re-read and re-parse it on
+        # every ingest.  Independent reader objects always see disk
+        # (read_manifest itself never caches), and refuse a
+        # pre-manifest root before anything is created in it.
+        if self._committed is not None:
+            old, chain = self._committed, self._chain
+        else:
+            old, chain = self._read_chain()
         self.initialize()
         old_files = dict(old.files) if old is not None else {}
-        generation = (old.generation if old is not None else 0) + 1
+        generation = max(old.generation if old is not None else 0, self._floor) + 1
 
-        new_files: dict[str, FileRecord] = {}
+        changed: dict[str, FileRecord] = {}
         to_write: dict[str, bytes] = {}
-        for logical, payload in payloads.items():
-            # Components may hand over pre-serialized bytes (the binary
-            # index) or a JSON-compatible document.
-            data = payload if isinstance(payload, bytes) else _json_bytes(payload)
+        for logical, data in records.items():
             digest = digest_bytes(data)
             prior = old_files.get(logical)
             if (
@@ -384,41 +551,51 @@ class DatabaseStorage:
                 and prior.n_bytes == len(data)
                 and (self.root / prior.path).exists()
             ):
-                new_files[logical] = prior
                 continue
-            record = FileRecord(
+            changed[logical] = FileRecord(
                 path=self._target_relpath(logical, generation),
                 blake2s=digest,
                 n_bytes=len(data),
             )
-            new_files[logical] = record
             to_write[logical] = data
-        for logical in keep:
-            if logical in new_files:
-                continue
-            prior = old_files.get(logical)
-            if prior is None:
-                raise StorageError(
-                    f"cannot carry {logical!r} forward: not in the current manifest"
-                )
-            new_files[logical] = prior
-
-        if old is not None and new_files == old_files:
-            self._committed = old
+        dropped = [
+            logical
+            for logical in dict.fromkeys(drop)
+            if logical in old_files and logical not in records
+        ]
+        # A delta cannot follow a version-2 checkpoint: the migrating
+        # publish (whose caller drops the version-2 files) checkpoints.
+        checkpoint = (
+            old is None or old.version < MANIFEST_VERSION or self._floor > 0
+        )
+        if not (changed or dropped or checkpoint):
+            self._committed, self._chain = old, chain
             return old
 
-        manifest = Manifest(generation=generation, files=new_files)
+        # Files the new state no longer references: garbage once it is
+        # committed.  Found from the old records, never by name.
+        stale = [old_files.pop(logical).path for logical in dropped]
+        stale.extend(old_files[l].path for l in changed if l in old_files)
+        old_files.update(changed)
+        manifest = Manifest(generation=generation, files=old_files)
+        commit = _json_bytes(Manifest.delta(generation, changed, dropped))
+        if checkpoint or chain.delta_bytes + len(commit) > chain.checkpoint_bytes:
+            checkpoint = True
+            commit = _json_bytes(manifest.to_dict())
+            target = self.manifest_path
+        else:
+            target = self._delta_path(generation)
         staged: list[Path] = []
+        renamed = False
         try:
-            touched_dirs: set[Path] = set()
-            # Stage every file first, then sync, then rename: the first
-            # fsync's journal commit typically carries the other staged
-            # writes along, so a publish costs ~one data flush instead
-            # of one per file.  Crash safety is unchanged — nothing is
-            # visible until the manifest swap below.
+            # Stage every record first, then sync, then rename: the
+            # first fsync's journal commit typically carries the other
+            # staged writes along, so a publish costs ~one data flush
+            # instead of one per file.  Nothing is visible until the
+            # commit file is renamed into place below.
             renames: list[tuple[Path, Path]] = []
             for logical, data in to_write.items():
-                final = self.root / new_files[logical].path
+                final = self.root / changed[logical].path
                 stage = self._staging_path(final.name)
                 self.fs.write_bytes(stage, data)
                 staged.append(stage)
@@ -428,70 +605,92 @@ class DatabaseStorage:
             for stage, final in renames:
                 self.fs.replace(stage, final)
                 staged.remove(stage)
-                touched_dirs.add(final.parent)
-            for directory in sorted(touched_dirs):
-                self.fs.fsync_dir(directory)
+            if renames:
+                self.fs.fsync_dir(self.root / "records")
             # The commit point: everything before this is invisible to
             # load(); everything after is cleanup.
-            manifest_bytes = _json_bytes(manifest.to_dict())
-            stage = self._staging_path("manifest.json")
-            self.fs.write_bytes(stage, manifest_bytes)
+            stage = self._staging_path(target.name)
+            self.fs.write_bytes(stage, commit)
             staged.append(stage)
             self.fs.fsync(stage)
-            self.fs.replace(stage, self.manifest_path)
+            self.fs.replace(stage, target)
+            renamed = True
             staged.pop()
-            self.fs.fsync_dir(self.root)
+            self.fs.fsync_dir(target.parent)
         except OSError as exc:
             # The save failed but the process lives on: drop our staging
-            # litter so a retry (or a later save) starts clean.  The old
-            # manifest is still in force, so the database is unharmed.
+            # litter so a retry (or a later save) starts clean.  Unless
+            # the commit file was already renamed, the old chain is
+            # still in force, so the database is unharmed; if it was,
+            # the next publish writes a checkpoint past it.
             for stage in staged:
                 try:
                     self.fs.unlink(stage)
                 except OSError:
                     pass
+            if renamed:
+                # Build on the state the caller rolls back to, not on
+                # what the disk may now hold.
+                self._floor = generation
+                self._committed = old if old is not None else Manifest(generation=0)
+                self._chain = chain
             raise StorageError(f"publish failed: {exc}") from exc
-        self._committed = manifest
-        # Rewritten (or dropped) components have fresh, trusted files.
+        self._floor = 0
+        if checkpoint:
+            chain = _Chain(checkpoint_bytes=len(commit))
+        else:
+            chain = _Chain(
+                chain.checkpoint_bytes,
+                chain.delta_bytes + len(commit),
+                [*chain.deltas, target],
+            )
+        self._committed, self._chain = manifest, chain
+        # Rewritten (or dropped) records have fresh, trusted files.
         self._distrusted = {
             name
             for name in self._distrusted
-            if name in new_files and name not in to_write
+            if name in manifest.files and name not in to_write
         }
-        self._collect_garbage(manifest, old)
+        self._collect_garbage(manifest, None if old is None else stale, checkpoint)
         return manifest
 
-    def _collect_garbage(self, manifest: Manifest, old: Manifest | None = None) -> None:
-        """Delete managed files the committed manifest does not track.
+    def _collect_garbage(
+        self, manifest: Manifest, stale: list[str] | None, checkpoint: bool
+    ) -> None:
+        """Delete files the committed chain does not reference.
 
-        With the superseded manifest in hand, the only garbage a
-        successful publish can create is the set of files that manifest
-        tracked and the new one dropped, plus staging litter — a set
-        difference, not a directory scan.  Without one (the first
-        publish) fall back to sweeping every managed file.  Orphans from
-        *crashed* publishes are out of scope either way: fsck reports
-        them as untracked.
+        The only garbage a successful publish can create is ``stale``
+        — the files of the records it dropped or replaced (version-2
+        files included) — the deltas a checkpoint folded in, and
+        staging litter: cost scales with what the publish changed, not
+        a directory scan.  ``stale=None`` (the first publish, with no
+        superseded manifest) falls back to sweeping every file this
+        build writes.  Orphans from *crashed* publishes are out of
+        scope either way: fsck reports them as untracked.
 
         Best-effort: a failure here cannot un-commit the publish, so
         errors are swallowed — the next publish or fsck retries.
         """
-        referenced = {record.path for record in manifest.files.values()}
-        if old is not None:
-            stale = {
-                record.path for record in old.files.values()
-            } - referenced
+        if stale is not None:
             candidates = {self.root / relpath for relpath in stale}
             if self.staging_dir.is_dir():
                 candidates.update(
                     p for p in self.staging_dir.iterdir() if p.is_file()
                 )
         else:
+            referenced = {record.path for record in manifest.files.values()}
             candidates = {
                 p
                 for p in self._managed_files()
                 if p.relative_to(self.root).as_posix() not in referenced
             }
-        for path in candidates:
+        if checkpoint:
+            candidates.update(
+                path
+                for generation, path in self._delta_files()
+                if generation <= manifest.generation
+            )
+        for path in sorted(candidates):
             try:
                 self.fs.unlink(path)
             except OSError:
@@ -499,11 +698,12 @@ class DatabaseStorage:
 
     def _managed_files(self) -> list[Path]:
         """Every file publish/fsck considers part of the database state:
-        the data file names this build writes, plus staging litter."""
-        found = [p for p in self.root.glob("*") if _ROOT_DATA_NAME.fullmatch(p.name)]
-        found.extend(
-            p for p in self.root.glob("trees/*") if _TREE_DATA_NAME.fullmatch(p.name)
-        )
+        the record and delta names this build writes, plus staging
+        litter."""
+        found = [
+            p for p in self.root.glob("records/*") if _RECORD_NAME.fullmatch(p.name)
+        ]
+        found.extend(path for _, path in self._delta_files())
         if self.staging_dir.is_dir():
             found.extend(p for p in self.staging_dir.iterdir() if p.is_file())
         return sorted(found)
@@ -546,7 +746,8 @@ class DatabaseStorage:
         return data
 
     def verified_json(self, logical: str, manifest: Manifest) -> dict[str, Any]:
-        """Read one tracked JSON file (see :meth:`verified_bytes`)."""
+        """Read one tracked JSON file of a version-2 directory (see
+        :meth:`verified_bytes`)."""
         data = self.verified_bytes(logical, manifest)
         try:
             return json.loads(data)
@@ -556,6 +757,15 @@ class DatabaseStorage:
             raise StorageError(
                 f"corrupt database file {self.root / record.path}: {exc}"
             ) from exc
+
+    def verified_record(
+        self, logical: str, manifest: Manifest
+    ) -> tuple[CatalogEntry, SceneTree, bytes]:
+        """Read and decode one tracked record (see :meth:`verified_bytes`
+        and :func:`parse_record`); the record must hold the video its
+        logical name says."""
+        data = self.verified_bytes(logical, manifest)
+        return _parse_tracked_record(logical, manifest.files[logical], data)
 
     # ------------------------------------------------------------------
     # raw clips
@@ -579,11 +789,15 @@ class DatabaseStorage:
     # ------------------------------------------------------------------
 
     def fsck(self) -> FsckReport:
-        """Classify the health of every tracked file (read-only).
+        """Classify the health of the chain and every tracked file
+        (read-only).
 
         Never raises on corruption — problems become
         :class:`FileCheck` rows so callers (the CLI, the kill-point
-        sweep) can assert on the classification.
+        sweep) can assert on the classification.  A broken chain (an
+        unreadable checkpoint or delta, or a missing delta) is one row
+        for logical ``manifest``; deltas at or below the checkpoint's
+        generation are untracked litter.
         """
         report = FsckReport(root=str(self.root), mode="empty")
         try:
@@ -594,61 +808,44 @@ class DatabaseStorage:
                 FileCheck("manifest", "manifest.json", "missing", str(exc))
             )
             return report
-        if self.manifest_path.exists():
-            report.mode = "manifest"
-            try:
-                manifest = self.read_manifest()
-            except StorageError as exc:
-                report.checks.append(
-                    FileCheck(
-                        logical="manifest",
-                        path=self.manifest_path.name,
-                        status="corrupt-json",
-                        detail=str(exc),
-                    )
-                )
-                return report
-            assert manifest is not None
-            report.generation = manifest.generation
-            catalog: Catalog | None = None
-            for logical, record in manifest.files.items():
-                status, detail = self._check_record(logical, record)
-                if status == "ok" and logical == "catalog":
-                    try:
-                        catalog = Catalog.from_dict(
-                            json.loads((self.root / record.path).read_bytes())
-                        )
-                    except Exception as exc:
-                        status, detail = "corrupt-json", str(exc)
-                report.checks.append(
-                    FileCheck(logical=logical, path=record.path, status=status, detail=detail)
-                )
-            if catalog is not None:
-                for video_id in catalog.ids():
-                    if TREE_PREFIX + video_id not in manifest.files:
-                        report.checks.append(
-                            FileCheck(
-                                logical=TREE_PREFIX + video_id,
-                                path="",
-                                status="missing",
-                                detail=f"catalog lists {video_id!r} but the "
-                                "manifest tracks no scene tree for it",
-                            )
-                        )
-            referenced = {self.root / r.path for r in manifest.files.values()}
-            report.untracked = [
-                str(p.relative_to(self.root))
-                for p in self._managed_files()
-                if p not in referenced
-            ]
+        if not self.manifest_path.exists():
             return report
+        report.mode = "manifest"
+        try:
+            manifest, chain = self._read_chain()
+        except _ChainError as exc:
+            report.checks.append(
+                FileCheck("manifest", exc.path, exc.status, str(exc))
+            )
+            return report
+        assert manifest is not None
+        report.generation = manifest.generation
+        for logical, record in manifest.files.items():
+            status, detail = self._check_record(logical, record)
+            report.checks.append(
+                FileCheck(
+                    logical=logical, path=record.path, status=status, detail=detail
+                )
+            )
+        referenced = {self.root / r.path for r in manifest.files.values()}
+        referenced.update(chain.deltas)
+        report.untracked = [
+            p.relative_to(self.root).as_posix()
+            for p in self._managed_files()
+            if p not in referenced
+        ]
         return report
 
     def _check_record(self, logical: str, record: FileRecord) -> tuple[str, str]:
         """Classify one manifest record's file: the fsck primitive.
 
-        The logical name decides the file's kind: the ``index`` record
-        must hold binary columns, every other record JSON.
+        Size and digest first; a file whose digest matches must also
+        decode as its kind (a failure there means the writer produced a
+        bad file): a ``video:`` record must hold that video.  The files
+        of a version-2 manifest (read until its migrating publish) are
+        an ``index`` of binary columns — builds between the manifest
+        and the binary format committed a JSON index, which load
+        refuses — and JSON for the rest.
         """
         path = self.root / record.path
         try:
@@ -664,19 +861,18 @@ class DatabaseStorage:
             )
         if digest_bytes(data) != record.blake2s:
             return "checksum-mismatch", "blake2s digest does not match the manifest"
-        if logical == "index":
-            # The digest matched, so a failure here means the writer
-            # produced bad columns — or a build from before the binary
-            # format wrote a JSON index.
-            try:
-                ColumnarVarianceIndex.validate_bytes(data)
-            except IndexError_ as exc:
-                return "corrupt-binary", str(exc)
-            return "ok", ""
         try:
-            json.loads(data)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # pragma: no cover
-            return "corrupt-json", str(exc)  # digest matched: writer bug
+            if logical.startswith(RECORD_PREFIX):
+                entry, _, rows = _parse_tracked_record(logical, record, data)
+                ColumnarVarianceIndex.from_parts([(entry.video_id, rows)])
+            elif logical == "index":
+                ColumnarVarianceIndex.validate_bytes(data)
+            else:
+                json.loads(data)
+        except (StorageError, IndexError_) as exc:
+            return "corrupt-binary", str(exc)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return "corrupt-json", str(exc)
         return "ok", ""
 
     def quarantine(self, relpath: str) -> Path:

@@ -20,10 +20,10 @@ from repro import cli
 from repro.cluster import ClusterCoordinator
 from repro.cluster.repair import AntiEntropyRepairer, IntegrityScrubber
 from repro.service.engine import ServiceEngine
-from repro.testing import ShardOutage, inject_bit_rot
+from repro.testing import FaultyFS, ShardOutage, inject_bit_rot
 from repro.testing.synth import add_synth_video
 from repro.vdbms.database import VideoDatabase
-from repro.vdbms.manifest import TREE_PREFIX
+from repro.vdbms.manifest import RECORD_PREFIX
 from repro.vdbms.storage import DatabaseStorage
 
 pytestmark = [pytest.mark.scrub, pytest.mark.faults]
@@ -86,14 +86,42 @@ class TestAntiEntropy:
         with shard.lock.write_locked():
             shard.db.remove(video_id)
             shard.db.adopt(make_record(video_id, seed=999))
+        primary_db = cluster.shards[primary].db
+        assert shard.db.record_digest(video_id) != primary_db.record_digest(video_id)
         report = AntiEntropyRepairer(cluster).run()
         assert report.divergent_repaired == 1
         assert report.converged
-        primary_entries = cluster.shards[primary].db.index.entries_for(video_id)
+        primary_entries = primary_db.index.entries_for(video_id)
         replica_entries = shard.db.index.entries_for(video_id)
         assert [e.features.var_ba for e in replica_entries] == [
             e.features.var_ba for e in primary_entries
         ]
+        assert shard.db.record_digest(video_id) == primary_db.record_digest(video_id)
+
+    def test_durable_replicas_are_byte_identical(self, tmp_path):
+        """Two holders of a video hold identical record files, so the
+        manifest digest is the video's fingerprint; a divergent durable
+        replica is found by it and rewritten to match."""
+        cluster = ClusterCoordinator.create(tmp_path / "c", 3, replication=2)
+        ids = populate(cluster, 4)
+        for video_id in ids:
+            first, second = (cluster.shards[s] for s in cluster.holders_of(video_id))
+            paths = [s.db.storage.record_path(video_id) for s in (first, second)]
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+            assert first.db.record_digest(video_id) == second.db.record_digest(video_id)
+        video_id = ids[0]
+        primary, replica = cluster.router.shards_for(video_id, 2)
+        shard = cluster.shards[replica]
+        with shard.lock.write_locked():
+            shard.db.remove(video_id)
+            shard.db.adopt(make_record(video_id, seed=999))
+        report = AntiEntropyRepairer(cluster).run()
+        assert report.divergent_repaired == 1
+        assert (
+            shard.db.storage.record_path(video_id).read_bytes()
+            == cluster.shards[primary].db.storage.record_path(video_id).read_bytes()
+        )
+        cluster.close()
 
     def test_removes_stray_copies(self):
         cluster = ClusterCoordinator.ephemeral(3, replication=1)
@@ -152,7 +180,7 @@ class TestScrubberRoundTrip:
         victim = ids[0]
         sick_id = cluster.holders_of(victim)[0]
         damaged = inject_bit_rot(
-            shard_dir(root, sick_id), logical=f"{TREE_PREFIX}{victim}"
+            shard_dir(root, sick_id), logical=f"{RECORD_PREFIX}{victim}"
         )
         scrubber = IntegrityScrubber(cluster, files_per_tick=64, interval_s=0.0)
         delta = scrubber.run_once()
@@ -172,27 +200,83 @@ class TestScrubberRoundTrip:
         assert DatabaseStorage(shard_dir(root, sick_id)).fsck().clean
         cluster.close()
 
-    def test_republishes_rotted_catalog_from_live_state(self, tmp_path):
-        root, cluster, ids = self._rotted_cluster(tmp_path)
-        inject_bit_rot(shard_dir(root, 0), logical="catalog")
+    def test_rewrites_rotted_record_from_memory_without_a_replica(self, tmp_path):
+        """R=1: no other holder, so the rotted record is rewritten from
+        the shard's own in-memory copy (verified when it was loaded)."""
+        root = tmp_path / "c"
+        cluster = ClusterCoordinator.create(root, 1, replication=1)
+        ids = populate(cluster, 3)
+        probe = cluster.shards[0].db.index.entries[0]
+        point = (probe.features.var_ba, probe.features.var_oa)
+        baseline = canonical(cluster.query(*point))
+        damaged = inject_bit_rot(shard_dir(root, 0), logical=f"{RECORD_PREFIX}{ids[0]}")
         scrubber = IntegrityScrubber(cluster, files_per_tick=64, interval_s=0.0)
         delta = scrubber.run_once()
         assert delta["corruption_found"] == 1
         assert delta["files_republished"] == 1
+        assert delta["videos_lost"] == 0
+        assert not damaged.exists()  # quarantined, not left in place
+        assert sorted(cluster.video_ids()) == ids
+        assert canonical(cluster.query(*point)) == baseline
+        assert scrubber.run_once()["corruption_found"] == 0
+        assert DatabaseStorage(shard_dir(root, 0)).fsck().clean
         cluster.close()
         reopened = ClusterCoordinator.open(root)
         assert sorted(reopened.video_ids()) == ids
+        assert canonical(reopened.query(*point)) == baseline
+        reopened.close()
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_rewrites_the_rot_when_the_quarantine_fails(self, tmp_path, replication):
+        """A fresh copy has exactly the bytes the manifest recorded for
+        the rotted file (replicas are byte-identical; with R=1 the
+        shard's own copy is rewritten), so when the quarantine rename
+        fails and the rotted file stays in place, the repair must still
+        rewrite it rather than carry it over."""
+        root = tmp_path / "c"
+        cluster = ClusterCoordinator.create(root, 2, replication=replication)
+        ids = populate(cluster, 4)
+        probe = cluster.shards[0].db.index.entries[0]
+        point = (probe.features.var_ba, probe.features.var_oa)
+        baseline = canonical(cluster.query(*point))
+        victim = ids[0]
+        sick = cluster.shard(cluster.holders_of(victim)[0])
+        inject_bit_rot(
+            shard_dir(root, sick.shard_id), logical=f"{RECORD_PREFIX}{victim}"
+        )
+        faulty = FaultyFS(mode="error", ops=("replace",), fail_times=1)
+        sick.db.storage.fs = faulty
+        scrubber = IntegrityScrubber(cluster, files_per_tick=64, interval_s=0.0)
+        delta = scrubber.run_once()
+        assert faulty.failures == 1  # the quarantine rename failed
+        assert delta["corruption_found"] == 1
+        healed = "videos_repaired" if replication == 2 else "files_republished"
+        assert delta[healed] == 1
+        assert delta["videos_lost"] == 0
+        assert scrubber.run_once()["corruption_found"] == 0
+        assert DatabaseStorage(shard_dir(root, sick.shard_id)).fsck().clean
+        assert canonical(cluster.query(*point)) == baseline
+        cluster.close()
+        reopened = ClusterCoordinator.open(root)
+        assert sorted(reopened.video_ids()) == ids
+        assert canonical(reopened.query(*point)) == baseline
         reopened.close()
 
     def test_counts_lost_videos_without_a_replica(self, tmp_path):
+        """A video is lost only with no healthy copy on disk or in
+        memory: here a recovering open already dropped the rotted copy
+        from memory, and R=1 leaves no replica."""
         root = tmp_path / "c"
         cluster = ClusterCoordinator.create(root, 1, replication=1)
         ids = populate(cluster, 2)
-        inject_bit_rot(shard_dir(root, 0), logical=f"{TREE_PREFIX}{ids[0]}")
+        cluster.close()
+        inject_bit_rot(shard_dir(root, 0), logical=f"{RECORD_PREFIX}{ids[0]}")
+        cluster = ClusterCoordinator.open(root, recover=True)
         scrubber = IntegrityScrubber(cluster, files_per_tick=64, interval_s=0.0)
         delta = scrubber.run_once()
         assert delta["corruption_found"] == 1
         assert delta["videos_repaired"] == 0
+        assert delta["files_republished"] == 0
         assert delta["videos_lost"] == 1
         # The loss is honest: the rotted video is gone, the rest serve.
         assert ids[0] not in cluster
@@ -302,7 +386,7 @@ class TestRepairCLI:
         sick_id = cluster.holders_of(ids[0])[0]
         cluster.close()
         inject_bit_rot(
-            shard_dir(root, sick_id), logical=f"{TREE_PREFIX}{ids[0]}"
+            shard_dir(root, sick_id), logical=f"{RECORD_PREFIX}{ids[0]}"
         )
         rc = cli.main(["cluster", "scrub", "--root", str(root), "--json"])
         payload = json.loads(capsys.readouterr().out)
@@ -318,7 +402,7 @@ class TestRepairCLI:
         sick_id = cluster.holders_of(ids[0])[0]
         cluster.close()
         inject_bit_rot(
-            shard_dir(root, sick_id), logical=f"{TREE_PREFIX}{ids[0]}"
+            shard_dir(root, sick_id), logical=f"{RECORD_PREFIX}{ids[0]}"
         )
         rc = cli.main(["fsck", str(root), "--json"])
         payload = json.loads(capsys.readouterr().out)
@@ -341,7 +425,7 @@ class TestRepairCLI:
         sick_id = cluster.holders_of(ids[0])[0]
         cluster.close()
         rotted = inject_bit_rot(
-            shard_dir(root, sick_id), logical=f"{TREE_PREFIX}{ids[0]}"
+            shard_dir(root, sick_id), logical=f"{RECORD_PREFIX}{ids[0]}"
         )
         rotted_bytes = rotted.read_bytes()
         assert cli.main(["fsck", str(root), "--json"]) == 1

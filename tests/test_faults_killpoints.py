@@ -10,15 +10,17 @@ between — and silent corruption must be *detected* (precise
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import StorageError
-from repro.testing import sweep_kill_points, synth_database
+from repro.testing import sweep_kill_points, synth_database, synth_record
 from repro.testing.synth import add_synth_video
 from repro.vdbms.database import VideoDatabase
+from repro.vdbms.manifest import MANIFEST_VERSION, digest_bytes
 from repro.vdbms.storage import DatabaseStorage
 from repro.video.clip import VideoClip
 
@@ -164,3 +166,167 @@ class TestDurableIngestSweep:
         db2 = VideoDatabase.open(root)
         db2.remove(victim)
         assert victim not in VideoDatabase.load(root).catalog
+
+
+# ----------------------------------------------------------------------
+# the checkpoint-and-delta commit: exact pre/post states
+# ----------------------------------------------------------------------
+
+
+def _fingerprint(db):
+    """Video id -> digest of the record bytes the database would write:
+    the database's exact state (entry, tree and rows)."""
+    return {
+        video_id: digest_bytes(db.export_video(video_id).to_bytes())
+        for video_id in db.catalog.ids()
+    }
+
+
+def _exact_classifier(pre, post, verdict_of=None):
+    """Reload must equal ``pre`` or ``post`` exactly; fsck is clean then
+    and after the next publish.  ``verdict_of(root, state)`` names the
+    state when pre and post hold the same content (the migration)."""
+
+    def classify(ctx, mode):
+        root = ctx["root"]
+        report = DatabaseStorage(root).fsck()
+        try:
+            db = VideoDatabase.load(root)
+        except StorageError:
+            assert mode == "corrupt", f"{mode} fault produced unreadable state"
+            assert not report.clean
+            assert cli_main(["fsck", str(root)]) == 1
+            return "detected"
+        state = _fingerprint(db)
+        assert report.clean, report.problems()
+        if verdict_of is not None:
+            verdict = verdict_of(root, state)
+        elif state == pre:
+            verdict = "pre"
+        else:
+            assert state == post, f"torn state after {mode}: {sorted(state)}"
+            verdict = "post"
+        following = VideoDatabase.open(root)
+        following.adopt(synth_record("following-video", np.random.default_rng(77)))
+        assert DatabaseStorage(root).fsck().clean
+        return verdict
+
+    return classify
+
+
+def _commit_targets(report):
+    """Names of the files each recorded rename committed."""
+    return [Path(p.path).name for p in report.points if p.op == "replace"]
+
+
+class TestChainSweeps:
+    """Every filesystem operation of a delta publish, a checkpoint
+    publish, a remove, an adopt that replaces a copy and the version-2
+    migration: reload equals the pre- or post-state exactly."""
+
+    @staticmethod
+    def _base(root, n_videos):
+        db = synth_database(6, n_videos=n_videos)
+        db.save(root)
+        return db
+
+    def _sweep(self, tmp_path, prepare, operation, expected_post):
+        """``prepare(root)`` builds the pre-state on disk and returns the
+        in-memory database equal to it; ``operation(db, fs)`` mutates a
+        database opened on ``fs``; ``expected_post(db)`` applies the same
+        change in memory."""
+        reference = prepare(tmp_path / "reference")
+        pre = _fingerprint(reference)
+        expected_post(reference)
+        post = _fingerprint(reference)
+
+        def setup():
+            root = tmp_path / f"chain-{next(_DIR_COUNTER)}"
+            prepare(root)
+            return {"root": root}
+
+        def run(ctx, fs):
+            operation(VideoDatabase.open(ctx["root"], fs=fs), fs)
+
+        report = sweep_kill_points(setup, run, _exact_classifier(pre, post))
+        _assert_sound(report)
+        return report
+
+    def test_delta_publish(self, tmp_path):
+        record = synth_record("added-video", np.random.default_rng(31))
+        report = self._sweep(
+            tmp_path,
+            lambda root: self._base(root, 4),
+            lambda db, fs: db.adopt(record),
+            lambda db: db.adopt(record),
+        )
+        targets = _commit_targets(report)
+        assert targets[-1].startswith("manifest-g") and "manifest.json" not in targets
+
+    def test_checkpoint_publish(self, tmp_path):
+        first = synth_record("first-video", np.random.default_rng(32))
+        second = synth_record("second-video", np.random.default_rng(33))
+
+        def prepare(root):
+            db = self._base(root, 2)
+            VideoDatabase.open(root).adopt(first)  # commits a delta
+            db.adopt(first)
+            return db
+
+        report = self._sweep(
+            tmp_path,
+            prepare,
+            lambda db, fs: db.adopt(second),
+            lambda db: db.adopt(second),
+        )
+        assert _commit_targets(report)[-1] == "manifest.json"
+        assert any(
+            p.op == "unlink" and Path(p.path).name.startswith("manifest-g")
+            for p in report.points
+        )
+
+    def test_remove(self, tmp_path):
+        victim = synth_database(6, n_videos=3).catalog.ids()[1]
+        self._sweep(
+            tmp_path,
+            lambda root: self._base(root, 3),
+            lambda db, fs: db.remove(victim),
+            lambda db: db.remove(victim),
+        )
+
+    def test_adopt_replacing_a_copy(self, tmp_path):
+        video_id = synth_database(6, n_videos=3).catalog.ids()[0]
+        record = synth_record(video_id, np.random.default_rng(34))
+        report = self._sweep(
+            tmp_path,
+            lambda root: self._base(root, 3),
+            lambda db, fs: db.replace(record),
+            lambda db: db.replace(record),
+        )
+        # The superseded record file is deleted after the commit.
+        assert [p.op for p in report.points][-1] == "unlink"
+
+    def test_version_2_migration(self, tmp_path):
+        from tests.test_storage_manifest import write_version_2
+
+        reference = synth_database(9, n_videos=3)
+        state = _fingerprint(reference)
+
+        def setup():
+            root = tmp_path / f"v2-{next(_DIR_COUNTER)}"
+            write_version_2(synth_database(9, n_videos=3), root)
+            return {"root": root}
+
+        def run(ctx, fs):
+            # Engine shutdown's save_all is such a publish.
+            VideoDatabase.open(ctx["root"], fs=fs).save(ctx["root"], fs=fs)
+
+        def verdict_of(root, loaded):
+            assert loaded == state
+            version = DatabaseStorage(root).read_manifest().version
+            return "post" if version == MANIFEST_VERSION else "pre"
+
+        report = sweep_kill_points(
+            setup, run, _exact_classifier(state, state, verdict_of)
+        )
+        _assert_sound(report)

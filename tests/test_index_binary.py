@@ -25,7 +25,7 @@ from repro.index.query import VarianceQuery
 from repro.testing import synth_database
 from repro.vdbms.database import VideoDatabase
 from repro.vdbms.manifest import FileRecord, digest_bytes
-from repro.vdbms.storage import DatabaseStorage
+from repro.vdbms.storage import DatabaseStorage, parse_record
 
 
 def _entries(seed: int, n: int = 60) -> list[IndexEntry]:
@@ -126,10 +126,13 @@ class TestCorruptionDetection:
 class TestMigration:
     def test_manifest_tracked_json_index_is_refused(self, tmp_path):
         """Builds between the manifest and the binary index committed
-        the index as a JSON document; this build fails loudly on it."""
+        the index as a JSON document (under a version-2 manifest); this
+        build fails loudly on it."""
+        from tests.test_storage_manifest import write_version_2
+
         root = tmp_path / "db"
         db = synth_database(12, n_videos=2)
-        db.save(root)
+        write_version_2(db, root)
         storage = DatabaseStorage(root)
         manifest = storage.read_manifest()
         document = {
@@ -150,12 +153,17 @@ class TestMigration:
         data = json.dumps(document).encode("utf-8")
         relpath = f"index-g{manifest.generation + 1:08d}.json"
         (root / relpath).write_bytes(data)
-        manifest.generation += 1
-        manifest.files["index"] = FileRecord(relpath, digest_bytes(data), len(data))
-        storage.manifest_path.write_text(json.dumps(manifest.to_dict()))
+        payload = json.loads(storage.manifest_path.read_text())
+        payload["generation"] += 1
+        payload["files"]["index"] = FileRecord(
+            relpath, digest_bytes(data), len(data)
+        ).to_dict()
+        storage.manifest_path.write_text(json.dumps(payload))
 
         with pytest.raises(StorageError, match="binary index magic"):
             VideoDatabase.load(root)
+        with pytest.raises(StorageError, match="binary index magic"):
+            VideoDatabase.open(root)
         report = storage.fsck()
         assert not report.clean
         by_logical = {c.logical: c.status for c in report.checks}
@@ -166,9 +174,15 @@ class TestMigration:
         root = tmp_path / "db"
         synth_database(13, n_videos=2).save(root)
         manifest = DatabaseStorage(root).read_manifest()
-        record = manifest.files["index"]
-        assert record.path.endswith(".bin")
-        ColumnarVarianceIndex.validate_bytes((root / record.path).read_bytes())
+        for record in manifest.files.values():
+            assert record.path.endswith(".rvr")
+            entry, _, rows = parse_record((root / record.path).read_bytes())
+            # The record's tail is one RVIX file holding its rows.
+            assert rows.startswith(COLUMNAR_MAGIC)
+            ColumnarVarianceIndex.validate_bytes(rows)
+            assert rows == ColumnarVarianceIndex.encode_rows(
+                VideoDatabase.load(root).index.entries_for(entry.video_id)
+            )
 
 
 class TestFsckOnBinary:
@@ -177,15 +191,19 @@ class TestFsckOnBinary:
         synth_database(14, n_videos=2).save(root)
         report = DatabaseStorage(root).fsck()
         assert report.clean
-        assert any(c.logical == "index" and c.path.endswith(".bin") for c in report.checks)
+        assert all(
+            c.logical.startswith("video:") and c.path.endswith(".rvr")
+            for c in report.checks
+        )
 
     def test_flipped_byte_in_binary_index_is_caught(self, tmp_path):
         root = tmp_path / "db"
         synth_database(15, n_videos=2).save(root)
         storage = DatabaseStorage(root)
-        path = root / storage.read_manifest().files["index"].path
+        record = next(iter(storage.read_manifest().files.values()))
+        path = root / record.path
         data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
+        data[-20] ^= 0xFF  # inside the record's index rows
         path.write_bytes(bytes(data))
         report = storage.fsck()
         assert not report.clean

@@ -292,3 +292,47 @@ class TestServiceEngine:
         metrics = engine.metrics_payload()
         assert metrics["counters"]["ingest_completed"] == 1
         assert metrics["query_cache"]["misses"] >= 1
+
+
+class TestConcurrentIngest:
+    def test_two_ingests_derive_at_once_and_both_commit(self, tmp_path):
+        """Derive is pure and runs with no shard lock held: two ingest
+        workers analyse clips at the same time (a barrier that only
+        both can pass), queries keep reading meanwhile, and both
+        ingests commit durably."""
+        import numpy as np
+
+        from repro.vdbms.database import VideoDatabase
+        from repro.video.clip import VideoClip
+
+        db = VideoDatabase.open(tmp_path / "db")
+        engine = ServiceEngine(db, n_workers=2, watchdog_interval=0)
+        shard = engine.cluster.shards[0]
+        barrier = threading.Barrier(2, timeout=20)
+        readable = []
+        derive = db.derive
+
+        def both_at_once(*args, **kwargs):
+            barrier.wait()
+            # No writer holds the shard while a clip is analysed.
+            readable.append(shard.lock.acquire_read(timeout=5))
+            shard.lock.release_read()
+            return derive(*args, **kwargs)
+
+        db.derive = both_at_once
+        clips = []
+        for k, level in enumerate((40, 200)):
+            frames = np.zeros((12, 32, 32, 3), dtype=np.uint8)
+            frames[:6] = level
+            frames[6:] = 255 - level
+            clips.append(VideoClip(f"parallel-{k}", frames, fps=3.0))
+        try:
+            jobs = [engine.submit_clip(clip) for clip in clips]
+            for job in jobs:
+                done = engine.wait_for(job.job_id, timeout=60)
+                assert done.status is JobStatus.DONE, done.error
+        finally:
+            engine.shutdown(timeout=10)
+        assert readable == [True, True]
+        reloaded = VideoDatabase.load(tmp_path / "db")
+        assert sorted(reloaded.catalog.ids()) == ["parallel-0", "parallel-1"]

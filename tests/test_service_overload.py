@@ -196,6 +196,90 @@ class TestDeadlines:
             status, _, _ = _request(base_url, "GET", "/videos/held/tree")
             assert status == 200
 
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_a_busy_shard_is_not_benched(self, replication):
+        """A shard whose reads queue behind a writer past their deadline
+        is busy, not sick: its failures are reported as ``busy`` (the
+        answer partial, or failed over to the replica) and the
+        supervisor benches no one, however many queries it takes."""
+        cluster = ClusterCoordinator.ephemeral(2, replication=replication)
+        for k in range(6):
+            scratch = VideoDatabase()
+            add_synth_video(scratch, f"busy-{k}", np.random.default_rng(k))
+            cluster.adopt(scratch.export_video(f"busy-{k}"))
+        engine = ServiceEngine(cluster, n_workers=1, watchdog_interval=0)
+        wide = {"alpha": 1e6, "beta": 1e6}
+        busy = cluster.shards[1]
+        try:
+            busy.lock.acquire_write()
+            try:
+                for k in range(engine.supervisor.threshold + 2):
+                    payload, cached = engine.query(
+                        1.0 + k, 1.0, deadline=Deadline(0.1), **wide
+                    )
+                    assert not cached
+                    assert [f["reason"] for f in payload["shards_failed"]] == ["busy"]
+                    if replication == 1:
+                        assert payload["partial"] is True
+                    else:
+                        assert payload["partial"] is False
+                        assert payload["shards_recovered"] == [busy.name]
+            finally:
+                busy.lock.release_write()
+            assert not any(shard.down for shard in cluster.shards)
+            assert engine.supervisor.trips == 0
+            payload, _ = engine.query(9.0, 9.0, deadline=Deadline(5.0), **wide)
+            assert payload["partial"] is False and payload["shards_failed"] == []
+        finally:
+            engine.shutdown(timeout=10)
+
+    def test_a_slow_shard_is_not_busy(self):
+        """The other side of the busy rule: a sub-query that held its
+        shard's read lock and still ran past the budget is a slow shard
+        (reason ``deadline``, counted toward benching) — even while
+        another reader queues on that shard behind a writer."""
+        cluster = ClusterCoordinator.ephemeral(2)
+        cluster.parallel_scatter = True
+        for k in range(4):
+            scratch = VideoDatabase()
+            add_synth_video(scratch, f"slow-{k}", np.random.default_rng(k))
+            cluster.adopt(scratch.export_video(f"slow-{k}"))
+        slow = cluster.shards[1]
+        scanning, finish = threading.Event(), threading.Event()
+        query_batch = slow.db.query_batch
+
+        def late_scan(*args, **kwargs):
+            scanning.set()
+            finish.wait(10.0)
+            return query_batch(*args, **kwargs)
+
+        def writer():
+            with slow.lock.write_locked(10.0):
+                pass
+
+        def queued_reader():
+            scanning.wait(10.0)
+            thread = threading.Thread(target=writer)
+            thread.start()
+            while not slow.lock._writers_waiting:
+                time.sleep(0.001)
+            with slow.traced_read(10.0):  # queued behind the writer
+                pass
+            thread.join(10.0)
+
+        slow.db.query_batch = late_scan
+        reader = threading.Thread(target=queued_reader)
+        reader.start()
+        try:
+            answer = cluster.query(1.0, 1.0, deadline=Deadline(0.3))
+            assert [f["reason"] for f in answer.shards_failed] == ["deadline"]
+            assert answer.partial
+        finally:
+            finish.set()
+            reader.join(10.0)
+            cluster.close()
+        assert not reader.is_alive()
+
     @pytest.mark.parametrize("layout", ["plain", "cluster"])
     def test_no_shard_answering_by_the_deadline_is_a_timeout(self, layout):
         """Every shard's write lock is held: a deadline query fails with

@@ -1,16 +1,21 @@
-"""Checksummed-manifest persistence: commit protocol, verification,
-recovery, refusal of the pre-manifest layout, and the ``repro fsck``
+"""Checksummed-manifest persistence: commit protocol (record files,
+checkpoint and deltas), verification, recovery, the version-2
+migration, refusal of the pre-manifest layout, and the ``repro fsck``
 CLI."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import StorageError, StorageIntegrityError
+from repro.index.query import search as scan_search
+from repro.scenetree.serialize import scene_tree_to_dict
 from repro.testing import FaultyFS, synth_database
+from repro.testing.synth import synth_record
 from repro.vdbms.database import VideoDatabase
-from repro.vdbms.manifest import MANIFEST_VERSION, TREE_PREFIX, digest_bytes
+from repro.vdbms.manifest import MANIFEST_VERSION, RECORD_PREFIX, digest_bytes
 from repro.vdbms.storage import DatabaseStorage, _safe_id
 
 
@@ -34,9 +39,7 @@ class TestManifestCommit:
         assert manifest.generation == 1
         payload = json.loads(storage.manifest_path.read_text())
         assert payload["version"] == MANIFEST_VERSION
-        expected = {"catalog", "index"} | {
-            TREE_PREFIX + vid for vid in db.catalog.ids()
-        }
+        expected = {RECORD_PREFIX + vid for vid in db.catalog.ids()}
         assert set(manifest.files) == expected
         for record in manifest.files.values():
             data = (root / record.path).read_bytes()
@@ -53,16 +56,17 @@ class TestManifestCommit:
 
     def test_changed_save_bumps_generation_and_collects_garbage(self, tmp_path):
         db, root, storage = _saved_db(tmp_path)
-        old_catalog = _tracked_path(storage, "catalog")
-        victim = db.catalog.ids()[0]
+        victim, survivor = db.catalog.ids()
+        old_record = _tracked_path(storage, RECORD_PREFIX + victim)
         db.remove(victim)
         db.save(root)
         manifest = storage.read_manifest()
         assert manifest.generation == 2
-        assert TREE_PREFIX + victim not in manifest.files
-        # The superseded generation's files are gone after the commit.
-        assert not old_catalog.exists()
-        assert _tracked_path(storage, "catalog").exists()
+        assert RECORD_PREFIX + victim not in manifest.files
+        # The dropped video's file is gone after the commit; the other
+        # record was carried over, not rewritten.
+        assert not old_record.exists()
+        assert _tracked_path(storage, RECORD_PREFIX + survivor).exists()
 
     def test_failed_publish_leaves_old_state_and_no_staging_litter(self, tmp_path):
         db, root, storage = _saved_db(tmp_path)
@@ -94,7 +98,7 @@ class TestVerifiedLoads:
     def test_bitflip_in_tree_detected(self, tmp_path):
         db, root, storage = _saved_db(tmp_path)
         vid = db.catalog.ids()[0]
-        path = _tracked_path(storage, TREE_PREFIX + vid)
+        path = _tracked_path(storage, RECORD_PREFIX + vid)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -102,15 +106,16 @@ class TestVerifiedLoads:
             VideoDatabase.load(root)
 
     def test_truncated_index_detected(self, tmp_path):
+        # A record file ends with the video's index rows.
         db, root, storage = _saved_db(tmp_path)
-        path = _tracked_path(storage, "index")
+        path = _tracked_path(storage, RECORD_PREFIX + db.catalog.ids()[0])
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(StorageIntegrityError):
             VideoDatabase.load(root)
 
     def test_missing_tracked_file_raises_storage_error(self, tmp_path):
         db, root, storage = _saved_db(tmp_path)
-        _tracked_path(storage, "catalog").unlink()
+        _tracked_path(storage, RECORD_PREFIX + db.catalog.ids()[0]).unlink()
         with pytest.raises(StorageError):
             VideoDatabase.load(root)
 
@@ -120,7 +125,7 @@ class TestVerifiedLoads:
     def test_recover_quarantines_bad_video_keeps_rest(self, tmp_path):
         db, root, storage = _saved_db(tmp_path, n_videos=3)
         victim = db.catalog.ids()[1]
-        path = _tracked_path(storage, TREE_PREFIX + victim)
+        path = _tracked_path(storage, RECORD_PREFIX + victim)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -135,13 +140,14 @@ class TestVerifiedLoads:
         for vid in survivors:
             loaded.scene_tree(vid).validate()
 
-    def test_corrupt_catalog_raises_even_with_recover(self, tmp_path):
+    def test_corrupt_delta_raises_even_with_recover(self, tmp_path):
         db, root, storage = _saved_db(tmp_path)
-        path = _tracked_path(storage, "catalog")
-        data = bytearray(path.read_bytes())
+        VideoDatabase.open(root).remove(db.catalog.ids()[0])
+        [delta] = storage.deltas_dir.iterdir()
+        data = bytearray(delta.read_bytes())
         data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(StorageIntegrityError):
+        delta.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="corrupt manifest delta"):
             VideoDatabase.load(root, recover=True)
 
     def test_corrupt_manifest_raises(self, tmp_path):
@@ -230,25 +236,44 @@ class TestFsck:
         assert report.untracked == []
 
     def test_classifications(self, tmp_path):
-        db, root, storage = _saved_db(tmp_path, n_videos=3)
+        db, root, storage = _saved_db(tmp_path, n_videos=4)
         ids = db.catalog.ids()
         manifest = storage.read_manifest()
         # One of each corruption flavor.
-        flip = root / manifest.files[TREE_PREFIX + ids[0]].path
+        flip = root / manifest.files[RECORD_PREFIX + ids[0]].path
         data = bytearray(flip.read_bytes())
         data[len(data) // 2] ^= 0xFF
         flip.write_bytes(bytes(data))
-        trunc = root / manifest.files[TREE_PREFIX + ids[1]].path
+        trunc = root / manifest.files[RECORD_PREFIX + ids[1]].path
         trunc.write_bytes(trunc.read_bytes()[:-5])
-        gone = root / manifest.files[TREE_PREFIX + ids[2]].path
+        gone = root / manifest.files[RECORD_PREFIX + ids[2]].path
         gone.unlink()
-        (root / "trees" / "stray-g00000009.json").write_text("{}")
+        (root / "records" / "stray-g00000009.rvr").write_text("{}")
         by_logical = {c.logical: c for c in storage.fsck().checks}
-        assert by_logical[TREE_PREFIX + ids[0]].status == "checksum-mismatch"
-        assert by_logical[TREE_PREFIX + ids[1]].status == "size-mismatch"
-        assert by_logical[TREE_PREFIX + ids[2]].status == "missing"
-        assert by_logical["catalog"].status == "ok"
-        assert storage.fsck().untracked == ["trees/stray-g00000009.json"]
+        assert by_logical[RECORD_PREFIX + ids[0]].status == "checksum-mismatch"
+        assert by_logical[RECORD_PREFIX + ids[1]].status == "size-mismatch"
+        assert by_logical[RECORD_PREFIX + ids[2]].status == "missing"
+        assert by_logical[RECORD_PREFIX + ids[3]].status == "ok"
+        assert storage.fsck().untracked == ["records/stray-g00000009.rvr"]
+
+    def test_record_of_another_video_is_corrupt(self, tmp_path):
+        """Two intact records tracked under each other's names: sizes
+        and digests match, but neither holds the video its logical name
+        says — load refuses them, and so does fsck."""
+        db, root, storage = _saved_db(tmp_path)
+        a, b = (RECORD_PREFIX + vid for vid in db.catalog.ids())
+        payload = json.loads(storage.manifest_path.read_text())
+        files = payload["files"]
+        files[a], files[b] = files[b], files[a]
+        storage.manifest_path.write_text(json.dumps(payload))
+        with pytest.raises(StorageError, match="holds"):
+            VideoDatabase.load(root)
+        report = storage.fsck()
+        assert not report.clean
+        assert {c.logical: c.status for c in report.checks} == {
+            a: "corrupt-binary",
+            b: "corrupt-binary",
+        }
 
     def test_untracked_litter_is_not_a_problem(self, tmp_path):
         db, root, storage = _saved_db(tmp_path)
@@ -272,7 +297,7 @@ class TestFsckCli:
     def test_corruption_exit_one(self, tmp_path, capsys):
         db, root, storage = _saved_db(tmp_path)
         vid = db.catalog.ids()[0]
-        path = _tracked_path(storage, TREE_PREFIX + vid)
+        path = _tracked_path(storage, RECORD_PREFIX + vid)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -290,7 +315,7 @@ class TestFsckCli:
     def test_repair_quarantines_and_ends_clean(self, tmp_path, capsys):
         db, root, storage = _saved_db(tmp_path, n_videos=3)
         victim = db.catalog.ids()[0]
-        path = _tracked_path(storage, TREE_PREFIX + victim)
+        path = _tracked_path(storage, RECORD_PREFIX + victim)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -306,3 +331,184 @@ class TestFsckCli:
 
     def test_empty_directory_exit_one(self, tmp_path, capsys):
         assert cli_main(["fsck", str(tmp_path / "nope")]) == 1
+
+
+def write_version_2(db, root):
+    """Materialize ``db`` in the version-2 layout by hand: one catalog,
+    one index and one tree file per video behind a version-2 manifest
+    (what builds before record files wrote)."""
+    (root / "trees").mkdir(parents=True)
+    (root / "videos").mkdir()
+    files = {}
+
+    def put(logical, relpath, data):
+        (root / relpath).write_bytes(data)
+        files[logical] = {
+            "path": relpath, "blake2s": digest_bytes(data), "bytes": len(data)
+        }
+
+    put("catalog", "catalog-g00000003.json", json.dumps(db.catalog.to_dict()).encode())
+    put("index", "index-g00000003.bin", db.index.to_bytes())
+    for vid, tree in db.trees.items():
+        put(
+            "tree:" + vid,
+            f"trees/{_safe_id(vid)}-g00000003.json",
+            json.dumps(scene_tree_to_dict(tree)).encode(),
+        )
+    manifest = {"version": 2, "generation": 3, "files": files}
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return sorted(record["path"] for record in files.values())
+
+
+def _oracle_key(db, point):
+    return [
+        (m.video_id, m.shot_number)
+        for m in scan_search(db.index.entries, _probe(point), db.config.query, limit=10)
+    ]
+
+
+def _probe(point):
+    from repro.index.query import VarianceQuery
+
+    return VarianceQuery(var_ba=point[0], var_oa=point[1])
+
+
+class TestVersion2Migration:
+    """A version-2 directory loads as before and migrates at its first
+    publish; garbage collection then deletes the files its manifest
+    tracked."""
+
+    POINTS = [(4.0, 9.0), (50.0, 120.0), (300.0, 10.0), (25.0, 25.0)]
+
+    def _v2(self, tmp_path, seed=8):
+        db = synth_database(seed, n_videos=3)
+        root = tmp_path / "v2"
+        v2_files = write_version_2(db, root)
+        return db, root, v2_files
+
+    def _assert_answers_like(self, db, reference):
+        for point in self.POINTS:
+            got = db.query(*point, limit=10)
+            assert [(m.video_id, m.shot_number) for m in got.matches] == _oracle_key(
+                reference, point
+            )
+            assert got.suggestions == reference.query(*point, limit=10).suggestions
+
+    def test_opens_and_matches_the_scan_oracle(self, tmp_path):
+        db, root, _ = self._v2(tmp_path)
+        loaded = VideoDatabase.load(root)
+        assert loaded.catalog.ids() == db.catalog.ids()
+        self._assert_answers_like(loaded, db)
+        assert DatabaseStorage(root).fsck().clean
+
+    @pytest.mark.parametrize("publish", ["save", "adopt", "remove"])
+    def test_first_publish_migrates_and_leaves_no_version_2_file(
+        self, tmp_path, publish
+    ):
+        db, root, v2_files = self._v2(tmp_path)
+        opened = VideoDatabase.open(root)
+        if publish == "save":
+            opened.save(root)
+        elif publish == "adopt":
+            opened.adopt(synth_record("fresh-video", np.random.default_rng(4)))
+            db.adopt(synth_record("fresh-video", np.random.default_rng(4)))
+        else:
+            victim = db.catalog.ids()[0]
+            opened.remove(victim)
+            db.remove(victim)
+        storage = DatabaseStorage(root)
+        manifest = storage.read_manifest()
+        assert manifest.version == MANIFEST_VERSION
+        assert manifest.generation == 4
+        assert set(manifest.files) == {RECORD_PREFIX + vid for vid in db.catalog.ids()}
+        assert not any((root / relpath).exists() for relpath in v2_files)
+        assert storage.fsck().clean and storage.fsck().untracked == []
+        assert cli_main(["fsck", str(root)]) == 0
+        reloaded = VideoDatabase.load(root)
+        assert reloaded.catalog.ids() == db.catalog.ids()
+        self._assert_answers_like(reloaded, db)
+
+
+class TestManifestChain:
+    """Checkpoint plus deltas: each publish commits one small delta;
+    a checkpoint replaces them once they outgrow it."""
+
+    def test_publish_commits_one_delta_per_change(self, tmp_path):
+        db, root, storage = _saved_db(tmp_path, n_videos=4)
+        checkpoint = storage.manifest_path.read_bytes()
+        opened = VideoDatabase.open(root)
+        opened.remove(db.catalog.ids()[0])
+        assert storage.manifest_path.read_bytes() == checkpoint
+        [delta] = storage.deltas_dir.iterdir()
+        payload = json.loads(delta.read_bytes())
+        assert payload == {
+            "version": MANIFEST_VERSION,
+            "generation": 2,
+            "set": {},
+            "drop": [RECORD_PREFIX + db.catalog.ids()[0]],
+        }
+        assert storage.read_manifest().generation == 2
+        assert storage.fsck().clean and storage.fsck().untracked == []
+
+    def test_checkpoint_replaces_deltas_once_they_outgrow_it(self, tmp_path):
+        root = tmp_path / "db"
+        db = VideoDatabase.open(root)
+        rng = np.random.default_rng(2)
+        storage = DatabaseStorage(root)
+        checkpoints = 0
+        previous = b""
+        for k in range(40):
+            db.adopt(synth_record(f"v{k:02d}", rng))
+            checkpoint = storage.manifest_path.read_bytes()
+            deltas = list(storage.deltas_dir.iterdir())
+            delta_bytes = sum(p.stat().st_size for p in deltas)
+            # The deltas never hold more bytes than the checkpoint.
+            assert delta_bytes <= len(checkpoint)
+            if checkpoint != previous:
+                checkpoints += 1
+                assert deltas == []  # the checkpoint folded them in
+            previous = checkpoint
+        assert 2 < checkpoints < 20
+        reloaded = VideoDatabase.load(root)
+        assert reloaded.catalog.ids() == db.catalog.ids()
+        assert storage.fsck().clean
+
+    def test_delta_at_or_below_the_checkpoint_is_litter(self, tmp_path):
+        db, root, storage = _saved_db(tmp_path)
+        stale = storage.deltas_dir / "manifest-g00000001.json"
+        stale.write_text("{torn")
+        assert VideoDatabase.load(root).catalog.ids() == db.catalog.ids()
+        report = storage.fsck()
+        assert report.clean
+        assert report.untracked == ["deltas/manifest-g00000001.json"]
+
+    def test_gap_in_the_chain_raises_and_fsck_reports_it(self, tmp_path):
+        db, root, storage = _saved_db(tmp_path, n_videos=3)
+        opened = VideoDatabase.open(root)
+        opened.remove(db.catalog.ids()[0])
+        opened.remove(db.catalog.ids()[1])
+        (storage.deltas_dir / "manifest-g00000002.json").unlink()
+        with pytest.raises(StorageError, match="manifest-g00000002.json is missing"):
+            VideoDatabase.load(root, recover=True)
+        report = storage.fsck()
+        assert not report.clean
+        [check] = report.problems()
+        assert (check.logical, check.status) == ("manifest", "missing")
+        assert check.path == "deltas/manifest-g00000002.json"
+
+    def test_failed_commit_after_its_rename_forces_a_checkpoint(self, tmp_path):
+        """A publish failing after its delta was renamed into place may
+        be on disk: the next publish must supersede it, not reuse its
+        generation."""
+        db, root, storage = _saved_db(tmp_path, n_videos=3)
+        ids = db.catalog.ids()
+        opened = VideoDatabase.open(root, fs=FaultyFS(mode="error", ops=("fsync_dir",)))
+        with pytest.raises(StorageError):
+            opened.remove(ids[0])
+        assert ids[0] in opened.catalog  # rolled back in memory
+        opened.remove(ids[1])
+        reloaded = VideoDatabase.load(root)
+        survivors = {ids[0], ids[2]}
+        assert set(reloaded.catalog.ids()) == set(opened.catalog.ids()) == survivors
+        assert json.loads(storage.manifest_path.read_text())["generation"] == 3
+        assert storage.fsck().clean and storage.fsck().untracked == []

@@ -7,7 +7,7 @@ from repro.config import PipelineConfig, QueryConfig
 from repro.errors import CatalogError, StorageError
 from repro.vdbms.catalog import Catalog, CatalogEntry
 from repro.vdbms.database import VideoDatabase
-from repro.vdbms.manifest import TREE_PREFIX
+from repro.vdbms.manifest import RECORD_PREFIX
 from repro.vdbms.storage import DatabaseStorage
 from repro.video.clip import VideoClip
 from repro.workloads.taxonomy import VideoCategory
@@ -75,7 +75,8 @@ class TestStorage:
         storage = DatabaseStorage(tmp_path / "db")
         storage.initialize()
         assert (tmp_path / "db" / "videos").is_dir()
-        assert (tmp_path / "db" / "trees").is_dir()
+        assert (tmp_path / "db" / "records").is_dir()
+        assert (tmp_path / "db" / "deltas").is_dir()
         assert not storage.exists()  # nothing saved yet
 
     def test_missing_file_raises(self, tmp_path):
@@ -229,14 +230,14 @@ class TestRemove:
         db = self._db(figure5, friends)
         root = db.save(tmp_path / "db")
         storage = DatabaseStorage(root)
-        tree_file = storage.current_tree_path("figure5")
-        assert tree_file is not None and tree_file.exists()
+        record_file = storage.record_path("figure5")
+        assert record_file is not None and record_file.exists()
         db.remove("figure5")
         db.save(root)
-        # The manifest no longer tracks the tree and its file is
-        # garbage-collected after the commit.
-        assert storage.current_tree_path("figure5") is None
-        assert not tree_file.exists()
+        # The manifest no longer tracks the video's record (which holds
+        # its tree) and the file is garbage-collected after the commit.
+        assert storage.record_path("figure5") is None
+        assert not record_file.exists()
         loaded = VideoDatabase.load(root)
         assert loaded.catalog.ids() == ["friends-restaurant"]
 
@@ -248,7 +249,8 @@ class TestRemove:
 
 
 def _tree_relpath(storage, video_id, generation=1):
-    return storage._target_relpath(TREE_PREFIX + video_id, generation)
+    """Where a publish writes the video's record (which holds its tree)."""
+    return storage._target_relpath(RECORD_PREFIX + video_id, generation)
 
 
 class TestSafeIdInjective:
