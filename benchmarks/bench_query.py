@@ -11,12 +11,11 @@ synthetic corpora of 2k, 10k and 100k shots:
   only — the same ones the identity check compares.  The asserted bar
   is at the 100k corpus.
 * **Batched execution** — one ``search_batch`` of 64 queries vs 64
-  sequential singles on the same index.  Batching amortizes the
-  per-call fixed cost (argument checks, array dispatch, result
-  splitting), so the bar is asserted at the smallest corpus where that
-  fixed cost is the larger share; at 10k/100k both paths are
-  candidate-bandwidth-bound (``search_batch`` switches to its
-  per-query kernel) and the ratio is reported unasserted.
+  sequential singles on the same index.  ``search_batch`` is the
+  per-query loop (batching pays off above the index: one HTTP round,
+  one scatter, one shard lock), so the bar bounds what the loop adds:
+  the batch costs at most 1.15x the sequential singles at every corpus
+  size.  The two are timed in alternating rounds, best of each.
 * **open() latency** — deserializing the checksummed binary column
   format, and its size (reported, not asserted).
 
@@ -28,8 +27,8 @@ runs just that gate (fast, for CI).
 
 Acceptance bars (asserted by ``main()``, relaxed under ``--smoke``):
 single-query >= 100x the scan at 100k shots (>= 25x at 20k under
-``--smoke``), batch-of-64 >= 3x sequential at 2k shots,
-disabled-tracing overhead bound <= 3%.
+``--smoke``), batch-of-64 <= 1.15x the sequential time at every corpus
+size (<= 1.3x under ``--smoke``), disabled-tracing overhead bound <= 3%.
 
 Run as a bench:
 
@@ -141,7 +140,7 @@ def run_single_query_bench(
 def run_batch_bench(
     entries: list[IndexEntry], batch: int = BATCH, rounds: int = 5
 ) -> dict[str, Any]:
-    """One vectorized batch of B queries vs B sequential singles."""
+    """One batch of B queries vs B sequential singles."""
     columnar = ColumnarVarianceIndex(entries)
     queries = build_queries(batch, seed=11)
     batched = columnar.search_batch(queries, limit=LIMIT)
@@ -152,17 +151,21 @@ def run_batch_bench(
         [(e.video_id, e.shot_number) for e in answer] for answer in singles
     ], "batch diverged from sequential singles"
 
-    sequential_s = _best_of(
-        lambda: [columnar.search(q, limit=LIMIT) for q in queries], rounds
-    )
-    batch_s = _best_of(lambda: columnar.search_batch(queries, limit=LIMIT), rounds)
+    # Alternating rounds: a host speed change moves both sides alike.
+    sequential, batched_s = [], []
+    for _ in range(rounds):
+        sequential.append(
+            _timed(lambda: [columnar.search(q, limit=LIMIT) for q in queries])
+        )
+        batched_s.append(_timed(lambda: columnar.search_batch(queries, limit=LIMIT)))
+    sequential_s, batch_s = min(sequential), min(batched_s)
     return {
         "n_shots": len(entries),
         "batch": batch,
         "limit": LIMIT,
         "sequential_ms": round(sequential_s * 1_000, 3),
         "batch_ms": round(batch_s * 1_000, 3),
-        "speedup": round(sequential_s / batch_s, 2),
+        "ratio": round(batch_s / sequential_s, 3),
     }
 
 
@@ -179,8 +182,8 @@ def run_open_bench(entries: list[IndexEntry], rounds: int = 5) -> dict[str, Any]
 
 
 # Guard sites one traced request crosses when a plain database answers a
-# /query (it is served as a one-shard cluster, whose shard routes its own
-# matches, so there is no cluster.merge): request, cache.get,
+# /query (it is served as a one-shard cluster, whose one answer needs no
+# cluster.merge): request, cache.get,
 # cluster.scatter, shard.query, shard.lock_wait, db.query, index.search,
 # db.routes — the disabled-overhead bound charges this many thread-local
 # reads per query.
@@ -232,7 +235,7 @@ def run_overhead_bench(
         for _ in range(guard_calls):
             current_trace()
 
-    untraced()  # warm the lazily built tie ranks and entry objects
+    untraced()  # warm the lazily built tie ranks
     per_query_s, guard_per_call_s, disabled, traced_pct = [], [], [], []
     for _ in range(rounds):
         query_s = _timed(untraced) / n_queries
@@ -263,7 +266,6 @@ def run_query_bench(
     """The full sweep; the largest corpus carries the asserted bars."""
     corpora = {n: build_entries(n) for n in corpus_sizes}
     largest = corpus_sizes[-1]
-    smallest = corpus_sizes[0]
     return {
         "single": [
             run_single_query_bench(corpora[n], n_queries, rounds) for n in corpus_sizes
@@ -273,31 +275,37 @@ def run_query_bench(
         ],
         "open": [run_open_bench(corpora[n]) for n in corpus_sizes],
         "overhead": run_overhead_bench(rounds=max(rounds, 5)),
-        "asserted_corpora": {"single": largest, "batch": smallest},
+        "asserted_corpora": {"single": largest, "batch": list(corpus_sizes)},
     }
 
 
-def _bar(report: dict[str, Any], section: str) -> float:
-    target = report["asserted_corpora"][section]
-    for row in report[section]:
+def _single_bar(report: dict[str, Any]) -> float:
+    target = report["asserted_corpora"]["single"]
+    for row in report["single"]:
         if row["n_shots"] == target:
             return row["speedup"]
-    raise AssertionError(f"no {section} row at {target} shots")
+    raise AssertionError(f"no single row at {target} shots")
+
+
+def _batch_bar(report: dict[str, Any]) -> float:
+    """The worst batch/sequential ratio over the corpus sizes."""
+    return max(row["ratio"] for row in report["batch"])
 
 
 def check_acceptance(report: dict[str, Any], smoke: bool = False) -> None:
-    """The PR's acceptance bars (looser under --smoke: tiny corpora on
+    """The acceptance bars (looser under --smoke: tiny corpora on
     shared CI boxes are too noisy for the strict thresholds)."""
-    single = _bar(report, "single")
-    batch = _bar(report, "batch")
+    single = _single_bar(report)
+    batch = _batch_bar(report)
     min_single = 25.0 if smoke else 100.0
-    min_batch = 1.2 if smoke else 3.0
+    max_batch = 1.3 if smoke else 1.15
     assert single >= min_single, (
         f"columnar single-query speedup over the scan {single}x below "
         f"{min_single}x"
     )
-    assert batch >= min_batch, (
-        f"batch-of-{BATCH} speedup {batch}x below {min_batch}x"
+    assert batch <= max_batch, (
+        f"batch-of-{BATCH} costs {batch}x the sequential singles, above "
+        f"{max_batch}x"
     )
     overhead = report.get("overhead")
     if overhead is not None:
@@ -317,8 +325,8 @@ def bench_query_engine(benchmark):
         iterations=1,
     )
     check_acceptance(report, smoke=True)
-    benchmark.extra_info["single_speedup"] = _bar(report, "single")
-    benchmark.extra_info["batch_speedup"] = _bar(report, "batch")
+    benchmark.extra_info["single_speedup"] = _single_bar(report)
+    benchmark.extra_info["batch_ratio"] = _batch_bar(report)
 
 
 def _print_overhead(row: dict[str, Any]) -> None:
@@ -357,7 +365,7 @@ def main(argv: list[str] | None = None) -> None:
         print(
             f"batch  {row['n_shots']:>7} shots: {row['batch']} sequential "
             f"{row['sequential_ms']:.3f}ms vs batched {row['batch_ms']:.3f}ms "
-            f"({row['speedup']}x)"
+            f"({row['ratio']}x the sequential time)"
         )
     for row in report["open"]:
         print(

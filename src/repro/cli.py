@@ -153,7 +153,7 @@ def _cmd_shots(args: argparse.Namespace) -> int:
     rows = [
         entry.to_row()
         for entry in sorted(
-            (e for e in db.index.entries if e.video_id == args.video),
+            db.index.entries_for(args.video),
             key=lambda e: e.shot_number,
         )
     ]
@@ -307,7 +307,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 0
     # Batch path: a JSON list of {"var_ba", "var_oa"} points (or an
     # object wrapping one under "queries", with an optional "limit"),
-    # answered by one vectorized pass through the columnar engine.
+    # answered by one query_batch call.
     try:
         spec = json.loads(Path(args.batch_file).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -317,6 +317,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if isinstance(spec, dict):
         limit = spec.get("limit")
         spec = spec.get("queries")
+    if limit is not None and (type(limit) is not int or limit < 1):
+        print(f"error: limit must be a positive integer, got {limit!r}", file=sys.stderr)
+        return 2
     if not isinstance(spec, list) or not spec:
         print(
             "error: batch file must hold a non-empty list of "
@@ -982,13 +985,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="JSON file with a batch of query points — a list of "
         '{"var_ba": .., "var_oa": ..} objects (or {"queries": [...], '
-        '"limit": ..}) answered in one vectorized pass',
+        '"limit": ..}) answered in one batch call',
     )
     p.add_argument(
         "--explain",
         action="store_true",
         help="print the query's span tree (band-probe bounds, candidate "
-        "and pruned counts, kernel choice, per-stage timings) plus "
+        "and pruned counts, per-stage timings) plus "
         "index statistics after the results (docs/OBSERVABILITY.md)",
     )
     p.set_defaults(func=_cmd_query)

@@ -69,7 +69,7 @@ from ..errors import (
     ShardUnavailableError,
 )
 from ..index.query import VarianceQuery
-from ..index.routing import SceneRoute, route_to_scene_nodes
+from ..index.routing import SceneRoute
 from ..index.table import IndexEntry
 from ..obs import attach as _attach, current_trace as _current_trace, span as _span
 from ..scenetree.nodes import SceneTree
@@ -736,23 +736,22 @@ class ClusterCoordinator:
                     raise FutureTimeout()
                 else:
                     results[shard.shard_id] = one(shard, locked)
-            except (FutureTimeout, ServiceTimeout) as exc:
+            except (FutureTimeout, ServiceTimeout):
                 if future is not None:
                     future.cancel()
                 # A budget spent before the call held the shard's read
-                # lock (queued behind a writer) is "busy": retryable,
+                # lock — queued behind a writer, or never started because
+                # an earlier inline call spent it — is "busy": retryable,
                 # but no sign of a sick shard (ShardSupervisor does not
                 # count it).  A call that held the lock and still ran
                 # late is a slow shard: "deadline".
-                busy = isinstance(exc, ServiceTimeout) or (
-                    future is not None and shard.shard_id not in locked
-                )
+                busy = shard.shard_id not in locked
                 failed.append(
                     {
                         "shard": shard.name,
                         "reason": "busy" if busy else "deadline",
                         "error": "per-shard deadline budget exhausted"
-                        + (" waiting for the shard lock" if busy else ""),
+                        + ("; shard not tried (read lock never held)" if busy else ""),
                     }
                 )
             except ShardUnavailableError as exc:
@@ -846,20 +845,15 @@ class ClusterCoordinator:
     ) -> list[ClusterAnswer]:
         """Answer B impression queries in a *single* scatter-gather round.
 
-        Each shard answers the whole batch in one vectorized index pass
-        (``VideoDatabase.query_batch``) under one read-lock acquisition
-        bounded by the request's remaining deadline budget.  Every
-        query goes to every shard with the *same* ``limit`` (the global
-        top-k is a subset of the union of per-shard top-k).
-
-        Shards return ranked matches only; the coordinator then
-        dedups, ranks and caps per query, and computes browsing routes
-        once, for the merged winners, from scene-tree snapshots the
-        shards captured under their read locks — per-shard top-k
-        candidates that lose the merge cost no route work.  A
-        one-shard cluster has nothing to merge: its shard's answers,
-        routed under its read lock exactly as one database routes
-        them, are the answers.
+        Each shard answers the whole batch (``VideoDatabase.query_batch``)
+        under one read-lock acquisition bounded by the request's
+        remaining deadline budget, and routes its own matches there, as
+        one database does — so every route matches its match even if a
+        rebalance moves the video afterwards.  Every query goes to every
+        shard with the *same* ``limit`` (the global top-k is a subset of
+        the union of per-shard top-k).  The coordinator then dedups the
+        shards' routes by shot, ranks them and caps per query; a single
+        shard's answers have nothing to merge and are returned as is.
 
         Failed or late shards are reported in ``shards_failed`` and the
         answers are built from the rest.  A failure degrades the whole
@@ -871,18 +865,12 @@ class ClusterCoordinator:
         queries = [VarianceQuery(var_ba=ba, var_oa=oa) for ba, oa in points]
         single = len(queries) == 1
         shard_span_name = "shard.query" if single else "shard.query_batch"
-        # Routes are most of a miss.  Computed outside the shard lock,
-        # they would share the interpreter with an ingest pipeline that
-        # the lock otherwise holds off, so a lone shard routes under it.
-        lone = self.n_shards == 1
         ctx = _current_trace()
         scatter = ctx.begin("cluster.scatter") if ctx is not None else None
         if scatter is not None and not single:
             scatter.annotate(n_queries=len(queries))
 
-        def one(
-            shard: Shard, locked: set[int]
-        ) -> tuple[list[QueryAnswer], dict[str, SceneTree]]:
+        def one(shard: Shard, locked: set[int]) -> list[QueryAnswer]:
             # Re-attach the trace on pool workers so per-shard spans
             # parent under the scatter span (no-op when untraced).
             with _attach(ctx, scatter):
@@ -895,24 +883,14 @@ class ClusterCoordinator:
                             limit=limit,
                             category=category,
                             config=config,
-                            with_routes=lone,
                             exclude_shots=exclude_shots,
                         )
-                        # Immutable snapshots for post-merge routing:
-                        # captured under the lock, so they match the
-                        # matches even if a rebalance removes the video
-                        # from this shard later.
-                        trees = {} if lone else {
-                            m.video_id: shard.db.trees[m.video_id]
-                            for answer in answers
-                            for m in answer.matches
-                        }
                     shard.queries += 1
                     if ctx is not None:
                         shard_span.annotate(
                             matches=sum(len(answer.matches) for answer in answers)
                         )
-                    return answers, trees
+                    return answers
 
         # Seqlock read side: a scatter is a non-atomic multi-shard
         # snapshot, so a concurrent move could in principle hide its
@@ -939,9 +917,7 @@ class ClusterCoordinator:
             )
         if scatter is not None:
             gathered = sum(
-                len(answer.matches)
-                for answers, _ in results.values()
-                for answer in answers
+                len(answer.matches) for answers in results.values() for answer in answers
             )
             scatter.annotate(
                 fan_out=self.n_shards,
@@ -954,29 +930,24 @@ class ClusterCoordinator:
             if recovered:
                 scatter.annotate(shards_recovered=recovered)
             scatter.end()
-        if lone and results:
-            [(final, _)] = results.values()
+        if len(results) == 1:
+            [final] = results.values()
         else:
             with _span("cluster.merge") as merge_span:
-                trees: dict[str, SceneTree] = {}
-                for _, shard_trees in results.values():
-                    trees.update(shard_trees)
                 final = []
                 for k, query in enumerate(queries):
                     # Dedup by shot identity (replicas and mid-rebalance
-                    # copies answer twice), then rank, cap, and route the
-                    # winners exactly as one database does.
+                    # copies answer twice), then rank and cap.
                     unique = {
-                        (m.video_id, m.shot_number): m
-                        for answers, _ in results.values()
-                        for m in answers[k].matches
+                        (r.entry.video_id, r.entry.shot_number): r
+                        for answers in results.values()
+                        for r in answers[k].routes
                     }
-                    matches = sorted(unique.values(), key=query.rank_key)[:limit]
+                    routes = sorted(
+                        unique.values(), key=lambda r: query.rank_key(r.entry)
+                    )[:limit]
                     final.append(
-                        QueryAnswer(
-                            matches=matches,
-                            routes=route_to_scene_nodes(matches, trees),
-                        )
+                        QueryAnswer(matches=[r.entry for r in routes], routes=routes)
                     )
                 if scatter is not None:
                     merge_span.annotate(

@@ -187,9 +187,10 @@ class QueryConfig:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+        # Written so NaN fails too: it compares False with everything.
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise QueryError(
-                f"alpha/beta must be non-negative, got {self.alpha}/{self.beta}"
+                f"alpha/beta must be non-negative numbers, got {self.alpha}/{self.beta}"
             )
 
 

@@ -33,7 +33,7 @@ def run(scale: float = 1.0, seed: int = 2000) -> Table4Result:
     for video_id in database.catalog.ids():
         rows = []
         for entry in sorted(
-            (e for e in database.index.entries if e.video_id == video_id),
+            database.index.entries_for(video_id),
             key=lambda e: e.shot_number,
         ):
             row = entry.to_row()

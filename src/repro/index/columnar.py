@@ -27,10 +27,10 @@ the lexsort keys mirror ``rank_key``'s ``(distance, d_v, sqrt_var_ba,
 video_id, shot_number)`` total order exactly — the contract the
 cluster scatter-gather merge relies on.
 
-:meth:`search_batch` answers B impression queries in one vectorized
-pass (shared searchsorted, one flat candidate array, one lexsort with
-the query index as the primary key) — the engine room of
-``VideoDatabase.query_batch`` and the ``POST /query/batch`` endpoint.
+:meth:`search_batch` answers B impression queries, one :meth:`search`
+each — the engine room of ``VideoDatabase.query_batch`` and the
+``POST /query/batch`` endpoint.  Entries are built per call from the
+columns; the index holds no row objects.
 
 Inserts append to a small pending buffer that is merged into the main
 columns past a threshold (or on the first read), so per-shot insertion
@@ -84,11 +84,6 @@ _CHECKSUM_BYTES = 16
 
 #: Pending inserts tolerated before a merge into the main columns.
 _DEFAULT_MERGE_THRESHOLD = 512
-
-#: Average Eq. 7 band rows per query above which a batch abandons flat
-#: expansion for the per-query kernel (candidate bandwidth dominates
-#: per-call fixed cost past this point).
-_BATCH_FLAT_BAND_LIMIT = 1024
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 
@@ -171,8 +166,8 @@ def _encode(
 
 
 class ColumnarVarianceIndex:
-    """Parallel numpy columns sorted by ``D^v``, with vectorized single
-    and batched search and a binary column serialization.
+    """Parallel numpy columns sorted by ``D^v``, with vectorized search
+    and a binary column serialization.
 
     Args:
         entries: initial entries (any order; sorted internally).
@@ -202,7 +197,6 @@ class ColumnarVarianceIndex:
         )
         #: Unsorted pending inserts, one row per column tuple.
         self._pending: list[tuple] = []
-        self._entries_cache: tuple[IndexEntry, ...] | None = None
         for entry in entries:
             self.insert(entry)
         self._prepare()
@@ -232,12 +226,9 @@ class ColumnarVarianceIndex:
         # values the per-entry properties (IndexEntry.d_v) compute.
         self._sqrt_ba = np.sqrt(self._var_ba)
         self._d_v = self._sqrt_ba - np.sqrt(self._var_oa)
-        # Row tie-ranks and materialized entry objects are derived
-        # lazily (first search / first materialization) — rebinding
-        # columns invalidates both.
+        # Row tie-ranks are derived lazily (first search) — rebinding
+        # columns invalidates them.
         self._tie_rank: np.ndarray | None = None
-        self._entry_objs = np.empty(self._var_ba.shape[0], dtype=object)
-        self._entry_done = np.zeros(self._var_ba.shape[0], dtype=np.bool_)
 
     def _columns(self) -> dict[str, np.ndarray]:
         """The main columns by persisted name (``_COLUMNS`` order)."""
@@ -288,7 +279,6 @@ class ColumnarVarianceIndex:
             self._intern_archetype(entry.archetype),
         )
         self._pending.append(row)
-        self._entries_cache = None
         if len(self._pending) >= self._merge_threshold:
             self._prepare()
 
@@ -376,7 +366,6 @@ class ColumnarVarianceIndex:
             self._set_columns(
                 {name: col[keep] for name, col in self._columns().items()}
             )
-            self._entries_cache = None
         return removed
 
     def __len__(self) -> int:
@@ -413,46 +402,32 @@ class ColumnarVarianceIndex:
     # entry materialization
     # ------------------------------------------------------------------
 
-    def _entry_at(self, i: int) -> IndexEntry:
-        entry = self._entry_objs[i]
-        if entry is None:
-            arch = int(self._arch[i])
-            entry = IndexEntry(
-                video_id=self._video_ids[int(self._vid[i])],
-                shot_number=int(self._shot[i]),
-                start_frame=int(self._start[i]),
-                end_frame=int(self._end[i]),
-                features=FeatureVector(
-                    var_ba=float(self._var_ba[i]), var_oa=float(self._var_oa[i])
-                ),
-                archetype=self._archetypes[arch] if arch >= 0 else None,
+    def _rows(self, rows: np.ndarray | slice) -> list[IndexEntry]:
+        """The entries at ``rows`` (positions or a slice), built from
+        the columns: one ``tolist`` per column, then the constructors.
+        Nothing is kept, so memory does not grow with rows served."""
+        videos, archetypes = self._video_ids, self._archetypes
+        # Positional arguments: keyword calls cost a dataclass __init__
+        # about twice as much, and this runs for every row returned.
+        return [
+            IndexEntry(
+                videos[vid],
+                shot,
+                start,
+                end,
+                FeatureVector(var_ba, var_oa),
+                archetypes[arch] if arch >= 0 else None,
             )
-            # Entries are frozen, so hot rows are materialized once and
-            # shared.  Benign if two readers race: same value.
-            self._entry_objs[i] = entry
-            self._entry_done[i] = True
-        return entry
-
-    def _entries_at(self, rows: np.ndarray) -> list[IndexEntry]:
-        """Materialize many rows at once: one object-array gather for
-        the warm rows, Python construction only for cache misses."""
-        if not self._entry_done[rows].all():
-            for i in rows:
-                self._entry_at(i)
-        return self._entry_objs[rows].tolist()
+            for var_ba, var_oa, shot, start, end, vid, arch in zip(
+                *(col[rows].tolist() for col in self._columns().values())
+            )
+        ]
 
     @property
     def entries(self) -> tuple[IndexEntry, ...]:
-        """Entries in ``D^v`` order (immutable cached view, no copy
-        per access)."""
-        cached = self._entries_cache
-        if cached is None:
-            self._prepare()
-            cached = tuple(
-                self._entry_at(i) for i in range(self._var_ba.shape[0])
-            )
-            self._entries_cache = cached
-        return cached
+        """Every entry, in ``D^v`` order."""
+        self._prepare()
+        return tuple(self._rows(slice(None)))
 
     def entries_for(self, video_id: str) -> list[IndexEntry]:
         """One video's entries in ``D^v`` order (vectorized filter)."""
@@ -460,7 +435,7 @@ class ColumnarVarianceIndex:
         if code is None:
             return []
         self._prepare()
-        return [self._entry_at(i) for i in np.nonzero(self._vid == code)[0]]
+        return self._rows(np.nonzero(self._vid == code)[0])
 
     def lookup(self, video_id: str, shot_number: int) -> IndexEntry | None:
         """One shot's entry, or None when absent."""
@@ -469,7 +444,7 @@ class ColumnarVarianceIndex:
             return None
         self._prepare()
         hits = np.nonzero((self._vid == code) & (self._shot == shot_number))[0]
-        return self._entry_at(int(hits[0])) if hits.size else None
+        return self._rows(hits[:1])[0] if hits.size else None
 
     # ------------------------------------------------------------------
     # queries
@@ -489,7 +464,7 @@ class ColumnarVarianceIndex:
         """Entries with ``low <= D^v <= high`` (the Eq. 7 band)."""
         self._prepare()
         lo, hi = self._band(low, high)
-        return [self._entry_at(i) for i in range(lo, hi)]
+        return self._rows(slice(lo, hi))
 
     def search(
         self,
@@ -517,7 +492,6 @@ class ColumnarVarianceIndex:
                 # Annotations only echo values already computed above —
                 # the traced and untraced paths take identical decisions.
                 span.annotate(
-                    kernel="single",
                     band_low=q_dv - config.alpha,
                     band_high=q_dv + config.alpha,
                     band_rows=hi - lo,
@@ -569,7 +543,7 @@ class ColumnarVarianceIndex:
             order = ord0[np.argsort(dist[ord0], kind="stable")]
             if limit is not None:
                 order = order[:limit]
-            result = [self._entry_at(i) for i in cand[order]]
+            result = self._rows(cand[order])
             if span is not None:
                 span.annotate(returned=len(result))
             return result
@@ -584,21 +558,11 @@ class ColumnarVarianceIndex:
         limit: int | None = None,
         exclude_shots: Sequence[tuple[str, int] | None] | None = None,
     ) -> list[list[IndexEntry]]:
-        """Answer B impression queries in one vectorized pass.
-
-        Equivalent to ``[self.search(q, ...) for q in queries]`` —
-        asserted by the property suite.  When the per-query Eq. 7
-        bands are small (the common top-k regime, where per-call fixed
-        cost dominates), the searchsorted calls, the Eq. 8 masks, the
-        distances, and the ranking sort all run once over a flat
-        candidate array with the query index as the primary sort key.
-        When the bands are large the work is candidate-bandwidth-bound
-        and flat expansion stops paying, so execution switches to the
-        per-query kernel — batching is then throughput-neutral and its
-        value is transport amortization (one HTTP/scatter round).  A
-        batch of one goes straight to the per-query kernel (and is
-        traced as the ``index.search`` it is): flat expansion has no
-        per-call cost to share there, only array set-up to add.
+        """Answer B impression queries: ``[self.search(q, ...) for q in
+        queries]``.  Batching pays off above the index, in one HTTP
+        round, one scatter and one shard lock per batch.  A batch of one
+        is traced as the ``index.search`` it is; a larger one nests its
+        searches under one ``index.search_batch`` span.
 
         Args:
             queries: the impression queries.
@@ -607,143 +571,24 @@ class ColumnarVarianceIndex:
             exclude_shots: optional per-query ``(video_id,
                 shot_number)`` exclusions, aligned with ``queries``.
         """
-        config = config or QueryConfig()
         n_queries = len(queries)
-        if n_queries == 0:
-            return []
         if exclude_shots is not None and len(exclude_shots) != n_queries:
             raise IndexError_(
                 f"{len(exclude_shots)} exclusions for {n_queries} queries"
             )
-        if n_queries == 1:
-            exclude_shot = None if exclude_shots is None else exclude_shots[0]
-            return [self.search(queries[0], config, limit, exclude_shot)]
-        ctx = _current_trace()
+        excludes = exclude_shots if exclude_shots is not None else [None] * n_queries
+        ctx = _current_trace() if n_queries > 1 else None
         span = ctx.begin("index.search_batch") if ctx is not None else None
         try:
-            return self._search_batch(queries, config, limit, exclude_shots, span)
+            if span is not None:
+                span.annotate(n_queries=n_queries)
+            return [
+                self.search(query, config, limit, exclude)
+                for query, exclude in zip(queries, excludes)
+            ]
         finally:
             if span is not None:
                 span.end()
-
-    def _search_batch(
-        self,
-        queries: Sequence[VarianceQuery],
-        config: QueryConfig,
-        limit: int | None,
-        exclude_shots: Sequence[tuple[str, int] | None] | None,
-        span: Any,
-    ) -> list[list[IndexEntry]]:
-        """The batch kernel; ``span`` (a Span or None) collects the
-        kernel-choice and candidate-count annotations."""
-        n_queries = len(queries)
-        pending = len(self._pending)
-        self._prepare()
-        q_dv = np.array([q.d_v for q in queries], dtype=np.float64)
-        q_sba = np.array([q.sqrt_var_ba for q in queries], dtype=np.float64)
-        lows = q_dv - config.alpha
-        highs = q_dv + config.alpha
-        if np.isnan(lows).any() or np.isnan(highs).any():
-            bad = int(np.nonzero(np.isnan(lows) | np.isnan(highs))[0][0])
-            raise IndexError_(
-                f"range bounds must not be NaN, got "
-                f"[{lows[bad]}, {highs[bad]}] (query {bad})"
-            )
-        los = np.searchsorted(self._d_v, lows, side="left")
-        his = np.searchsorted(self._d_v, highs, side="right")
-        lengths = his - los
-        total = int(lengths.sum())
-        if span is not None:
-            span.annotate(
-                n_queries=n_queries, band_rows=total, pending_merged=pending
-            )
-        if total == 0:
-            if span is not None:
-                span.annotate(kernel="flat", candidates=0, pruned=0)
-            return [[] for _ in range(n_queries)]
-        if total > n_queries * _BATCH_FLAT_BAND_LIMIT:
-            # The per-query fallback calls ``search``, whose own spans
-            # nest under this one.
-            if span is not None:
-                span.annotate(kernel="per-query")
-            return [
-                self.search(
-                    query,
-                    config,
-                    limit=limit,
-                    exclude_shot=None if exclude_shots is None else exclude_shots[k],
-                )
-                for k, query in enumerate(queries)
-            ]
-        qidx = np.repeat(np.arange(n_queries), lengths)
-        starts = np.cumsum(lengths) - lengths
-        cand = np.arange(total) + np.repeat(los - starts, lengths)
-        sba = self._sqrt_ba[cand]
-        mask = (sba >= (q_sba - config.beta)[qidx]) & (
-            sba <= (q_sba + config.beta)[qidx]
-        )
-        if exclude_shots is not None:
-            ex_vid = np.array(
-                [
-                    -1 if ex is None else self._video_code.get(ex[0], -1)
-                    for ex in exclude_shots
-                ],
-                dtype=np.int64,
-            )
-            ex_shot = np.array(
-                [-1 if ex is None else ex[1] for ex in exclude_shots],
-                dtype=np.int64,
-            )
-            mask &= ~(
-                (self._vid[cand] == ex_vid[qidx])
-                & (self._shot[cand] == ex_shot[qidx])
-            )
-        cand = cand[mask]
-        qidx = qidx[mask]
-        if span is not None:
-            span.annotate(
-                kernel="flat",
-                candidates=int(cand.size),
-                pruned=total - int(cand.size),
-            )
-        results: list[list[IndexEntry]] = [[] for _ in range(n_queries)]
-        if cand.size == 0:
-            return results
-        d_v = self._d_v[cand]
-        sqrt_ba = self._sqrt_ba[cand]
-        dx = q_dv[qidx] - d_v
-        dy = q_sba[qidx] - sqrt_ba
-        dist = np.sqrt(dx * dx + dy * dy)
-        tie = self._tie_ranks()[cand]
-        # (query, distance, tie_rank) order via three successive
-        # argsorts (LSD radix over the keys; the unique first key needs
-        # no stability) — far cheaper than one multi-key lexsort at
-        # batch candidate counts.
-        ord0 = np.argsort(tie)
-        ord1 = ord0[np.argsort(dist[ord0], kind="stable")]
-        order = ord1[np.argsort(qidx[ord1], kind="stable")]
-        ranked_q = qidx[order]
-        bounds = np.searchsorted(ranked_q, np.arange(n_queries + 1))
-        if limit is not None and limit > 0:
-            # Vectorized per-query top-k: keep each candidate whose
-            # position within its query's block is below the limit,
-            # then materialize the survivors in one pass.
-            pos = np.arange(order.size, dtype=np.int64) - np.repeat(
-                bounds[:-1], np.diff(bounds)
-            )
-            order = order[pos < limit]
-            ranked_q = qidx[order]
-            bounds = np.searchsorted(ranked_q, np.arange(n_queries + 1))
-            ranked = self._entries_at(cand[order])
-            return [
-                ranked[bounds[b] : bounds[b + 1]] for b in range(n_queries)
-            ]
-        for b in range(n_queries):
-            sel = order[bounds[b] : bounds[b + 1]]
-            if limit is not None:
-                sel = sel[:limit]
-            results[b] = [self._entry_at(i) for i in cand[sel]]
-        return results
 
     # ------------------------------------------------------------------
     # binary column persistence

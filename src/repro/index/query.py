@@ -47,9 +47,10 @@ class VarianceQuery:
     d_v: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.var_ba < 0 or self.var_oa < 0:
+        # Written so NaN fails too: it compares False with everything.
+        if not (0 <= self.var_ba < math.inf and 0 <= self.var_oa < math.inf):
             raise QueryError(
-                f"query variances must be non-negative, got "
+                f"query variances must be finite and non-negative, got "
                 f"({self.var_ba}, {self.var_oa})"
             )
         object.__setattr__(self, "sqrt_var_ba", math.sqrt(self.var_ba))

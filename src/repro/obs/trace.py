@@ -4,7 +4,7 @@ A :class:`TraceContext` is one request's worth of spans — a tree rooted
 at the span created with the context itself.  Spans are timed with
 ``time.perf_counter()`` (monotonic; wall-clock steps never skew a
 duration) and carry free-form annotations (band bounds, candidate
-counts, kernel choice, ...) attached by the code that owns the numbers.
+counts, ...) attached by the code that owns the numbers.
 
 Propagation is thread-local and explicit:
 

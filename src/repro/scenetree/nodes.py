@@ -119,6 +119,10 @@ class SceneTree:
         self.root = root
         self.leaves = leaves
         self.clip_name = clip_name
+        #: Representative frame -> largest node carrying it, built on
+        #: first use.  Trees are finished before anything routes on
+        #: them, so the map is never invalidated.
+        self._largest: dict[int | None, SceneNode] | None = None
 
     # ------------------------------------------------------------------
     # queries
@@ -161,13 +165,21 @@ class SceneTree:
 
         Sec. 4.2: "the system can return the largest scenes that share
         the same representative frame with one of the matching shots".
+        Ties on level go to the first node in :meth:`nodes` order.  The
+        first call walks the tree once to build the frame -> node map
+        that every call looks up: queries route each match.
         """
-        best: SceneNode | None = None
-        for node in self.nodes():
-            if node.representative_frame == frame_index:
+        largest = self._largest
+        if largest is None:
+            largest = {}
+            for node in self.nodes():
+                best = largest.get(node.representative_frame)
                 if best is None or node.level > best.level:
-                    best = node
-        return best
+                    largest[node.representative_frame] = node
+            # Bound once complete: a concurrent first call builds an
+            # equal map and never sees a partial one.
+            self._largest = largest
+        return largest.get(frame_index)
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`SceneTreeError`.

@@ -1002,7 +1002,7 @@ class ServiceEngine:
         category: VideoCategory | None = None,
         deadline: Deadline | None = None,
     ) -> dict[str, Any]:
-        """Answer a batch of impression queries in one vectorized pass.
+        """Answer a batch of impression queries in one scatter round.
 
         ``queries`` is the request's ``queries`` field: a non-empty
         list of ``{"var_ba": .., "var_oa": ..}`` objects (at most
@@ -1011,9 +1011,8 @@ class ServiceEngine:
         bounded by the request ``deadline``, and shares one
         alpha/beta/limit/category scope.
 
-        The result cache is bypassed: a batch is answered by one index
-        pass, so per-point cache probes would serialize exactly the
-        work batching amortizes.  Per-batch metrics:
+        The result cache is bypassed: the whole batch is answered in
+        one scatter round.  Per-batch metrics:
         ``query_batch_requests`` counts calls, ``query_batch_queries``
         the points answered.
         """

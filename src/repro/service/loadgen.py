@@ -41,7 +41,7 @@ class LoadgenConfig:
         query_pool: number of distinct query points clients draw from
             (smaller pool -> higher cache hit rate).
         batch: when > 0, query requests carry ``batch`` points each to
-            ``POST /query/batch`` (one vectorized pass server-side)
+            ``POST /query/batch`` (one scatter round server-side)
             instead of one point to ``/query``.
         browse_every: every k-th request per worker is a catalog /
             shots / tree read instead of a query.

@@ -283,7 +283,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             body = self._json_body()
             payload = engine.query_batch(
                 body.get("queries"),
-                limit=self._int_param(body, "limit"),
+                limit=self._limit_param(body),
                 alpha=self._optional_float(body, "alpha"),
                 beta=self._optional_float(body, "beta"),
                 deadline=self._deadline,
@@ -298,7 +298,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             payload, was_cached = engine.query(
                 var_ba=self._float_param(params, "var_ba"),
                 var_oa=self._float_param(params, "var_oa"),
-                limit=self._int_param(params, "limit"),
+                limit=self._limit_param(params),
                 alpha=self._optional_float(params, "alpha"),
                 beta=self._optional_float(params, "beta"),
                 deadline=self._deadline,
@@ -395,13 +395,16 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             raise _HTTPProblem(400, f"parameter {name!r} must be a number") from None
 
     @staticmethod
-    def _int_param(params: dict[str, Any], name: str) -> int | None:
-        if params.get(name) is None:
+    def _limit_param(params: dict[str, Any]) -> int | None:
+        if params.get("limit") is None:
             return None
         try:
-            return int(params[name])
+            limit = int(params["limit"])
         except (TypeError, ValueError):
-            raise _HTTPProblem(400, f"parameter {name!r} must be an integer") from None
+            raise _HTTPProblem(400, "parameter 'limit' must be an integer") from None
+        if limit < 1:
+            raise _HTTPProblem(400, f"limit must be a positive integer, got {limit}")
+        return limit
 
     # ------------------------------------------------------------------
     # response writing

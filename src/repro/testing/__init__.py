@@ -18,7 +18,8 @@ without running detection (for property-based persistence tests).
 
 :mod:`repro.testing.reference` holds the independently-derived
 references the fast paths are checked against: the multi-pass
-extraction pipeline and the stage-3 dynamic program.
+extraction pipeline, the stage-3 dynamic program and the scene-tree
+route walk.
 """
 
 from .chaos import (
@@ -41,7 +42,7 @@ from .faults import (
     sweep_kill_points,
 )
 from .golden import GOLDEN_SPECS, GoldenSpec, build_clip
-from .reference import longest_match_run_dp, reference_extract
+from .reference import largest_scene_walk, longest_match_run_dp, reference_extract
 from .synth import add_synth_video, synth_database, synth_record
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "break_shard_queries",
     "build_clip",
     "inject_bit_rot",
+    "largest_scene_walk",
     "longest_match_run_dp",
     "reference_extract",
     "run_overload_burst",

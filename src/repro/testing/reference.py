@@ -7,7 +7,10 @@ and the perf benches compare each with its fast path:
   → unfold → resample → repeated Gaussian REDUCE), which the fused
   operators of :mod:`repro.signature.extract` match byte for byte;
 * :func:`longest_match_run_dp` — the row-by-row dynamic program, which
-  :func:`repro.sbd.stages.longest_match_run` matches exactly.
+  :func:`repro.sbd.stages.longest_match_run` matches exactly;
+* :func:`largest_scene_walk` — the Sec. 4.2 route as a walk over every
+  node, which :meth:`repro.scenetree.nodes.SceneTree.largest_scene_with_representative`
+  matches node for node.
 
 The index's ground truth is the table scan
 :func:`repro.index.query.search`, which ships with the index.
@@ -20,9 +23,11 @@ import numpy as np
 from ..errors import DimensionError
 from ..pyramid.reduce import reduce_line
 from ..sbd.stages import _validate_signature_pair
+from ..scenetree.nodes import SceneNode, SceneTree
 from ..signature.extract import ClipFeatures, SignatureExtractor, _quantize
 
 __all__ = [
+    "largest_scene_walk",
     "longest_match_run_dp",
     "reduce_to_one",
     "reference_extract",
@@ -104,4 +109,16 @@ def longest_match_run_dp(
         if row_best > best:
             best = row_best
         prev = current
+    return best
+
+
+def largest_scene_walk(tree: SceneTree, frame_index: int | None) -> SceneNode | None:
+    """The highest-level node whose representative frame is
+    ``frame_index``, by a walk over every node; ties on level go to the
+    first node in ``tree.nodes()`` order."""
+    best: SceneNode | None = None
+    for node in tree.nodes():
+        if node.representative_frame == frame_index:
+            if best is None or node.level > best.level:
+                best = node
     return best

@@ -261,10 +261,8 @@ class VideoDatabase:
         first, so the cap applies after it.
 
         ``with_routes=False`` skips computing browsing routes and
-        returns ``routes=[]`` — for callers that rank candidates from
-        several databases and only route the merged winners (the
-        cluster coordinator), so per-shard top-k work is not thrown
-        away at the merge.
+        returns ``routes=[]`` — for callers that only need the ranking
+        (a benchmark timing the routes apart from the search).
 
         A single query is a batch of one (:meth:`query_batch`).
         """
@@ -286,20 +284,17 @@ class VideoDatabase:
         with_routes: bool = True,
         exclude_shots: Sequence[tuple[str, int] | None] | None = None,
     ) -> list[QueryAnswer]:
-        """Answer B impression queries in one vectorized index pass.
+        """Answer B impression queries in one call.
 
         Equivalent to ``[self.query(ba, oa, ...) for ba, oa in
         points]`` (checked against the scan oracle by the property
-        suite), but the columnar engine answers the whole batch with
-        shared searchsorted calls, one flat Eq. 8 mask, and a single
-        ranking sort — the per-call overhead that dominates small
-        top-k queries is paid once.  A batch of one is traced as the
-        single query it is (``db.query``, not ``db.query_batch``).
+        suite).  A batch of one is traced as the single query it is
+        (``db.query``, not ``db.query_batch``).
 
         Args:
             points: ``(var_ba, var_oa)`` pairs, one per query.
-            limit: per-query top-k cap (pushed down into the batch
-                pass when no category filter is active).
+            limit: per-query top-k cap (pushed down into the index
+                when no category filter is active).
             category: optional classification scope shared by the batch.
             config: per-batch alpha/beta override.
             with_routes: as in :meth:`query`.

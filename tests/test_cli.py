@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,17 @@ class TestReadCommands:
 
     def test_query_bad_syntax(self, demo_db, capsys):
         assert main(["query", "backgroundzzz", "--db", demo_db]) == 1
+
+    @pytest.mark.parametrize("limit", [-1, 0])
+    def test_batch_file_limit_below_one_is_refused(
+        self, demo_db, tmp_path, capsys, limit
+    ):
+        batch = tmp_path / "batch.json"
+        batch.write_text(
+            json.dumps({"queries": [{"var_ba": 1.0, "var_oa": 1.0}], "limit": limit})
+        )
+        assert main(["query", "--db", demo_db, "--batch-file", str(batch)]) == 2
+        assert "limit must be a positive integer" in capsys.readouterr().err
 
 
 class TestExperimentCommand:

@@ -85,6 +85,12 @@ class TestQueryConfig:
         with pytest.raises(QueryError):
             QueryConfig(alpha=-0.5)
 
+    def test_rejects_nan(self):
+        with pytest.raises(QueryError):
+            QueryConfig(alpha=float("nan"))
+        with pytest.raises(QueryError):
+            QueryConfig(beta=float("nan"))
+
 
 class TestPipelineConfig:
     def test_bundles_defaults(self):

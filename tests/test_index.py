@@ -78,6 +78,13 @@ class TestVarianceQuery:
         with pytest.raises(QueryError):
             VarianceQuery(var_ba=-1.0, var_oa=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(QueryError):
+            VarianceQuery(var_ba=bad, var_oa=1.0)
+        with pytest.raises(QueryError):
+            VarianceQuery(var_ba=1.0, var_oa=bad)
+
     def test_eq7_band(self):
         query = VarianceQuery(var_ba=16.0, var_oa=9.0)  # D=1, sqrtBA=4
         inside = _entry(var_ba=16.0, var_oa=9.0)

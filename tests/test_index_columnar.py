@@ -15,8 +15,10 @@ after a rebalance.
 
 from __future__ import annotations
 
+import gc
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,10 +241,30 @@ class TestContracts:
         assert index.search_batch([VarianceQuery(var_ba=1.0, var_oa=0.0)]) == [[]]
         assert index.entries == ()
 
-    def test_entries_is_cached_immutable_view(self):
+    def test_entries_is_an_immutable_tuple(self):
         columnar = ColumnarVarianceIndex(_corpus(5, n=20))
-        assert columnar.entries is columnar.entries  # no copy per access
+        assert columnar.entries == columnar.entries
         assert isinstance(columnar.entries, tuple)
+
+    def test_queries_leave_no_rows_behind(self):
+        """Rows are built per call from the columns, so the memory an
+        index holds does not grow with the queries it has answered."""
+        index = ColumnarVarianceIndex(_corpus(9, n=2000))
+        config = QueryConfig(alpha=50.0, beta=50.0)
+        points = np.random.default_rng(9).uniform(0.0, 225.0, size=(500, 2))
+        tracemalloc.start()
+        try:
+            index.search(VarianceQuery(1.0, 1.0), config, limit=10)  # tie ranks
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for var_ba, var_oa in points.tolist():
+                query = VarianceQuery(var_ba, var_oa)
+                assert len(index.search(query, config, limit=10)) == 10
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown <= 64 * 1024, f"{grown} bytes held after 500 queries"
 
     def test_stats_match_the_reloaded_copy(self):
         """``stats()`` counts the videos and archetypes the rows use, so

@@ -233,6 +233,40 @@ class TestDeadlines:
         finally:
             engine.shutdown(timeout=10)
 
+    def test_an_untried_shard_is_busy_inline(self):
+        """With the scatter inline (one core), a shard queued behind a
+        writer spends the budget and the shards after it are never
+        tried: they are ``busy`` too, and the supervisor benches none."""
+        cluster = ClusterCoordinator.ephemeral(3)
+        cluster.parallel_scatter = False
+        for k in range(6):
+            scratch = VideoDatabase()
+            add_synth_video(scratch, f"inline-{k}", np.random.default_rng(k))
+            cluster.adopt(scratch.export_video(f"inline-{k}"))
+        engine = ServiceEngine(cluster, n_workers=1, watchdog_interval=0)
+        _, held, last = cluster.shards
+        try:
+            held.lock.acquire_write()
+            try:
+                for k in range(engine.supervisor.threshold + 1):
+                    payload, _ = engine.query(
+                        1.0 + k, 1.0, deadline=Deadline(0.1), alpha=1e6, beta=1e6
+                    )
+                    assert payload["partial"] is True
+                    assert payload["shards_queried"] == 1  # the first shard
+                    failed = {f["shard"]: f for f in payload["shards_failed"]}
+                    assert {name: f["reason"] for name, f in failed.items()} == {
+                        held.name: "busy",
+                        last.name: "busy",
+                    }
+                    assert "not tried" in failed[last.name]["error"]
+            finally:
+                held.lock.release_write()
+            assert not any(shard.down for shard in cluster.shards)
+            assert engine.supervisor.trips == 0
+        finally:
+            engine.shutdown(timeout=10)
+
     def test_a_slow_shard_is_not_busy(self):
         """The other side of the busy rule: a sub-query that held its
         shard's read lock and still ran past the budget is a slow shard

@@ -6,11 +6,14 @@ import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.service.engine import ServiceEngine
 from repro.service.loadgen import LoadgenConfig, run_loadgen
 from repro.service.server import create_server
+from repro.testing.synth import add_synth_video
+from repro.vdbms.database import VideoDatabase
 
 
 def _request(base_url, method, path, body=None, timeout=30.0):
@@ -129,6 +132,67 @@ class TestEndpoints:
         assert health["latency"]["count"] == health["count"]
         assert health["latency"]["p50_ms"] <= health["latency"]["p99_ms"]
         assert set(metrics["query_cache"]) >= {"hits", "misses", "hit_rate"}
+
+
+@pytest.fixture
+def lone_shard_service():
+    """A fresh server over one plain database: its only shard, benched,
+    would leave every later query partial."""
+    db = VideoDatabase()
+    add_synth_video(db, "only", np.random.default_rng(2))
+    engine = ServiceEngine(db, n_workers=1, watchdog_interval=0)
+    server = create_server(engine)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield engine, f"http://{host}:{port}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    engine.shutdown()
+
+
+class TestMalformedQueryInput:
+    """Malformed input is the client's error (400) and never reaches a
+    shard, so it cannot count toward benching one."""
+
+    @pytest.mark.parametrize(
+        "params",
+        ["var_ba=nan&var_oa=1", "var_ba=1&var_oa=nan", "var_ba=1&var_oa=1&alpha=nan"],
+    )
+    def test_nan_is_a_400_and_benches_no_shard(self, lone_shard_service, params):
+        engine, base_url = lone_shard_service
+        for _ in range(engine.supervisor.threshold):
+            status, payload = _request(base_url, "GET", f"/query?{params}")
+            assert status == 400, payload
+        status, payload = _request(
+            base_url, "GET", "/query?var_ba=1&var_oa=1&alpha=50&beta=50"
+        )
+        assert status == 200
+        assert payload["partial"] is False and payload["shards_failed"] == []
+        assert payload["count"] > 0
+        assert engine.supervisor.trips == 0
+        assert not any(shard.down for shard in engine.cluster.shards)
+
+    @pytest.mark.parametrize("limit", [-1, 0])
+    def test_limit_below_one_is_a_400(self, lone_shard_service, limit):
+        _, base_url = lone_shard_service
+        status, payload = _request(
+            base_url, "GET", f"/query?var_ba=1&var_oa=1&limit={limit}"
+        )
+        assert status == 400
+        assert "limit must be a positive integer" in payload["error"]
+        status, _ = _request(
+            base_url, "POST", "/query", {"var_ba": 1, "var_oa": 1, "limit": limit}
+        )
+        assert status == 400
+        status, _ = _request(
+            base_url,
+            "POST",
+            "/query/batch",
+            {"queries": [{"var_ba": 1, "var_oa": 1}], "limit": limit},
+        )
+        assert status == 400
 
 
 class TestConcurrentIngestAndQuery:
