@@ -196,11 +196,13 @@ def run_query_round(
     and the measured gap is pure coordination overhead.  A top-k
     ``limit`` additionally exercises the per-shard pushdown.
 
-    Runs with a 1 ms interpreter switch interval (restored after): the
-    default 5 ms means a scatter sub-task can wait most of that long
-    for the GIL, which is pure tail noise at ~0.1 ms task sizes — and
-    the setting any latency-sensitive deployment of the service would
-    choose.
+    The scatter runs on the calling thread (no pool), so the K-shard
+    time is the K sub-queries one after another plus the merge.  Runs
+    with a 1 ms interpreter switch interval (restored after): the
+    default 5 ms lets any other thread of the process hold the GIL
+    that long, which is pure tail noise at ~0.1 ms sub-query sizes —
+    and the setting any latency-sensitive deployment of the service
+    would choose.
     """
     previous_switch = sys.getswitchinterval()
     sys.setswitchinterval(0.001)
@@ -213,7 +215,8 @@ def run_query_round(
             for r in records[:: max(1, len(records) // 64)]
             for e in r.index_entries[:1]
         ]
-        # Warm up thread pool and caches outside the timed region.
+        # Warm up the caches (tie ranks, route maps) outside the timed
+        # region.
         for var_ba, var_oa in probes[:8]:
             cluster.query(var_ba, var_oa, limit=limit)
         latencies = []

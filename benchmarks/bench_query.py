@@ -18,6 +18,13 @@ synthetic corpora of 2k, 10k and 100k shots:
   size.  The two are timed in alternating rounds, best of each.
 * **open() latency** — deserializing the checksummed binary column
   format, and its size (reported, not asserted).
+* **Concurrency** — two threads each run ``search_batch`` of 64 fresh
+  points on one index at once, against one thread alone: wall time per
+  batch with both running over wall time per batch alone, on the
+  largest corpus.  Each numpy call releases the GIL, so two searches at
+  once hand it back and forth at every call (1.6-2.1x the work of one
+  thread); the index's process-wide search lock runs them one at a
+  time, and what is left is one lock hand-off per search.
 
 A fourth section bounds the cost of the tracing layer
 (docs/OBSERVABILITY.md): with tracing disabled, the instrumented read
@@ -28,7 +35,9 @@ runs just that gate (fast, for CI).
 Acceptance bars (asserted by ``main()``, relaxed under ``--smoke``):
 single-query >= 100x the scan at 100k shots (>= 25x at 20k under
 ``--smoke``), batch-of-64 <= 1.15x the sequential time at every corpus
-size (<= 1.3x under ``--smoke``), disabled-tracing overhead bound <= 3%.
+size (<= 1.3x under ``--smoke``), two concurrent threads <= 1.4x the
+work of one at 100k shots (recorded, not asserted, under ``--smoke``),
+disabled-tracing overhead bound <= 3%.
 
 Run as a bench:
 
@@ -44,6 +53,7 @@ from __future__ import annotations
 import json
 import statistics
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Any
@@ -169,6 +179,67 @@ def run_batch_bench(
     }
 
 
+#: Batches each thread of the concurrency section runs per round.
+CONCURRENT_BATCHES = 30
+
+MAX_CONCURRENCY_RATIO = 1.4
+
+
+def run_concurrency_bench(
+    entries: list[IndexEntry],
+    batches: int = CONCURRENT_BATCHES,
+    rounds: int = 3,
+) -> dict[str, Any]:
+    """Two threads searching one index at once, against one alone.
+
+    Each thread runs ``batches`` batches of :data:`BATCH` fresh points
+    (no point repeats).  ``ratio`` is the wall time per batch with both
+    threads running over the wall time per batch for one thread alone,
+    best of ``rounds`` each, alone and together alternating: 1.0 means
+    the second thread costs exactly its own work.
+    """
+    columnar = ColumnarVarianceIndex(entries)
+    columnar.search(build_queries(1)[0], limit=LIMIT)  # warm the tie ranks
+    seeds = iter(range(1_000, 1_000 + 3 * rounds * batches))
+
+    def fresh() -> list[list[VarianceQuery]]:
+        return [build_queries(BATCH, seed=next(seeds)) for _ in range(batches)]
+
+    def run(work: list[list[VarianceQuery]], start: threading.Barrier) -> None:
+        start.wait()
+        for queries in work:
+            columnar.search_batch(queries, limit=LIMIT)
+
+    def per_batch_s(n_threads: int) -> float:
+        start = threading.Barrier(n_threads + 1)
+        threads = [
+            threading.Thread(target=run, args=(fresh(), start))
+            for _ in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        start.wait()
+        started = time.perf_counter()
+        for thread in threads:
+            thread.join()
+        return (time.perf_counter() - started) / (n_threads * batches)
+
+    alone, together = [], []
+    for _ in range(rounds):
+        alone.append(per_batch_s(1))
+        together.append(per_batch_s(2))
+    return {
+        "n_shots": len(entries),
+        "batch": BATCH,
+        "batches_per_thread": batches,
+        "rounds": rounds,
+        "limit": LIMIT,
+        "alone_ms_per_batch": round(min(alone) * 1_000, 3),
+        "two_threads_ms_per_batch": round(min(together) * 1_000, 3),
+        "ratio": round(min(together) / min(alone), 3),
+    }
+
+
 def run_open_bench(entries: list[IndexEntry], rounds: int = 5) -> dict[str, Any]:
     """Deserialization latency and size of the binary column format."""
     binary = ColumnarVarianceIndex(entries).to_bytes()
@@ -274,8 +345,13 @@ def run_query_bench(
             run_batch_bench(corpora[n], rounds=max(rounds, 5)) for n in corpus_sizes
         ],
         "open": [run_open_bench(corpora[n]) for n in corpus_sizes],
+        "concurrency": run_concurrency_bench(corpora[largest]),
         "overhead": run_overhead_bench(rounds=max(rounds, 5)),
-        "asserted_corpora": {"single": largest, "batch": list(corpus_sizes)},
+        "asserted_corpora": {
+            "single": largest,
+            "batch": list(corpus_sizes),
+            "concurrency": largest,
+        },
     }
 
 
@@ -306,6 +382,11 @@ def check_acceptance(report: dict[str, Any], smoke: bool = False) -> None:
     assert batch <= max_batch, (
         f"batch-of-{BATCH} costs {batch}x the sequential singles, above "
         f"{max_batch}x"
+    )
+    concurrency = report["concurrency"]["ratio"]
+    assert smoke or concurrency <= MAX_CONCURRENCY_RATIO, (
+        f"two concurrent threads cost {concurrency}x the work of one, above "
+        f"{MAX_CONCURRENCY_RATIO}x"
     )
     overhead = report.get("overhead")
     if overhead is not None:
@@ -372,6 +453,13 @@ def main(argv: list[str] | None = None) -> None:
             f"open   {row['n_shots']:>7} shots: binary {row['binary_open_ms']:.3f}ms "
             f"({row['binary_bytes']} bytes)"
         )
+    row = report["concurrency"]
+    print(
+        f"concurrency {row['n_shots']:>7} shots: batch of {row['batch']} "
+        f"{row['alone_ms_per_batch']:.3f}ms alone, "
+        f"{row['two_threads_ms_per_batch']:.3f}ms per batch with two threads "
+        f"({row['ratio']}x)"
+    )
     _print_overhead(report["overhead"])
     check_acceptance(report, smoke=smoke)
     if not smoke:

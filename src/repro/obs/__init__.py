@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`TraceContext` / :class:`Span` — one request's span tree with
   monotonic timings and free-form annotations.
-* ``current_trace()`` / ``tracing()`` / ``attach()`` / ``span()`` —
+* ``current_trace()`` / ``tracing()`` / ``span()`` —
   thread-local propagation; one TLS read when tracing is off.
 * :class:`TraceCollector` — bounded ring buffer of finished traces plus
   a separate slow-query ring.
@@ -24,7 +24,6 @@ from .trace import (
     NOOP_SPAN,
     Span,
     TraceContext,
-    attach,
     current_trace,
     iter_spans,
     span,
@@ -38,7 +37,6 @@ __all__ = [
     "Span",
     "TraceCollector",
     "TraceContext",
-    "attach",
     "current_trace",
     "iter_spans",
     "render_index_stats",

@@ -6,15 +6,12 @@ at the span created with the context itself.  Spans are timed with
 duration) and carry free-form annotations (band bounds, candidate
 counts, ...) attached by the code that owns the numbers.
 
-Propagation is thread-local and explicit:
-
-* ``tracing(ctx)`` installs a context on the current thread for the
-  duration of a ``with`` block.  Instrumented code discovers it with
-  ``current_trace()`` — one TLS attribute read, the *entire* cost of
-  tracing when disabled.
-* ``attach(ctx, parent)`` re-installs a context on a *different*
-  thread (scatter-gather pool workers), parenting new spans under the
-  span that was current on the submitting thread.
+Propagation is thread-local: ``tracing(ctx)`` installs a context on
+the current thread for the duration of a ``with`` block, and
+instrumented code discovers it with ``current_trace()`` — one TLS
+attribute read, the *entire* cost of tracing when disabled.  The whole
+read path, the cluster's scatter included, runs on the request's
+thread.
 
 Instrumentation never changes decisions: every annotation records a
 value the traced code already computed, and every guard is
@@ -28,7 +25,7 @@ import itertools
 import os
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Any, ContextManager, Iterator
 
 __all__ = [
@@ -36,7 +33,6 @@ __all__ = [
     "TraceContext",
     "current_trace",
     "tracing",
-    "attach",
     "span",
     "iter_spans",
     "unsettled_spans",
@@ -135,17 +131,14 @@ class _NoopSpan:
 
 NOOP_SPAN = _NoopSpan()
 
-#: What ``attach(None)`` returns: a reusable no-op context manager.
-_DETACHED = nullcontext()
-
 
 class TraceContext:
     """Trace id + span tree for one request.
 
     Thread-safe: spans may be begun/ended from any thread holding the
-    context (scatter-gather workers).  Each thread keeps its own
-    "current span" pointer, so concurrent shard spans parent correctly
-    without racing each other.
+    context.  Each thread keeps its own "current span" pointer, so
+    spans begun on different threads parent correctly without racing
+    each other.
     """
 
     def __init__(self, trace_id: str | None = None, name: str = "trace") -> None:
@@ -229,29 +222,6 @@ def tracing(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
     try:
         yield ctx
     finally:
-        _tls.ctx = prev
-
-
-def attach(
-    ctx: TraceContext | None, parent: Span | None = None
-) -> ContextManager[TraceContext | None]:
-    """Re-install ``ctx`` on a worker thread, parenting under ``parent``
-    (the span captured on the submitting thread).  No-op when ctx is None."""
-    return _DETACHED if ctx is None else _attached(ctx, parent)
-
-
-@contextmanager
-def _attached(ctx: TraceContext, parent: Span | None) -> Iterator[TraceContext]:
-    prev = getattr(_tls, "ctx", None)
-    _tls.ctx = ctx
-    tls = ctx._span_tls
-    prev_span = getattr(tls, "current", None)
-    if parent is not None:
-        tls.current = parent
-    try:
-        yield ctx
-    finally:
-        tls.current = prev_span
         _tls.ctx = prev
 
 

@@ -1,38 +1,60 @@
 """Request counters and latency histograms for the ``/metrics`` endpoint.
 
 The registry is deliberately small: named monotonic counters plus one
-latency histogram per endpoint.  Histograms use fixed log-spaced bucket
-bounds (sub-millisecond to tens of seconds) so percentile estimates stay
-O(buckets) regardless of traffic volume — the server records millions of
+latency histogram per endpoint and per traced stage.  Histograms use
+fixed log-linear buckets — four per power of two from 1 µs to ~67 s —
+so a stage of a few microseconds and a request of seconds are both
+resolved to within 25%, and percentile estimates stay O(buckets)
+regardless of traffic volume: the server records millions of
 observations without ever storing them individually.
 
-Everything is thread-safe behind one lock; observations are a dict
-update and two additions, so the lock is never held long enough to
-matter next to the request work it measures.
+Everything is thread-safe behind one lock; an observation is an O(1)
+bucket index and a few additions, so the lock is never held long
+enough to matter next to the request work it measures.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any
 
 __all__ = ["LatencyHistogram", "MetricsRegistry"]
 
-# Bucket upper bounds in milliseconds; the final +inf bucket is implicit.
-_BUCKET_BOUNDS_MS: tuple[float, ...] = (
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-    100.0, 250.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 30_000.0,
+#: Linear sub-buckets per power of two.
+_SUB_BUCKETS = 4
+
+#: Powers of two covered above the first bound: 1 µs * 2**26 ~ 67 s.
+_OCTAVES = 26
+
+# Bucket upper bounds in milliseconds: 1 µs, then 2**k * (1 + j/4) µs
+# for octave k and sub-bucket j = 1..4.  The +inf bucket is implicit.
+_BUCKET_BOUNDS_MS: tuple[float, ...] = (0.001,) + tuple(
+    2**k * (1 + j / _SUB_BUCKETS) / 1_000.0
+    for k in range(_OCTAVES)
+    for j in range(1, _SUB_BUCKETS + 1)
 )
 
 
+def _bucket(us: float) -> int:
+    """Index of the bucket holding ``us`` microseconds (``bound`` is
+    inclusive), in O(1): the binary exponent picks the octave and the
+    mantissa the sub-bucket.  ``len(_BUCKET_BOUNDS_MS)`` is +inf."""
+    if us <= 1.0:
+        return 0
+    # us = mantissa * 2**exponent with mantissa in [0.5, 1): octave
+    # exponent - 1, position (2 * mantissa - 1) within it.
+    mantissa, exponent = math.frexp(us)
+    k = _SUB_BUCKETS * (exponent - 1) + math.ceil((2 * mantissa - 1) * _SUB_BUCKETS)
+    return min(k, len(_BUCKET_BOUNDS_MS))
+
+
 class LatencyHistogram:
-    """Fixed-bucket latency histogram with percentile estimation.
+    """Log-linear latency histogram with percentile estimation.
 
     Observations are recorded in seconds and reported in milliseconds.
-    Percentiles are estimated as the upper bound of the first bucket
-    whose cumulative count reaches the requested rank — an upper bound
-    on the true percentile, which is the conservative direction for a
-    latency SLO.
+    A percentile is interpolated linearly within the bucket holding its
+    rank and clamped to the observed ``[min, max]``.
     """
 
     def __init__(self) -> None:
@@ -46,31 +68,33 @@ class LatencyHistogram:
     def observe(self, seconds: float) -> None:
         """Record one latency observation."""
         ms = seconds * 1_000.0
+        k = _bucket(seconds * 1_000_000.0)
         with self._lock:
             self.count += 1
             self.sum_ms += ms
             self.min_ms = min(self.min_ms, ms)
             self.max_ms = max(self.max_ms, ms)
-            for k, bound in enumerate(_BUCKET_BOUNDS_MS):
-                if ms <= bound:
-                    self._counts[k] += 1
-                    break
-            else:
-                self._counts[-1] += 1
+            self._counts[k] += 1
 
     def percentile(self, p: float) -> float:
         """Estimated p-th percentile in milliseconds (0 < p <= 100)."""
         with self._lock:
             if self.count == 0:
                 return 0.0
-            rank = max(1, round(p / 100.0 * self.count))
+            rank = p / 100.0 * self.count
             cumulative = 0
             for k, bucket_count in enumerate(self._counts):
+                if bucket_count and cumulative + bucket_count >= rank:
+                    low = _BUCKET_BOUNDS_MS[k - 1] if k else 0.0
+                    high = (
+                        _BUCKET_BOUNDS_MS[k]
+                        if k < len(_BUCKET_BOUNDS_MS)
+                        else self.max_ms
+                    )
+                    share = (rank - cumulative) / bucket_count
+                    estimate = low + (high - low) * share
+                    return min(max(estimate, self.min_ms), self.max_ms)
                 cumulative += bucket_count
-                if cumulative >= rank:
-                    if k < len(_BUCKET_BOUNDS_MS):
-                        return min(_BUCKET_BOUNDS_MS[k], self.max_ms)
-                    return self.max_ms
             return self.max_ms  # pragma: no cover - unreachable
 
     def snapshot(self) -> dict[str, Any]:

@@ -7,6 +7,7 @@ answer with HTTP 200 — never an exception, never a 500.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import urllib.error
@@ -16,11 +17,13 @@ import numpy as np
 import pytest
 
 from repro.cluster import CLUSTER_MANIFEST, ClusterCoordinator
+from repro.config import QueryConfig
 from repro.errors import (
     CatalogError,
     ClusterError,
     ShardUnavailableError,
 )
+from repro.obs import TraceContext, iter_spans, tracing, unsettled_spans
 from repro.service.engine import ServiceEngine
 from repro.service.resilience import Deadline
 from repro.service.server import create_server
@@ -42,6 +45,20 @@ def populate(cluster: ClusterCoordinator, n: int, seed0: int = 0) -> list[str]:
     for k, video_id in enumerate(ids):
         cluster.adopt(make_record(video_id, seed0 + k))
     return ids
+
+
+@contextlib.contextmanager
+def maybe_traced(traced: bool):
+    """Run the block untraced, or under a trace whose spans must all
+    settle: the shard spans open on the request's thread, so a failing
+    sub-query must close them on the way out."""
+    if not traced:
+        yield
+        return
+    ctx = TraceContext(name="test")
+    with tracing(ctx):
+        yield
+    assert unsettled_spans(ctx.finish()) == []
 
 
 class TestRoutingAndPlacement:
@@ -86,30 +103,29 @@ class TestRoutingAndPlacement:
 
 
 class TestScatterGather:
-    """Each degradation behavior must hold for both scatter strategies
-    (pooled on multi-core hosts, inline on single-core — see
-    ``ClusterCoordinator.parallel_scatter``)."""
+    """Each degradation behavior must hold traced and untraced (see
+    :func:`maybe_traced`)."""
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_healthy_cluster_answers_fully(self, parallel):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_healthy_cluster_answers_fully(self, traced):
         cluster = ClusterCoordinator.ephemeral(4)
-        cluster.parallel_scatter = parallel
         populate(cluster, 12)
         probe = cluster.shards[0].db.index.entries[0]
-        answer = cluster.query(probe.features.var_ba, probe.features.var_oa)
+        with maybe_traced(traced):
+            answer = cluster.query(probe.features.var_ba, probe.features.var_oa)
         assert answer.shards_queried == 4
         assert answer.shards_failed == []
         assert not answer.partial
         assert len(answer.matches) == len(answer.routes)
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_down_shard_degrades_to_partial(self, parallel):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_down_shard_degrades_to_partial(self, traced):
         cluster = ClusterCoordinator.ephemeral(3)
-        cluster.parallel_scatter = parallel
         populate(cluster, 9)
         cluster.shards[1].mark_down("chaos test")
         probe = cluster.shards[0].db.index.entries[0]
-        answer = cluster.query(probe.features.var_ba, probe.features.var_oa)
+        with maybe_traced(traced):
+            answer = cluster.query(probe.features.var_ba, probe.features.var_oa)
         assert answer.partial
         assert answer.shards_queried == 2
         [failure] = answer.shards_failed
@@ -119,51 +135,32 @@ class TestScatterGather:
         dead_ids = set(cluster.shards[1].db.catalog.ids())
         assert all(m.video_id not in dead_ids for m in answer.matches)
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_shard_error_degrades_to_partial(self, parallel):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_shard_error_degrades_to_partial(self, traced):
         cluster = ClusterCoordinator.ephemeral(2)
-        cluster.parallel_scatter = parallel
         populate(cluster, 6)
 
         def boom(*args, **kwargs):
             raise RuntimeError("shard exploded")
 
         cluster.shards[0].db.query_batch = boom
-        answer = cluster.query(1.0, 1.0)
+        with maybe_traced(traced):
+            answer = cluster.query(1.0, 1.0)
         assert answer.partial
         [failure] = answer.shards_failed
         assert failure["reason"] == "error"
         assert "shard exploded" in failure["error"]
         assert cluster.shards[0].errors == 1
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_exhausted_deadline_reports_every_shard(self, parallel):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_exhausted_deadline_reports_every_shard(self, traced):
         cluster = ClusterCoordinator.ephemeral(2)
-        cluster.parallel_scatter = parallel
         populate(cluster, 4)
         spent = Deadline.after_ms(0.0001)
-        answer = cluster.query(1.0, 1.0, deadline=spent)
+        with maybe_traced(traced):
+            answer = cluster.query(1.0, 1.0, deadline=spent)
         # Nothing crashed: whatever missed the budget is accounted for.
         assert answer.shards_queried + len(answer.shards_failed) == 2
-
-    def test_scatter_strategies_agree(self):
-        cluster = ClusterCoordinator.ephemeral(3)
-        populate(cluster, 12)
-        probes = [
-            (e.features.var_ba, e.features.var_oa)
-            for e in cluster.shards[0].db.index.entries[:4]
-        ]
-        for var_ba, var_oa in probes:
-            cluster.parallel_scatter = False
-            serial = cluster.query(var_ba, var_oa, limit=5)
-            cluster.parallel_scatter = True
-            pooled = cluster.query(var_ba, var_oa, limit=5)
-            assert [
-                (m.video_id, m.shot_number) for m in serial.matches
-            ] == [(m.video_id, m.shot_number) for m in pooled.matches]
-            assert [r.suggestion for r in serial.routes] == [
-                r.suggestion for r in pooled.routes
-            ]
 
     def test_query_by_shot_on_down_owner_raises(self):
         cluster = ClusterCoordinator.ephemeral(2)
@@ -179,64 +176,135 @@ class TestScatterGather:
             cluster.query_by_shot("nope", 1)
 
 
-class TestMovesDuringScatter:
-    """The seqlock read side: a scatter that the move counter never lets
-    settle may have missed a moving video, so its answers are partial."""
+class TestInlineScatter:
+    """The scatter runs on the request's thread in two passes: every
+    shard whose read lock is free first, then each deferred shard with
+    the remaining budget — so a shard held by a writer holds up none of
+    the others."""
 
-    @staticmethod
-    def _bump_on_every_read(cluster: ClusterCoordinator) -> list[int]:
-        """Make every shard read bump the move counter, as if a move
-        became visible during each scatter round; returns the read log."""
-        reads: list[int] = []
+    def test_a_held_shard_does_not_hold_up_the_others(self):
+        from repro.cluster.replication import ShardSupervisor
 
-        def bumping(shard, method):
-            def read(*args, **kwargs):
-                reads.append(shard.shard_id)
-                cluster.note_move_visible()
-                return method(*args, **kwargs)
-
-            return read
-
-        for shard in cluster.shards:
-            for name in ("query", "query_batch"):
-                setattr(shard.db, name, bumping(shard, getattr(shard.db, name)))
-        return reads
-
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_unsettled_scatter_is_partial(self, parallel):
-        cluster = ClusterCoordinator.ephemeral(4)
-        cluster.parallel_scatter = parallel
-        populate(cluster, 8)
-        reads = self._bump_on_every_read(cluster)
-        answer = cluster.query(2.0, 2.0)
-        assert len(reads) > cluster.n_shards  # it did re-scatter
-        assert answer.partial
-        [failure] = answer.shards_failed
-        assert failure["reason"] == "rebalance"
-        assert answer.shards_queried == 4  # every shard answered
-        batch = cluster.query_batch([(2.0, 2.0), (9.0, 4.0)])
-        assert all(a.partial for a in batch)
-
-    def test_unsettled_answers_are_uncached_and_blame_no_shard(self):
         cluster = ClusterCoordinator.ephemeral(3)
+        populate(cluster, 9)
+        supervisor = ShardSupervisor(cluster, threshold=1)
+        with cluster.shards[0].lock.write_locked():
+            answer = cluster.query(1.0, 1.0, deadline=Deadline(0.1))
+        assert answer.shards_queried == 2
+        assert [(f["shard"], f["reason"]) for f in answer.shards_failed] == [
+            ("shard-0", "busy")
+        ]
+        assert answer.partial
+        assert supervisor.observe(answer) == []
+        assert not any(shard.down for shard in cluster.shards)
+
+    def test_replicas_cover_a_held_shard(self):
+        cluster = ClusterCoordinator.ephemeral(2, replication=2)
         populate(cluster, 6)
-        engine = ServiceEngine(
-            cluster, n_workers=3, watchdog_interval=0, supervisor_threshold=1
-        )
+        expect = cluster.query(4.0, 2.0, limit=5)
+        with cluster.shards[0].lock.write_locked():
+            answer = cluster.query(4.0, 2.0, limit=5, deadline=Deadline(0.1))
+        assert not answer.partial
+        assert answer.shards_recovered == ["shard-0"]
+        assert [(m.video_id, m.shot_number) for m in answer.matches] == [
+            (m.video_id, m.shot_number) for m in expect.matches
+        ]
+
+    def test_free_shards_answer_while_a_held_one_is_awaited(self):
+        cluster = ClusterCoordinator.ephemeral(3)
+        populate(cluster, 9)
+        expect = cluster.query(4.0, 2.0)
+        held = cluster.shards[0]
+        held.lock.acquire_write()
+        timer = threading.Timer(0.2, held.lock.release_write)
+        timer.start()
+        ctx = TraceContext(name="test")
         try:
-            self._bump_on_every_read(cluster)
-            payload, cached = engine.query(2.0, 2.0)
-            assert payload["partial"] is True and not cached
-            assert payload["shards_failed"][0]["reason"] == "rebalance"
-            _, cached = engine.query(2.0, 2.0)
-            assert not cached  # recomputed, never served from the cache
-            counters = engine.metrics.snapshot()["counters"]
-            assert counters["cluster_partial_answers"] == 2
-            # Every shard answered: the supervisor benches nobody.
-            assert engine.supervisor.trips == 0
-            assert not any(shard.down for shard in cluster.shards)
+            with tracing(ctx):
+                answer = cluster.query(4.0, 2.0)
         finally:
-            engine.shutdown(timeout=10)
+            timer.join()
+        assert not answer.partial and answer.shards_queried == 3
+        assert [(m.video_id, m.shot_number) for m in answer.matches] == [
+            (m.video_id, m.shot_number) for m in expect.matches
+        ]
+
+        def end_ms(node):
+            return node["start_ms"] + node["duration_ms"]
+
+        query_ends: dict[str, float] = {}
+        held_wait_ends = []
+        for _, node in iter_spans(ctx.finish()):
+            if node["name"] != "shard.query":
+                continue
+            shard = node["annotations"]["shard"]
+            if shard != held.name:
+                query_ends[shard] = end_ms(node)
+                continue
+            held_wait_ends += [
+                end_ms(child)
+                for child in node.get("children", ())
+                if child["name"] == "shard.lock_wait"
+                and child["annotations"]["acquired"]
+            ]
+        [held_wait_end] = held_wait_ends
+        assert sorted(query_ends) == ["shard-1", "shard-2"]
+        assert max(query_ends.values()) < held_wait_end
+
+
+class TestMovesDuringScatter:
+    """A scatter round reads the shards one after another, so a move
+    whose copy and delete both fell between its reads of the
+    destination and of the source would hide the video.  The move's
+    delete waits for the rounds in flight instead (a grace period)."""
+
+    def test_a_round_sees_a_video_moved_between_its_reads(self):
+        from repro.cluster.rebalance import Rebalancer, RebalanceMove
+
+        cluster = ClusterCoordinator.ephemeral(2)
+        ids = populate(cluster, 8)
+        dest, source = cluster.shards
+        video_id = next(v for v in ids if cluster.locate(v).shard_id == 1)
+        n_shots = len(source.db.index.entries_for(video_id))
+        moved = threading.Event()
+
+        def move():
+            Rebalancer(cluster)._move(RebalanceMove(video_id, source=1, dest=0))
+            moved.set()
+
+        mover = threading.Thread(target=move)
+        check_up = source.check_up
+        held_back: list[bool] = []
+
+        def move_before_reading_the_source(what):
+            # The round has read the destination (shard 0, without the
+            # video) and not yet the source: run the whole move now.
+            if not mover.is_alive() and not moved.is_set():
+                mover.start()
+                held_back.append(not moved.wait(0.3))
+            check_up(what)
+
+        source.check_up = move_before_reading_the_source
+        wide = QueryConfig(alpha=1e6, beta=1e6)
+        answer = cluster.query(1.0, 1.0, config=wide)
+        mover.join(10.0)
+        assert held_back == [True]  # the delete waited for the round
+        assert moved.is_set() and cluster.locate(video_id) is dest
+        assert not answer.partial
+        assert sum(m.video_id == video_id for m in answer.matches) == n_shots
+
+    def test_a_move_waits_only_for_the_rounds_in_flight(self):
+        cluster = ClusterCoordinator.ephemeral(2)
+        cluster.note_move_visible()  # no round in flight: returns at once
+        done = threading.Event()
+        with cluster._round():
+            waiter = threading.Thread(
+                target=lambda: (cluster.note_move_visible(), done.set())
+            )
+            waiter.start()
+            assert not done.wait(0.1)  # the round in flight holds it
+        assert done.wait(10.0)
+        waiter.join(10.0)
 
 
 class TestDurableLifecycle:

@@ -23,6 +23,7 @@ from repro.cluster import CLUSTER_MANIFEST, ClusterCoordinator
 from repro.cluster.rebalance import Rebalancer
 from repro.cluster.replication import ShardSupervisor, copy_video
 from repro.errors import ClusterError, QueryError, ShardUnavailableError
+from repro.obs import TraceContext, tracing, unsettled_spans
 from repro.service.engine import ServiceEngine
 from repro.service.server import create_server
 from repro.testing import FakeClock, ShardOutage, break_shard_queries
@@ -209,12 +210,13 @@ class TestFailoverDecisionIdentity:
         for a1, a2 in zip(r1.query_batch(points), r2.query_batch(points)):
             assert canonical(a2) == canonical(a1)
 
-    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("n_shards", [2, 4])
-    def test_kill_each_shard_in_turn(self, n_shards, parallel):
+    def test_kill_each_shard_in_turn(self, n_shards, traced):
+        """Failover answers equal the healthy untraced ones, traced or
+        not, and a traced failover leaves no span unsettled."""
         records = make_records(12)
         cluster = ClusterCoordinator.ephemeral(n_shards, replication=2)
-        cluster.parallel_scatter = parallel
         for record in records:
             cluster.adopt(record)
         points = probe_points(records)
@@ -223,7 +225,8 @@ class TestFailoverDecisionIdentity:
 
         for shard_id in range(n_shards):
             name = f"shard-{shard_id}"
-            with ShardOutage(cluster, shard_id):
+            ctx = TraceContext(name="test") if traced else None
+            with ShardOutage(cluster, shard_id), tracing(ctx):
                 for point, expect in zip(points, baseline):
                     answer = cluster.query(*point)
                     assert canonical(answer) == expect
@@ -235,6 +238,8 @@ class TestFailoverDecisionIdentity:
                 for answer in answers:
                     assert answer.partial is False
                     assert [f["shard"] for f in answer.shards_failed] == [name]
+            if ctx is not None:
+                assert unsettled_spans(ctx.finish()) == []
             # Healthy again after the outage.
             healthy = cluster.query(*points[0])
             assert healthy.shards_failed == []

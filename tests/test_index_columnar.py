@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -265,6 +266,54 @@ class TestContracts:
         finally:
             tracemalloc.stop()
         assert grown <= 64 * 1024, f"{grown} bytes held after 500 queries"
+
+    def test_concurrent_searches_decide_as_serial_ones(self):
+        """Threads searching one index at once (more than there are
+        cores, switching often) get the serial answers: the search lock
+        orders searches, it decides nothing."""
+        index = ColumnarVarianceIndex(_corpus(11, n=2000))
+        config = QueryConfig(alpha=30.0, beta=30.0)
+        rng = np.random.default_rng(11)
+        streams = [
+            [VarianceQuery(ba, oa) for ba, oa in rng.uniform(0.0, 225.0, (50, 2)).tolist()]
+            for _ in range(3)
+        ]
+        serial = [[_ids(index.search(q, config, limit=10)) for q in s] for s in streams]
+        got: list[list | None] = [None] * len(streams)
+        start = threading.Barrier(len(streams))
+
+        def run(k):
+            start.wait()
+            got[k] = [_ids(index.search(q, config, limit=10)) for q in streams[k]]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(streams))]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == serial
+
+    def test_one_search_at_a_time(self):
+        """A search waits while another holds the process-wide lock."""
+        from repro.index import columnar
+
+        index = ColumnarVarianceIndex(_corpus(12))
+        answers: list = []
+        thread = threading.Thread(
+            target=lambda: answers.append(index.search(VarianceQuery(4.0, 1.0)))
+        )
+        with columnar._SEARCH_LOCK:
+            thread.start()
+            thread.join(0.1)
+            assert thread.is_alive() and not answers
+        thread.join(10.0)
+        assert answers == [index.search(VarianceQuery(4.0, 1.0))]
 
     def test_stats_match_the_reloaded_copy(self):
         """``stats()`` counts the videos and archetypes the rows use, so

@@ -83,27 +83,6 @@ class TestTraceContext:
         generated = TraceContext(trace_id="   ").trace_id
         assert generated  # blank ids fall back to a generated one
 
-    def test_worker_thread_spans_nest_under_attach_parent(self):
-        from repro.obs import attach
-
-        ctx = TraceContext(name="root")
-        with tracing(ctx):
-            parent = ctx.begin("fan-out")
-
-            def work():
-                with attach(ctx, parent):
-                    with span("child"):
-                        pass
-
-            t = threading.Thread(target=work)
-            t.start()
-            t.join()
-            parent.end()
-        doc = ctx.finish()
-        tree = {node["name"]: depth for depth, node in iter_spans(doc)}
-        assert tree["fan-out"] == 1
-        assert tree["child"] == 2
-
 
 def _make_doc(k: int) -> dict:
     ctx = TraceContext(trace_id=f"doc-{k}", name="request")

@@ -81,12 +81,39 @@ class TestLatencyHistogram:
 
     def test_percentiles_are_monotonic_upper_bounds(self):
         histogram = LatencyHistogram()
-        for k in range(1, 101):
-            histogram.observe(k / 1_000.0)  # 1..100 ms
+        stream = [1.0 + 99.0 * k / 10_000 for k in range(10_001)]  # 1..100 ms
+        for ms in stream:
+            histogram.observe(ms / 1_000.0)
         p50, p90, p99 = (histogram.percentile(p) for p in (50, 90, 99))
-        assert p50 <= p90 <= p99
-        assert p50 >= 50.0  # upper-bound estimate
-        assert p99 <= histogram.max_ms
+        assert histogram.min_ms <= p50 <= p90 <= p99 <= histogram.max_ms
+        for p, estimate in ((50, p50), (90, p90), (99, p99)):
+            true = stream[round(p / 100 * (len(stream) - 1))]
+            assert estimate == pytest.approx(true, rel=0.1), p  # interpolated
+
+    def test_resolves_tens_of_microseconds(self):
+        histogram = LatencyHistogram()
+        for _ in range(1_000):
+            histogram.observe(40e-6)
+        histogram.observe(0.2)  # one slow request sets the max
+        snap = histogram.snapshot()
+        assert snap["p50_ms"] == pytest.approx(0.040, rel=0.1)
+        assert snap["p99_ms"] == pytest.approx(0.040, rel=0.1)
+
+    def test_bucket_index_matches_a_scan_of_the_bounds(self):
+        from repro.service.metrics import _BUCKET_BOUNDS_MS, _bucket
+
+        def scanned(us):
+            ms = us / 1_000.0
+            for k, bound in enumerate(_BUCKET_BOUNDS_MS):
+                if ms <= bound:
+                    return k
+            return len(_BUCKET_BOUNDS_MS)
+
+        edges = [bound * 1_000.0 for bound in _BUCKET_BOUNDS_MS]
+        samples = [0.0, 0.3, 1.0, 1.1, 40.0, 7e10]
+        samples += edges + [edge * 1.0001 for edge in edges]
+        samples += [10 ** (k / 97) for k in range(-100, 1_000)]
+        assert [_bucket(us) for us in samples] == [scanned(us) for us in samples]
 
     def test_empty_histogram(self):
         snap = LatencyHistogram().snapshot()

@@ -234,57 +234,68 @@ class TestDeadlines:
             engine.shutdown(timeout=10)
 
     def test_an_untried_shard_is_busy_inline(self):
-        """With the scatter inline (one core), a shard queued behind a
-        writer spends the budget and the shards after it are never
-        tried: they are ``busy`` too, and the supervisor benches none."""
+        """The scatter runs on the request's thread.  A shard queued
+        behind a writer is deferred, so the shards after it still
+        answer and only the held one is ``busy``; and the shards an
+        earlier sub-query's overrun kept the scatter from reaching are
+        ``busy`` (not tried) too.  The supervisor benches none."""
         cluster = ClusterCoordinator.ephemeral(3)
-        cluster.parallel_scatter = False
         for k in range(6):
             scratch = VideoDatabase()
             add_synth_video(scratch, f"inline-{k}", np.random.default_rng(k))
             cluster.adopt(scratch.export_video(f"inline-{k}"))
         engine = ServiceEngine(cluster, n_workers=1, watchdog_interval=0)
-        _, held, last = cluster.shards
+        first, held, last = cluster.shards
         try:
-            held.lock.acquire_write()
-            try:
+            with held.lock.write_locked():
                 for k in range(engine.supervisor.threshold + 1):
                     payload, _ = engine.query(
                         1.0 + k, 1.0, deadline=Deadline(0.1), alpha=1e6, beta=1e6
                     )
                     assert payload["partial"] is True
-                    assert payload["shards_queried"] == 1  # the first shard
-                    failed = {f["shard"]: f for f in payload["shards_failed"]}
-                    assert {name: f["reason"] for name, f in failed.items()} == {
-                        held.name: "busy",
-                        last.name: "busy",
-                    }
-                    assert "not tried" in failed[last.name]["error"]
-            finally:
-                held.lock.release_write()
+                    assert payload["shards_queried"] == 2
+                    reasons = {f["shard"]: f["reason"] for f in payload["shards_failed"]}
+                    assert reasons == {held.name: "busy"}
             assert not any(shard.down for shard in cluster.shards)
             assert engine.supervisor.trips == 0
+
+            query_batch = first.db.query_batch
+
+            def late_scan(*args, **kwargs):
+                time.sleep(0.15)
+                return query_batch(*args, **kwargs)
+
+            first.db.query_batch = late_scan
+            answer = cluster.query(1.0, 1.0, deadline=Deadline(0.1))
+            failed = {f["shard"]: f for f in answer.shards_failed}
+            assert {name: f["reason"] for name, f in failed.items()} == {
+                first.name: "deadline",
+                held.name: "busy",
+                last.name: "busy",
+            }
+            assert "not tried" in failed[last.name]["error"]
+            assert answer.shards_queried == 0
         finally:
             engine.shutdown(timeout=10)
 
     def test_a_slow_shard_is_not_busy(self):
         """The other side of the busy rule: a sub-query that held its
         shard's read lock and still ran past the budget is a slow shard
-        (reason ``deadline``, counted toward benching) — even while
-        another reader queues on that shard behind a writer."""
+        (reason ``deadline``, counted toward benching; its late answer
+        is dropped) — even while another reader queues on that shard
+        behind a writer."""
         cluster = ClusterCoordinator.ephemeral(2)
-        cluster.parallel_scatter = True
         for k in range(4):
             scratch = VideoDatabase()
             add_synth_video(scratch, f"slow-{k}", np.random.default_rng(k))
             cluster.adopt(scratch.export_video(f"slow-{k}"))
         slow = cluster.shards[1]
-        scanning, finish = threading.Event(), threading.Event()
+        scanning = threading.Event()
         query_batch = slow.db.query_batch
 
         def late_scan(*args, **kwargs):
             scanning.set()
-            finish.wait(10.0)
+            time.sleep(0.5)  # past the 0.3 s budget
             return query_batch(*args, **kwargs)
 
         def writer():
@@ -308,11 +319,31 @@ class TestDeadlines:
             answer = cluster.query(1.0, 1.0, deadline=Deadline(0.3))
             assert [f["reason"] for f in answer.shards_failed] == ["deadline"]
             assert answer.partial
+            assert answer.shards_queried == 1
         finally:
-            finish.set()
             reader.join(10.0)
             cluster.close()
         assert not reader.is_alive()
+
+    def test_a_late_answer_on_a_plain_database_is_a_timeout(self):
+        """A one-shard scatter drops a sub-query that ends past the
+        deadline like any other, so a plain database answers 503
+        instead of returning the late answer."""
+        db = VideoDatabase()
+        add_synth_video(db, "late", np.random.default_rng(0))
+        engine = ServiceEngine(db, n_workers=1, watchdog_interval=0)
+        query_batch = db.query_batch
+
+        def late_scan(*args, **kwargs):
+            time.sleep(0.2)  # past the 0.1 s budget
+            return query_batch(*args, **kwargs)
+
+        db.query_batch = late_scan
+        try:
+            with pytest.raises(ServiceTimeout):
+                engine.query(1.0, 1.0, deadline=Deadline(0.1))
+        finally:
+            engine.shutdown(timeout=10)
 
     @pytest.mark.parametrize("layout", ["plain", "cluster"])
     def test_no_shard_answering_by_the_deadline_is_a_timeout(self, layout):
