@@ -40,7 +40,7 @@ def bench_extended_vs_base_retrieval(benchmark, corpus_detections):
         for clip, _, detection, labels in corpus_detections:
             base.add_detection_result(detection, archetypes=labels)
             extended.add_detection_result(detection, archetypes=labels)
-        sorted_base = ColumnarVarianceIndex.from_table(base)
+        sorted_base = ColumnarVarianceIndex(base)
         base_stats = []
         ext_stats = []
         probes = [e for e in extended.entries if e.archetype][:20]

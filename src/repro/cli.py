@@ -14,8 +14,10 @@
 
 `ingest` accepts ``.avi`` (uncompressed 24-bit) and ``.rvid`` files and
 decimates to 3 fps before analysis, like the paper's pipeline.  The
-database directory persists the catalog, the variance index, and every
-scene tree; raw frames are not stored.
+database directory holds one record per video (catalog entry, scene
+tree, index rows); raw frames are not stored.  `ingest`, `demo` and
+`remove` commit each change as it is made: one record and one small
+manifest delta.
 """
 
 from __future__ import annotations
@@ -54,22 +56,14 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig | None:
     return PipelineConfig(extraction=ExtractionConfig(**kwargs))
 
 
-def _load_or_create(
-    db_dir: str, config: PipelineConfig | None = None
-) -> VideoDatabase:
-    storage = DatabaseStorage(db_dir)
-    if storage.exists():
-        return VideoDatabase.load(db_dir, config=config)
-    return VideoDatabase(config)
-
-
-def _load_existing(db_dir: str) -> VideoDatabase:
-    storage = DatabaseStorage(db_dir)
-    if not storage.exists():
+def _open_existing(db_dir: str) -> VideoDatabase:
+    """The database at ``db_dir``, bound to it (see
+    :meth:`VideoDatabase.open`); a missing database is an error."""
+    if not DatabaseStorage(db_dir).exists():
         raise ReproError(
             f"no database at {db_dir!r}; run 'ingest' or 'demo' first"
         )
-    return VideoDatabase.load(db_dir)
+    return VideoDatabase.open(db_dir)
 
 
 def _read_clip(path: str):
@@ -87,7 +81,7 @@ def _read_clip(path: str):
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    db = _load_or_create(args.db, config=_pipeline_config(args))
+    db = VideoDatabase.open(args.db, config=_pipeline_config(args))
     clip = _read_clip(args.video)
     if clip.fps > ANALYSIS_FPS:
         clip = resample_fps(clip, ANALYSIS_FPS)
@@ -97,7 +91,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             genres=tuple(args.genre), forms=(args.form,)
         )
     report = db.ingest(clip, category=category)
-    db.save(args.db)
     print(
         f"ingested {report.video_id!r}: {report.n_frames} frames, "
         f"{report.n_shots} shots, scene tree height {report.tree_height}"
@@ -109,7 +102,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from .workloads.figure5 import make_figure5_clip
     from .workloads.friends import make_friends_clip
 
-    db = _load_or_create(args.db, config=_pipeline_config(args))
+    db = VideoDatabase.open(args.db, config=_pipeline_config(args))
     for maker in (make_figure5_clip, make_friends_clip):
         clip, _ = maker()
         if clip.name in db.catalog:
@@ -117,21 +110,19 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             continue
         report = db.ingest(clip)
         print(f"ingested {report.video_id!r} ({report.n_shots} shots)")
-    db.save(args.db)
     print(f"demo database written to {args.db}")
     return 0
 
 
 def _cmd_remove(args: argparse.Namespace) -> int:
-    db = _load_existing(args.db)
+    db = _open_existing(args.db)
     removed = db.remove(args.video)
-    db.save(args.db)
     print(f"removed {args.video!r} ({removed} index entries)")
     return 0
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    db = _load_existing(args.db)
+    db = _open_existing(args.db)
     rows = []
     for entry in db.catalog:
         rows.append(
@@ -149,7 +140,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_shots(args: argparse.Namespace) -> int:
-    db = _load_existing(args.db)
+    db = _open_existing(args.db)
     rows = [
         entry.to_row()
         for entry in sorted(
@@ -164,7 +155,7 @@ def _cmd_shots(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    db = _load_existing(args.db)
+    db = _open_existing(args.db)
     tree = db.scene_tree(args.video)
 
     def show(node: SceneNode, depth: int) -> None:
@@ -197,7 +188,7 @@ def _cmd_browse(args: argparse.Namespace, input_stream=None) -> int:
     """Interactive non-linear browsing (the paper's Sec. 3 use case)."""
     from .scenetree.summarize import summarize_tree
 
-    db = _load_existing(args.db)
+    db = _open_existing(args.db)
     session = db.browse(args.video)
     stream = input_stream if input_stream is not None else sys.stdin
     interactive = input_stream is None and sys.stdin.isatty()
@@ -292,7 +283,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    db = _load_existing(args.db)
+    db = _open_existing(args.db)
     if args.batch_file is None:
         if args.explain:
             from .obs import tracing

@@ -40,7 +40,6 @@ usual write locks, like any other ingest.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -217,8 +216,6 @@ class IntegrityScrubber:
         files_per_tick: int = 8,
         interval_s: float = 0.25,
         metrics: Any = None,
-        clock=time.monotonic,
-        sleep=time.sleep,
     ) -> None:
         if files_per_tick < 1:
             raise ValueError(
@@ -228,8 +225,6 @@ class IntegrityScrubber:
         self.files_per_tick = files_per_tick
         self.interval_s = interval_s
         self.metrics = metrics
-        self._clock = clock
-        self._sleep = sleep
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._stats_lock = threading.Lock()
@@ -284,7 +279,7 @@ class IntegrityScrubber:
             if since_sleep >= self.files_per_tick:
                 since_sleep = 0
                 if self.interval_s > 0:
-                    self._sleep(self.interval_s)
+                    self._stop.wait(self.interval_s)
             since_sleep += 1
             try:
                 with shard.lock.read_locked(_LOCK_TIMEOUT_S):
@@ -315,16 +310,6 @@ class IntegrityScrubber:
                 storage.quarantine(relpath)  # preserve the evidence
         except OSError:
             pass
-        if not logical.startswith(RECORD_PREFIX):
-            # A version-2 file: migrating the shard rewrites its state
-            # from memory as records.
-            try:
-                with shard.lock.write_locked(_LOCK_TIMEOUT_S):
-                    shard.db.save(storage.root)
-                self._bump("files_republished")
-            except Exception:
-                shard.mark_down(f"scrubber: cannot migrate past {logical}")
-            return
         video_id = logical[len(RECORD_PREFIX):]
         cluster = self.cluster
         record, stat = None, "videos_repaired"

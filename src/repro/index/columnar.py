@@ -41,13 +41,12 @@ see a consistent snapshot.  Searches run one at a time, process-wide
 (``_SEARCH_LOCK``): two at once only trade the GIL back and forth.
 
 Persistence is a checksummed little-endian binary column format
-(:meth:`to_bytes` / :meth:`from_bytes`, magic ``RVIX``): loading is
-O(columns) ``frombuffer`` reads instead of O(n) Python object
-construction.  Databases store one video's rows per record file
-(:mod:`repro.vdbms.storage`): :meth:`video_rows` encodes every video
-from the columns in one pass, :meth:`encode_rows` one video from its
-entries, and :meth:`from_parts` concatenates the per-video columns and
-sorts once.
+(magic ``RVIX``), one video's rows per file: the tail of that video's
+record (:mod:`repro.vdbms.storage`).  :meth:`video_rows` encodes every
+video from the columns in one pass, :meth:`encode_rows` one video from
+its entries, and :meth:`from_parts` concatenates the per-video columns
+with O(columns) ``frombuffer`` reads and sorts once — no O(n) Python
+object construction.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from ..errors import IndexError_
 from ..features.vector import FeatureVector
 from ..obs import current_trace as _current_trace
 from .query import VarianceQuery
-from .table import IndexEntry, IndexTable
+from .table import IndexEntry
 
 __all__ = ["COLUMNAR_MAGIC", "ColumnarVarianceIndex"]
 
@@ -84,7 +83,7 @@ _HEADER = struct.Struct("<4sHHQIII")
 _CHECKSUM_BYTES = 16
 
 #: Pending inserts tolerated before a merge into the main columns.
-_DEFAULT_MERGE_THRESHOLD = 512
+_MERGE_THRESHOLD = 512
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 
@@ -148,7 +147,14 @@ def _first_appearance(
 def _encode(
     cols: dict[str, np.ndarray], videos: list[str], archetypes: list[str]
 ) -> bytes:
-    """RVIX bytes of columns already in file order (see :meth:`to_bytes`)."""
+    """RVIX bytes of columns already in file order.
+
+    Layout: header (magic ``RVIX``, version, counts, table length), a
+    UTF-8 JSON blob with the used video-id/archetype tables, the seven
+    columns, and a trailing blake2s-16 checksum over everything before
+    it.  Deterministic: the string tables are compacted to the used
+    codes in first-appearance order.
+    """
     vid_col, video_table = _first_appearance(cols["video_idx"], videos)
     arch_col, arch_table = _first_appearance(cols["archetype_idx"], archetypes)
     tables = json.dumps({"videos": video_table, "archetypes": arch_table}).encode(
@@ -181,16 +187,9 @@ class ColumnarVarianceIndex:
 
     Args:
         entries: initial entries (any order; sorted internally).
-        merge_threshold: pending inserts tolerated before they are
-            merged into the main columns.
     """
 
-    def __init__(
-        self,
-        entries: Iterable[IndexEntry] = (),
-        merge_threshold: int = _DEFAULT_MERGE_THRESHOLD,
-    ) -> None:
-        self._merge_threshold = max(1, int(merge_threshold))
+    def __init__(self, entries: Iterable[IndexEntry] = ()) -> None:
         self._lock = threading.Lock()
         # Interned string tables.  The tables only grow; codes in the
         # columns index into them.  ``_video_rank[code]`` is the video
@@ -214,11 +213,6 @@ class ColumnarVarianceIndex:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_table(cls, table: IndexTable) -> "ColumnarVarianceIndex":
-        """Build the columnar index from an in-memory index table."""
-        return cls(table)
 
     def _set_columns(self, cols: dict[str, np.ndarray]) -> None:
         """Rebind the main columns (plus derived ones) atomically-ish:
@@ -289,7 +283,7 @@ class ColumnarVarianceIndex:
             self._intern_archetype(entry.archetype),
         )
         self._pending.append(row)
-        if len(self._pending) >= self._merge_threshold:
+        if len(self._pending) >= _MERGE_THRESHOLD:
             self._prepare()
 
     def _prepare(self) -> None:
@@ -400,7 +394,7 @@ class ColumnarVarianceIndex:
             "pending": len(pending),
             "videos": len(videos),
             "archetypes": len(archetypes),
-            "merge_threshold": self._merge_threshold,
+            "merge_threshold": _MERGE_THRESHOLD,
         }
         if rows:
             # _d_v is sorted, so the endpoints are the Eq. 7 domain.
@@ -608,20 +602,6 @@ class ColumnarVarianceIndex:
     # binary column persistence
     # ------------------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """Serialize to the checksummed little-endian column format.
-
-        Layout: header (magic ``RVIX``, version, counts, table length),
-        a UTF-8 JSON blob with the used video-id/archetype tables, the
-        seven columns in ``D^v`` order, and a trailing blake2s-16
-        checksum over everything before it.  Deterministic for a given
-        entry set and order: string tables are compacted to used codes
-        in first-appearance order, so repeated saves of the same state
-        are byte-identical.
-        """
-        self._prepare()
-        return _encode(self._columns(), self._video_ids, self._archetypes)
-
     def video_rows(self) -> Iterator[tuple[str, bytes]]:
         """Every video's rows as its own RVIX file, in one pass.
 
@@ -654,7 +634,7 @@ class ColumnarVarianceIndex:
         encoded = [data for _, data in index.video_rows()]
         if len(encoded) > 1:
             raise IndexError_(f"rows of {len(encoded)} videos in one record")
-        return encoded[0] if encoded else index.to_bytes()
+        return encoded[0] if encoded else _encode(index._columns(), [], [])
 
     @classmethod
     def from_parts(
@@ -672,7 +652,7 @@ class ColumnarVarianceIndex:
         index = cls()
         buffers = {name: bytearray() for name, _ in _COLUMNS}
         for video_id, data in parts:
-            _, videos, archetypes, cols = cls._parse_binary(data, False)
+            videos, archetypes, cols = cls._parse_binary(data)
             if videos not in ([], [video_id]):
                 raise IndexError_(f"rows of {videos!r} filed under {video_id!r}")
             # Trailing -1 maps "no archetype" (code -1) to itself.
@@ -688,7 +668,7 @@ class ColumnarVarianceIndex:
         if buffers["var_ba"]:
             var_ba = np.frombuffer(buffers["var_ba"], dtype="<f8")
             var_oa = np.frombuffer(buffers["var_oa"], dtype="<f8")
-            cls._check_variances(var_ba, var_oa, sorted_d_v=False)
+            cls._check_variances(var_ba, var_oa)
             order = np.argsort(np.sqrt(var_ba) - np.sqrt(var_oa), kind="stable")
             del var_ba, var_oa
             # Sort one column at a time, freeing its buffer as it goes:
@@ -701,16 +681,16 @@ class ColumnarVarianceIndex:
         index._prepare()
         return index
 
-    @classmethod
+    @staticmethod
     def _parse_binary(
-        cls, data: bytes, check_variances: bool = True
-    ) -> tuple[int, list[str], list[str], dict[str, np.ndarray]]:
-        """Validate the binary layout and return (n, tables, columns).
+        data: bytes,
+    ) -> tuple[list[str], list[str], dict[str, np.ndarray]]:
+        """Validate the binary layout and return (tables, columns).
 
         Raises :class:`IndexError_` on any structural problem — torn
-        tail, checksum mismatch, bad counts, out-of-range codes, NaN or
-        unsorted ``D^v`` (the last two unless ``check_variances`` is
-        off: :meth:`from_parts` checks them once on the merged rows).
+        tail, checksum mismatch, bad counts, out-of-range codes.  The
+        variances are checked once on the merged rows
+        (:meth:`from_parts`).
         """
         if len(data) < _HEADER.size + _CHECKSUM_BYTES:
             raise IndexError_(
@@ -761,16 +741,11 @@ class ColumnarVarianceIndex:
             arch = cols["archetype_idx"]
             if arch.min() < -1 or arch.max() >= n_arch:
                 raise IndexError_("binary index archetype codes out of range")
-            if check_variances:
-                cls._check_variances(cols["var_ba"], cols["var_oa"], sorted_d_v=True)
-        return n, videos, archetypes, cols
+        return videos, archetypes, cols
 
     @staticmethod
-    def _check_variances(
-        var_ba: np.ndarray, var_oa: np.ndarray, sorted_d_v: bool
-    ) -> None:
-        """Reject NaN or negative variances (and, with ``sorted_d_v``,
-        a ``D^v`` column out of order)."""
+    def _check_variances(var_ba: np.ndarray, var_oa: np.ndarray) -> None:
+        """Reject NaN or negative variances, and NaN ``D^v`` keys."""
         if np.isnan(var_ba).any() or np.isnan(var_oa).any():
             raise IndexError_("binary index contains NaN variances")
         if (var_ba < 0).any() or (var_oa < 0).any():
@@ -778,29 +753,3 @@ class ColumnarVarianceIndex:
         d_v = np.sqrt(var_ba) - np.sqrt(var_oa)
         if np.isnan(d_v).any():
             raise IndexError_("binary index contains NaN D^v keys")
-        if sorted_d_v and (np.diff(d_v) < 0).any():
-            raise IndexError_("binary index D^v column is not sorted")
-
-    @classmethod
-    def validate_bytes(cls, data: bytes) -> None:
-        """Structural + checksum validation of a whole-index file."""
-        cls._parse_binary(data)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ColumnarVarianceIndex":
-        """Load the binary column format: O(columns) array reads."""
-        n, videos, archetypes, cols = cls._parse_binary(data)
-        index = cls()
-        index._video_ids = videos
-        index._video_code = {vid: k for k, vid in enumerate(videos)}
-        index._archetypes = archetypes
-        index._archetype_code = {a: k for k, a in enumerate(archetypes)}
-        index._rank_dirty = bool(videos)
-        index._set_columns(
-            {
-                name: np.ascontiguousarray(col, dtype=np.dtype(dtype).newbyteorder("="))
-                for (name, dtype), col in zip(_COLUMNS, cols.values())
-            }
-        )
-        index._prepare()
-        return index

@@ -283,6 +283,23 @@ _PALETTE: tuple[tuple[int, int, int], ...] = (
 )
 
 
+def _spec_source(spec: Any) -> str:
+    """The ``source`` of an ingest request body, after the checks that
+    need no clip: the spec is an object, the source is known, and a
+    synthetic spec names a ``video_id``, a file spec a ``path``.
+    Raises :class:`WorkloadError` otherwise."""
+    if not isinstance(spec, dict):
+        raise WorkloadError(f"ingest spec must be an object, got {type(spec).__name__}")
+    source = spec.get("source", "synthetic")
+    if source not in ("synthetic", "figure5", "friends", "file"):
+        raise WorkloadError(f"unknown ingest source {source!r}")
+    if source == "synthetic" and not spec.get("video_id"):
+        raise WorkloadError("synthetic ingest spec requires a 'video_id'")
+    if source == "file" and not spec.get("path"):
+        raise WorkloadError("file ingest spec requires a 'path'")
+    return source
+
+
 def clip_from_spec(spec: dict[str, Any]) -> tuple[VideoClip, VideoCategory | None]:
     """Materialize the clip described by an ingest request body.
 
@@ -299,9 +316,7 @@ def clip_from_spec(spec: dict[str, Any]) -> tuple[VideoClip, VideoCategory | Non
     An optional ``category`` object (``{"genres": [...], "forms":
     [...]}``) classifies the clip for scoped queries.
     """
-    if not isinstance(spec, dict):
-        raise WorkloadError(f"ingest spec must be an object, got {type(spec).__name__}")
-    source = spec.get("source", "synthetic")
+    source = _spec_source(spec)
     category = None
     raw_category = spec.get("category")
     if raw_category is not None:
@@ -311,9 +326,7 @@ def clip_from_spec(spec: dict[str, Any]) -> tuple[VideoClip, VideoCategory | Non
         )
 
     if source == "synthetic":
-        video_id = spec.get("video_id")
-        if not video_id:
-            raise WorkloadError("synthetic ingest spec requires a 'video_id'")
+        video_id = spec["video_id"]
         n_shots = int(spec.get("n_shots", 3))
         frames_per_shot = int(spec.get("frames_per_shot", 6))
         rows = int(spec.get("rows", 60))
@@ -344,29 +357,24 @@ def clip_from_spec(spec: dict[str, Any]) -> tuple[VideoClip, VideoCategory | Non
             clip = VideoClip(video_id, clip.frames, fps=clip.fps)
         return clip, category
 
-    if source == "file":
-        path = spec.get("path")
-        if not path:
-            raise WorkloadError("file ingest spec requires a 'path'")
-        from pathlib import Path
+    from pathlib import Path
 
-        from ..video.avi import read_avi
-        from ..video.io import read_rvid
+    from ..video.avi import read_avi
+    from ..video.io import read_rvid
 
-        suffix = Path(path).suffix.lower()
-        if suffix == ".avi":
-            clip = read_avi(path)
-        elif suffix == ".rvid":
-            clip = read_rvid(path)
-        else:
-            raise WorkloadError(
-                f"unsupported video format {suffix!r} (use .avi or .rvid)"
-            )
-        if clip.fps > ANALYSIS_FPS:
-            clip = resample_fps(clip, ANALYSIS_FPS)
-        return clip, category
-
-    raise WorkloadError(f"unknown ingest source {source!r}")
+    path = spec["path"]  # the "file" source
+    suffix = Path(path).suffix.lower()
+    if suffix == ".avi":
+        clip = read_avi(path)
+    elif suffix == ".rvid":
+        clip = read_rvid(path)
+    else:
+        raise WorkloadError(
+            f"unsupported video format {suffix!r} (use .avi or .rvid)"
+        )
+    if clip.fps > ANALYSIS_FPS:
+        clip = resample_fps(clip, ANALYSIS_FPS)
+    return clip, category
 
 
 # ----------------------------------------------------------------------
@@ -604,17 +612,7 @@ class ServiceEngine:
         submission with :class:`WorkloadError`), but the clip itself is
         materialized inside the worker so submission stays O(1).
         """
-        if not isinstance(spec, dict):
-            raise WorkloadError(
-                f"ingest spec must be an object, got {type(spec).__name__}"
-            )
-        source = spec.get("source", "synthetic")
-        if source not in ("synthetic", "figure5", "friends", "file"):
-            raise WorkloadError(f"unknown ingest source {source!r}")
-        if source == "synthetic" and not spec.get("video_id"):
-            raise WorkloadError("synthetic ingest spec requires a 'video_id'")
-        if source == "file" and not spec.get("path"):
-            raise WorkloadError("file ingest spec requires a 'path'")
+        source = _spec_source(spec)
         description = spec.get("video_id") or spec.get("path") or source
         return self._enqueue(
             f"ingest {description!r} ({source})", spec, route_hint=description

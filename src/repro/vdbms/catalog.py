@@ -120,14 +120,3 @@ class Catalog:
             for entry in self._entries.values()
             if entry.category is not None and entry.category.overlaps(category)
         ]
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialize the whole catalog to a JSON-compatible dict."""
-        return {"videos": [entry.to_dict() for entry in self._entries.values()]}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Catalog":
-        catalog = cls()
-        for raw in payload["videos"]:
-            catalog.add(CatalogEntry.from_dict(raw))
-        return catalog

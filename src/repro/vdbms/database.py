@@ -36,12 +36,11 @@ from ..scenetree.builder import SceneTreeBuilder
 from ..scenetree.nodes import SceneTree
 from ..sbd.detector import CameraTrackingDetector, DetectionResult
 from ..sbd.shots import Shot
-from ..scenetree.serialize import scene_tree_from_dict
 from ..video.clip import VideoClip
 from ..workloads.taxonomy import VideoCategory
 from .catalog import Catalog, CatalogEntry
 from .fsio import LocalFS
-from .manifest import MANIFEST_VERSION, RECORD_PREFIX, Manifest, digest_bytes
+from .manifest import RECORD_PREFIX, digest_bytes
 from .storage import DatabaseStorage, record_bytes
 
 __all__ = ["IngestReport", "QueryAnswer", "VideoDatabase", "VideoRecord"]
@@ -511,13 +510,7 @@ class VideoDatabase:
     # persistence
     # ------------------------------------------------------------------
 
-    def save(
-        self,
-        root: str | Path,
-        include_videos: bool = False,
-        *,
-        fs: LocalFS | None = None,
-    ) -> Path:
+    def save(self, root: str | Path, *, fs: LocalFS | None = None) -> Path:
         """Persist every video's record under ``root``.
 
         The whole state is committed through one atomic publish (see
@@ -527,10 +520,8 @@ class VideoDatabase:
         in the database are dropped and their files garbage-collected
         after the commit.
 
-        Raw frames are only written with ``include_videos=True`` (they
-        dominate disk usage); detection features are recomputed on
-        demand after a load.  ``fs`` overrides the filesystem backend
-        (fault-injection seam).
+        Raw frames and detection features are not stored.  ``fs``
+        overrides the filesystem backend (fault-injection seam).
         """
         root = Path(root)
         if self._storage is not None and root == self._storage.root and fs is None:
@@ -541,12 +532,11 @@ class VideoDatabase:
         return storage.root
 
     def _publish_all(self, storage: DatabaseStorage) -> None:
-        """Publish the whole state: every record, dropping the rest
-        (in a version-2 directory, its catalog, index and tree files:
-        the migration).  Rows are serialized from the index columns in
-        one pass (no ``IndexEntry`` objects)."""
+        """Publish the whole state: every record, dropping the rest.
+        Rows are serialized from the index columns in one pass (no
+        ``IndexEntry`` objects)."""
         rows = dict(self.index.video_rows())
-        empty = ColumnarVarianceIndex().to_bytes()
+        empty = ColumnarVarianceIndex.encode_rows(())
         payloads = {
             RECORD_PREFIX + entry.video_id: record_bytes(
                 entry, self.trees[entry.video_id], rows.get(entry.video_id, empty)
@@ -564,13 +554,11 @@ class VideoDatabase:
         its removal.
 
         Records of videos a recovering load quarantined are dropped
-        along the way.  The first publish into an empty root or a
-        version-2 directory writes the whole state instead (the latter
-        is the migration).
+        along the way.  The first publish into an empty root writes the
+        whole state instead.
         """
         assert self._storage is not None
-        manifest = self._storage.current_manifest()
-        if manifest is None or manifest.version < MANIFEST_VERSION:
+        if self._storage.current_manifest() is None:
             self._publish_all(self._storage)
             return
         logical = RECORD_PREFIX + video_id
@@ -612,8 +600,8 @@ class VideoDatabase:
         fsync → delta or checkpoint rename) before returning, so a
         crash between operations never loses an acknowledged one and a
         crash mid-operation is invisible after reload.  A root holding
-        the pre-manifest layout raises
-        :class:`~repro.errors.StorageError` (see :meth:`load`).
+        a refused layout raises :class:`~repro.errors.StorageError`
+        (see :meth:`load`).
         """
         storage = DatabaseStorage(root, fs=fs)
         if storage.exists():
@@ -645,14 +633,14 @@ class VideoDatabase:
         ``recover=True`` the video is dropped instead (its id is
         recorded in :attr:`quarantined`) and the rest of the database
         loads normally.  An unreadable manifest chain always raises —
-        there is no partial state worth serving without it — as does a
-        root without a manifest (including the pre-manifest layout).
+        there is no partial state worth serving without it — as do a
+        root without a manifest and the refused layouts (version 2 and
+        the pre-manifest layout), which are never read past the
+        manifest.
 
         Records are streamed: each one is verified, its tree, catalog
         entry and row columns kept and its bytes dropped; the index is
-        then built by concatenating the columns and sorting once.  A
-        version-2 directory loads from its catalog, index and tree
-        files.
+        then built by concatenating the columns and sorting once.
 
         Detection results (raw per-frame features) are not persisted;
         queries and browsing work immediately, while :meth:`shots`
@@ -663,9 +651,6 @@ class VideoDatabase:
         if manifest is None:
             raise StorageError(f"no database at {storage.root} (no manifest.json)")
         db = cls(config=config)
-        if manifest.version < MANIFEST_VERSION:
-            db._load_version_2(storage, manifest, recover)
-            return db
 
         def rows() -> Iterator[tuple[str, bytes]]:
             # One record's bytes alive at a time: the index keeps the
@@ -691,30 +676,3 @@ class VideoDatabase:
                 f"corrupt record rows under {storage.root}: {exc}"
             ) from exc
         return db
-
-    def _load_version_2(
-        self, storage: DatabaseStorage, manifest: Manifest, recover: bool
-    ) -> None:
-        """Load a version-2 directory: one catalog file, one index file
-        (either corrupt raises, even with ``recover``) and one tree
-        file per video."""
-        self.catalog = Catalog.from_dict(storage.verified_json("catalog", manifest))
-        index_bytes = storage.verified_bytes("index", manifest)
-        try:
-            self.index = ColumnarVarianceIndex.from_bytes(index_bytes)
-        except IndexError_ as exc:
-            raise StorageError(
-                f"corrupt database file "
-                f"{storage.root / manifest.files['index'].path}: {exc}"
-            ) from exc
-        for video_id in self.catalog.ids():
-            try:
-                self.trees[video_id] = scene_tree_from_dict(
-                    storage.verified_json("tree:" + video_id, manifest)
-                )
-            except StorageError:
-                if not recover:
-                    raise
-                self.catalog.remove(video_id)
-                self.index.remove_video(video_id)
-                self.quarantined.append(video_id)

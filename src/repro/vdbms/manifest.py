@@ -42,7 +42,8 @@ disk, never re-read from the file, so silent corruption during the
 write itself is caught on the next load.
 
 Version 2 (one catalog, one index and one tree file per video, no
-deltas) is still read; the first publish rewrites it as version 3.
+deltas) is refused, like the pre-manifest layout before it (see
+:mod:`repro.vdbms.storage`).
 """
 
 from __future__ import annotations
@@ -61,13 +62,10 @@ __all__ = [
     "digest_bytes",
 ]
 
-#: Current manifest format.  Version 2 is still read (and migrated by
-#: the first publish); "version 1" is the manifest-less layout (bare
-#: ``catalog.json`` + ``index.json``), which this build refuses.
+#: The one manifest format this build reads and writes.  Version 2 and
+#: "version 1" (the manifest-less layout: bare ``catalog.json`` +
+#: ``index.json``) are refused.
 MANIFEST_VERSION = 3
-
-#: Manifest versions this build loads.
-_READABLE_VERSIONS = (2, MANIFEST_VERSION)
 
 #: Logical-name prefix of per-video records (``video:<video_id>``).
 RECORD_PREFIX = "video:"
@@ -120,16 +118,10 @@ class FileRecord:
 
 @dataclass(slots=True)
 class Manifest:
-    """The committed state of one database directory (the folded chain).
-
-    ``version`` is the format of the checkpoint it was read from: a
-    version-2 manifest tracks ``catalog``, ``index`` and ``tree:<id>``
-    files and is rewritten as version 3 by the next publish.
-    """
+    """The committed state of one database directory (the folded chain)."""
 
     generation: int
     files: dict[str, FileRecord] = field(default_factory=dict)
-    version: int = MANIFEST_VERSION
 
     def video_ids(self) -> list[str]:
         """Video ids that have a tracked record, manifest order."""
@@ -191,13 +183,12 @@ class Manifest:
     def from_dict(cls, payload: dict[str, Any]) -> "Manifest":
         """Parse a checkpoint payload; raises ``StorageError`` on any defect."""
         version = payload.get("version")
-        if version not in _READABLE_VERSIONS:
+        if version != MANIFEST_VERSION:
             raise StorageError(
                 f"unsupported manifest version {version!r} "
-                f"(this build reads versions {_READABLE_VERSIONS})"
+                f"(this build reads version {MANIFEST_VERSION})"
             )
         return cls(
             generation=_generation(payload),
             files=_records(payload.get("files"), "files"),
-            version=version,
         )

@@ -5,7 +5,6 @@
       deltas/manifest-g<N>.json      one delta per publish since it
       records/<id>-g<N>.rvr          one record per video: catalog
                                      entry, scene tree, index rows
-      videos/<id>.rvid               raw clips (optional; large; untracked)
       staging/                       in-flight writes (pid + counter names)
       quarantine/                    where fsck --repair moves bad files
 
@@ -27,12 +26,11 @@ Loads verify every tracked file's size and blake2s digest before
 parsing, so torn or bit-flipped files surface as a precise
 :class:`~repro.errors.StorageIntegrityError` instead of wrong answers.
 
-A version-2 directory (``catalog-g<N>.json`` + ``index-g<N>.bin`` +
-``trees/<id>-g<N>.json``) still loads; its first publish writes every
-record and a version-3 checkpoint, and garbage collection then deletes
-the files the version-2 manifest tracked.  The pre-manifest layout
-(bare ``catalog.json`` + ``index.json`` + ``trees/<id>.json``) is
-refused, never read or deleted: load, open and publish raise
+Two older layouts are refused, never read, written or deleted: a
+version-2 directory (``catalog-g<N>.json`` + ``index-g<N>.bin`` +
+``trees/<id>-g<N>.json`` behind a version-2 manifest) and the
+pre-manifest layout (bare ``catalog.json`` + ``index.json`` +
+``trees/<id>.json``).  Load, open and publish raise
 :class:`~repro.errors.StorageError` naming the way to migrate, and
 fsck reports the directory as not clean.
 """
@@ -53,17 +51,9 @@ from ..errors import IndexError_, StorageError, StorageIntegrityError
 from ..index.columnar import ColumnarVarianceIndex
 from ..scenetree.nodes import SceneTree
 from ..scenetree.serialize import scene_tree_from_dict, scene_tree_to_dict
-from ..video.clip import VideoClip
-from ..video.io import read_rvid, write_rvid
 from .catalog import CatalogEntry
 from .fsio import LocalFS
-from .manifest import (
-    MANIFEST_VERSION,
-    RECORD_PREFIX,
-    FileRecord,
-    Manifest,
-    digest_bytes,
-)
+from .manifest import RECORD_PREFIX, FileRecord, Manifest, digest_bytes
 
 __all__ = [
     "DatabaseStorage",
@@ -79,8 +69,8 @@ __all__ = [
 _STAGING_COUNTER = itertools.count(1)
 
 #: The generation-suffixed names this build writes: the only files
-#: publish may sweep and fsck may call untracked.  Version-2 and
-#: pre-manifest names never match.
+#: publish may sweep and fsck may call untracked.  Names of the refused
+#: layouts never match.
 _RECORD_NAME = re.compile(r".+-g\d{8,}\.rvr")
 _DELTA_NAME = re.compile(r"manifest-g(\d{8,})\.json")
 
@@ -177,7 +167,8 @@ class FileCheck:
     """The verdict on one tracked file.
 
     ``status`` is one of ``ok``, ``missing``, ``size-mismatch``,
-    ``checksum-mismatch``, ``corrupt-json``, ``corrupt-binary``.
+    ``checksum-mismatch``, ``corrupt-json``, ``corrupt-binary``, and
+    ``unsupported`` (a version-2 manifest).
     """
 
     logical: str
@@ -203,9 +194,10 @@ class FileCheck:
 class FsckReport:
     """Everything ``repro fsck`` learned about one database directory.
 
-    ``mode`` is ``manifest`` (normal), ``pre-manifest`` (the refused
-    layout; never clean, never repaired), or ``empty`` (no database at
-    all).  ``untracked`` lists managed-
+    ``mode`` is ``manifest`` (normal), ``version-2`` or
+    ``pre-manifest`` (the refused layouts; never clean, never
+    repaired), or ``empty`` (no database at all).  ``untracked`` lists
+    managed-
     looking files the manifest does not reference — harmless litter from
     a torn publish, removable with ``--repair``.
     """
@@ -252,12 +244,28 @@ class _Chain:
 
 
 class _ChainError(StorageError):
-    """An unreadable manifest chain; names the file and fsck status."""
+    """An unreadable manifest chain, or a refused layout; names the
+    file, its fsck status and the fsck mode."""
 
-    def __init__(self, message: str, path: str, status: str) -> None:
+    def __init__(
+        self, message: str, path: str, status: str, mode: str = "manifest"
+    ) -> None:
         super().__init__(message)
         self.path = path
         self.status = status
+        self.mode = mode
+
+
+def _refused(root: Path, layout: str, mode: str, status: str) -> _ChainError:
+    """The error for a layout this build neither reads nor touches."""
+    return _ChainError(
+        f"{root} holds {layout}, which this build does not read; migrate "
+        "it by opening the database and saving it once with an earlier "
+        "build that still reads that layout",
+        "manifest.json",
+        status,
+        mode,
+    )
 
 
 class DatabaseStorage:
@@ -305,10 +313,6 @@ class DatabaseStorage:
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
 
-    def video_path(self, video_id: str) -> Path:
-        """Path of one video's raw frames under videos/."""
-        return self.root / "videos" / f"{_safe_id(video_id)}.rvid"
-
     def record_path(self, video_id: str) -> Path | None:
         """The committed record file of one video, or None."""
         manifest = self.read_manifest()
@@ -334,7 +338,7 @@ class DatabaseStorage:
 
     def initialize(self) -> None:
         """Create the directory skeleton."""
-        for directory in ("videos", "records", "deltas", "staging"):
+        for directory in ("records", "deltas", "staging"):
             self.fs.mkdir(self.root / directory)
 
     def exists(self) -> bool:
@@ -349,11 +353,11 @@ class DatabaseStorage:
         pre-manifest layout (a bare ``catalog.json``, no manifest): this
         build does not read it, and a publish into it would sweep it."""
         if (self.root / "catalog.json").exists() and not self.manifest_path.exists():
-            raise StorageError(
-                f"{self.root} holds the pre-manifest layout (catalog.json "
-                "without manifest.json), which this build does not read; "
-                "migrate it by opening the database and saving it once "
-                "with an earlier build that still reads that layout"
+            raise _refused(
+                self.root,
+                "the pre-manifest layout (catalog.json without manifest.json)",
+                "pre-manifest",
+                "missing",
             )
 
     # ------------------------------------------------------------------
@@ -367,7 +371,7 @@ class DatabaseStorage:
         Raises :class:`StorageError` when the checkpoint or a delta
         cannot be parsed, or a delta is missing from the chain — that
         is real corruption, because every commit is atomic — and on the
-        pre-manifest layout.
+        refused layouts (version 2, pre-manifest).
         """
         return self._read_chain()[0]
 
@@ -405,6 +409,14 @@ class DatabaseStorage:
             self._refuse_pre_manifest()
             return None, _Chain()
         data, payload = self._read_json(self.manifest_path, "manifest")
+        if payload.get("version") == 2:
+            raise _refused(
+                self.root,
+                "manifest version 2 (one catalog, one index and one tree "
+                "file per video)",
+                "version-2",
+                "unsupported",
+            )
         try:
             manifest = Manifest.from_dict(payload)
         except StorageError as exc:
@@ -412,8 +424,6 @@ class DatabaseStorage:
                 str(exc), self.manifest_path.name, "corrupt-json"
             ) from exc
         chain = _Chain(checkpoint_bytes=len(data))
-        if manifest.version < MANIFEST_VERSION:
-            return manifest, chain
         for generation, path in self._delta_files():
             if generation <= manifest.generation:
                 continue
@@ -520,8 +530,7 @@ class DatabaseStorage:
         carried over too (no write).  When nothing changes at all the
         current manifest is returned untouched — a no-op save does not
         even bump the generation.  The commit is one small delta file,
-        or a new ``manifest.json`` checkpoint when there is none yet,
-        the current one is version 2 (the caller drops its files), or
+        or a new ``manifest.json`` checkpoint when there is none yet or
         the deltas since it would hold more bytes than it does.
         """
         # Single-writer fast path: after the first publish this object
@@ -563,11 +572,7 @@ class DatabaseStorage:
             for logical in dict.fromkeys(drop)
             if logical in old_files and logical not in records
         ]
-        # A delta cannot follow a version-2 checkpoint: the migrating
-        # publish (whose caller drops the version-2 files) checkpoints.
-        checkpoint = (
-            old is None or old.version < MANIFEST_VERSION or self._floor > 0
-        )
+        checkpoint = old is None or self._floor > 0
         if not (changed or dropped or checkpoint):
             self._committed, self._chain = old, chain
             return old
@@ -660,10 +665,9 @@ class DatabaseStorage:
         """Delete files the committed chain does not reference.
 
         The only garbage a successful publish can create is ``stale``
-        — the files of the records it dropped or replaced (version-2
-        files included) — the deltas a checkpoint folded in, and
-        staging litter: cost scales with what the publish changed, not
-        a directory scan.  ``stale=None`` (the first publish, with no
+        — the files of the records it dropped or replaced — the deltas
+        a checkpoint folded in, and staging litter: cost scales with
+        what the publish changed, not a directory scan.  ``stale=None`` (the first publish, with no
         superseded manifest) falls back to sweeping every file this
         build writes.  Orphans from *crashed* publishes are out of
         scope either way: fsck reports them as untracked.
@@ -745,19 +749,6 @@ class DatabaseStorage:
             )
         return data
 
-    def verified_json(self, logical: str, manifest: Manifest) -> dict[str, Any]:
-        """Read one tracked JSON file of a version-2 directory (see
-        :meth:`verified_bytes`)."""
-        data = self.verified_bytes(logical, manifest)
-        try:
-            return json.loads(data)
-        except json.JSONDecodeError as exc:  # pragma: no cover - digest
-            # matched, so this means the *writer* serialized bad JSON
-            record = manifest.files[logical]
-            raise StorageError(
-                f"corrupt database file {self.root / record.path}: {exc}"
-            ) from exc
-
     def verified_record(
         self, logical: str, manifest: Manifest
     ) -> tuple[CatalogEntry, SceneTree, bytes]:
@@ -766,23 +757,6 @@ class DatabaseStorage:
         logical name says."""
         data = self.verified_bytes(logical, manifest)
         return _parse_tracked_record(logical, manifest.files[logical], data)
-
-    # ------------------------------------------------------------------
-    # raw clips
-    # ------------------------------------------------------------------
-
-    def save_video(self, clip: VideoClip) -> Path:
-        """Persist the raw clip (optional — clips are large, untracked)."""
-        path = self.video_path(clip.name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return write_rvid(clip, path)
-
-    def load_video(self, video_id: str) -> VideoClip:
-        """Load a stored raw clip."""
-        path = self.video_path(video_id)
-        if not path.exists():
-            raise StorageError(f"no stored video for {video_id!r} at {path}")
-        return read_rvid(path)
 
     # ------------------------------------------------------------------
     # fsck
@@ -795,30 +769,22 @@ class DatabaseStorage:
         Never raises on corruption — problems become
         :class:`FileCheck` rows so callers (the CLI, the kill-point
         sweep) can assert on the classification.  A broken chain (an
-        unreadable checkpoint or delta, or a missing delta) is one row
-        for logical ``manifest``; deltas at or below the checkpoint's
-        generation are untracked litter.
+        unreadable checkpoint or delta, or a missing delta) or a refused
+        layout is one row for logical ``manifest``; deltas at or below
+        the checkpoint's generation are untracked litter.
         """
         report = FsckReport(root=str(self.root), mode="empty")
         try:
-            self._refuse_pre_manifest()
-        except StorageError as exc:
-            report.mode = "pre-manifest"
-            report.checks.append(
-                FileCheck("manifest", "manifest.json", "missing", str(exc))
-            )
-            return report
-        if not self.manifest_path.exists():
-            return report
-        report.mode = "manifest"
-        try:
             manifest, chain = self._read_chain()
         except _ChainError as exc:
+            report.mode = exc.mode
             report.checks.append(
                 FileCheck("manifest", exc.path, exc.status, str(exc))
             )
             return report
-        assert manifest is not None
+        if manifest is None:
+            return report
+        report.mode = "manifest"
         report.generation = manifest.generation
         for logical, record in manifest.files.items():
             status, detail = self._check_record(logical, record)
@@ -840,12 +806,8 @@ class DatabaseStorage:
         """Classify one manifest record's file: the fsck primitive.
 
         Size and digest first; a file whose digest matches must also
-        decode as its kind (a failure there means the writer produced a
-        bad file): a ``video:`` record must hold that video.  The files
-        of a version-2 manifest (read until its migrating publish) are
-        an ``index`` of binary columns — builds between the manifest
-        and the binary format committed a JSON index, which load
-        refuses — and JSON for the rest.
+        decode as a record (a failure there means the writer produced a
+        bad file) holding the video its logical name says.
         """
         path = self.root / record.path
         try:
@@ -862,17 +824,10 @@ class DatabaseStorage:
         if digest_bytes(data) != record.blake2s:
             return "checksum-mismatch", "blake2s digest does not match the manifest"
         try:
-            if logical.startswith(RECORD_PREFIX):
-                entry, _, rows = _parse_tracked_record(logical, record, data)
-                ColumnarVarianceIndex.from_parts([(entry.video_id, rows)])
-            elif logical == "index":
-                ColumnarVarianceIndex.validate_bytes(data)
-            else:
-                json.loads(data)
+            entry, _, rows = _parse_tracked_record(logical, record, data)
+            ColumnarVarianceIndex.from_parts([(entry.video_id, rows)])
         except (StorageError, IndexError_) as exc:
             return "corrupt-binary", str(exc)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            return "corrupt-json", str(exc)
         return "ok", ""
 
     def quarantine(self, relpath: str) -> Path:

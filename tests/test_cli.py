@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.testing import synth_database
+from repro.vdbms.database import VideoDatabase
 from repro.video.avi import write_avi
 from repro.video.clip import VideoClip
 from repro.video.io import write_rvid
@@ -70,6 +72,31 @@ class TestIngest:
         ) == 0
         assert main(["info", "--db", db_dir]) == 0
         assert "comedy feature" in capsys.readouterr().out
+
+    def test_ingest_into_existing_database_writes_one_record(
+        self, tmp_path, monkeypatch
+    ):
+        """An ingest commits the new video's record and one manifest
+        delta; it never republishes the whole database, so the other
+        records' files stay as they were."""
+        db_dir = tmp_path / "db"
+        synth_database(3, n_videos=3).save(db_dir)
+        before = {
+            path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in (db_dir / "records").iterdir()
+        }
+
+        def publish_all(self, storage):
+            raise AssertionError("ingest republished the whole database")
+
+        monkeypatch.setattr(VideoDatabase, "_publish_all", publish_all)
+        clip = write_rvid(_cut_clip("one-more"), tmp_path / "c.rvid")
+        assert main(["ingest", str(clip), "--db", str(db_dir)]) == 0
+        for path, (data, mtime) in before.items():
+            assert (path.read_bytes(), path.stat().st_mtime_ns) == (data, mtime)
+        assert len(list((db_dir / "records").iterdir())) == len(before) + 1
+        assert len(list((db_dir / "deltas").iterdir())) == 1
+        assert "one-more" in VideoDatabase.load(db_dir).catalog
 
     def test_ingest_unsupported_format(self, tmp_path, capsys):
         bad = tmp_path / "movie.mp4"

@@ -20,7 +20,7 @@ from repro.errors import StorageError
 from repro.testing import sweep_kill_points, synth_database, synth_record
 from repro.testing.synth import add_synth_video
 from repro.vdbms.database import VideoDatabase
-from repro.vdbms.manifest import MANIFEST_VERSION, digest_bytes
+from repro.vdbms.manifest import digest_bytes
 from repro.vdbms.storage import DatabaseStorage
 from repro.video.clip import VideoClip
 
@@ -182,10 +182,9 @@ def _fingerprint(db):
     }
 
 
-def _exact_classifier(pre, post, verdict_of=None):
+def _exact_classifier(pre, post):
     """Reload must equal ``pre`` or ``post`` exactly; fsck is clean then
-    and after the next publish.  ``verdict_of(root, state)`` names the
-    state when pre and post hold the same content (the migration)."""
+    and after the next publish."""
 
     def classify(ctx, mode):
         root = ctx["root"]
@@ -199,9 +198,7 @@ def _exact_classifier(pre, post, verdict_of=None):
             return "detected"
         state = _fingerprint(db)
         assert report.clean, report.problems()
-        if verdict_of is not None:
-            verdict = verdict_of(root, state)
-        elif state == pre:
+        if state == pre:
             verdict = "pre"
         else:
             assert state == post, f"torn state after {mode}: {sorted(state)}"
@@ -221,8 +218,8 @@ def _commit_targets(report):
 
 class TestChainSweeps:
     """Every filesystem operation of a delta publish, a checkpoint
-    publish, a remove, an adopt that replaces a copy and the version-2
-    migration: reload equals the pre- or post-state exactly."""
+    publish, a remove and an adopt that replaces a copy: reload equals
+    the pre- or post-state exactly."""
 
     @staticmethod
     def _base(root, n_videos):
@@ -305,28 +302,3 @@ class TestChainSweeps:
         )
         # The superseded record file is deleted after the commit.
         assert [p.op for p in report.points][-1] == "unlink"
-
-    def test_version_2_migration(self, tmp_path):
-        from tests.test_storage_manifest import write_version_2
-
-        reference = synth_database(9, n_videos=3)
-        state = _fingerprint(reference)
-
-        def setup():
-            root = tmp_path / f"v2-{next(_DIR_COUNTER)}"
-            write_version_2(synth_database(9, n_videos=3), root)
-            return {"root": root}
-
-        def run(ctx, fs):
-            # Engine shutdown's save_all is such a publish.
-            VideoDatabase.open(ctx["root"], fs=fs).save(ctx["root"], fs=fs)
-
-        def verdict_of(root, loaded):
-            assert loaded == state
-            version = DatabaseStorage(root).read_manifest().version
-            return "post" if version == MANIFEST_VERSION else "pre"
-
-        report = sweep_kill_points(
-            setup, run, _exact_classifier(state, state, verdict_of)
-        )
-        _assert_sound(report)

@@ -152,15 +152,15 @@ class TestSortedIndex:
         index = ColumnarVarianceIndex(
             [_entry(number=k, var_ba=float(k), archetype="a") for k in range(1, 5)]
         )
-        loaded = ColumnarVarianceIndex.from_bytes(index.to_bytes())
+        loaded = ColumnarVarianceIndex.from_parts(index.video_rows())
         assert len(loaded) == 4
         assert loaded.entries[0].archetype == "a"
 
     def test_load_rejects_bad_version(self):
-        data = bytearray(ColumnarVarianceIndex([_entry()]).to_bytes())
+        data = bytearray(ColumnarVarianceIndex.encode_rows([_entry()]))
         data[4:6] = (0).to_bytes(2, "little")  # the header's version field
         with pytest.raises(IndexError_, match="version"):
-            ColumnarVarianceIndex.from_bytes(bytes(data))
+            ColumnarVarianceIndex.from_parts([("v", bytes(data))])
 
     @settings(max_examples=30)
     @given(

@@ -1,18 +1,19 @@
 """The binary index format (RVIX): roundtrip, determinism, corruption
-detection, refusal of the older JSON index, and fsck.
+detection, and fsck.
 
-The columnar index persists as a checksummed little-endian column
-file.  These tests pin the format contract: a byte-identical rewrite
-of an unchanged index (so the publish layer's content dedup still
-works), detection — not silent service — of any truncation or bit
-flip, and a loud refusal of the JSON index older builds wrote.  The
-publish path that writes the file has its own kill-point sweeps
-(``tests/test_faults_killpoints.py``).
+The columnar index persists one video's rows per checksummed
+little-endian column file: the tail of that video's record, encoded by
+``encode_rows``/``video_rows`` and decoded by ``from_parts``.  These
+tests pin the format contract: a byte-identical rewrite of unchanged
+rows (so the publish layer's content dedup still works, and replicas
+stay byte-identical), and detection — not silent service — of any
+truncation or bit flip.  The publish path that writes the records has
+its own kill-point sweeps (``tests/test_faults_killpoints.py``).
 """
 
 from __future__ import annotations
 
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from repro.index.columnar import COLUMNAR_MAGIC
 from repro.index.query import VarianceQuery
 from repro.testing import synth_database
 from repro.vdbms.database import VideoDatabase
-from repro.vdbms.manifest import FileRecord, digest_bytes
 from repro.vdbms.storage import DatabaseStorage, parse_record
 
 
@@ -47,12 +47,25 @@ def _entries(seed: int, n: int = 60) -> list[IndexEntry]:
     ]
 
 
+def _video_rows(seed: int, n: int = 60) -> bytes:
+    """One video's rows as RVIX bytes (the tail of its record)."""
+    return ColumnarVarianceIndex.encode_rows(
+        replace(entry, video_id="clip-α") for entry in _entries(seed, n)
+    )
+
+
+def _reload(data: bytes, video_id: str = "clip-α") -> ColumnarVarianceIndex:
+    """Decode one video's RVIX bytes the way a database open does."""
+    return ColumnarVarianceIndex.from_parts([(video_id, data)])
+
+
 class TestRoundtrip:
     def test_bytes_roundtrip_preserves_entries_and_decisions(self):
         index = ColumnarVarianceIndex(_entries(1))
-        data = index.to_bytes()
-        assert data.startswith(COLUMNAR_MAGIC)
-        reloaded = ColumnarVarianceIndex.from_bytes(data)
+        parts = list(index.video_rows())
+        assert len(parts) == 4
+        assert all(data.startswith(COLUMNAR_MAGIC) for _, data in parts)
+        reloaded = ColumnarVarianceIndex.from_parts(parts)
         assert [e.to_row() for e in reloaded.entries] == [
             e.to_row() for e in index.entries
         ]
@@ -65,110 +78,68 @@ class TestRoundtrip:
         ]
 
     def test_to_bytes_is_deterministic(self):
-        index = ColumnarVarianceIndex(_entries(2))
-        data = index.to_bytes()
-        assert index.to_bytes() == data
-        # to_bytes -> from_bytes -> to_bytes is byte-identical: the
-        # intern tables are compacted to first-appearance order on every
-        # serialization, so an unchanged index dedups to a no-op at the
+        """The rows a record's ``to_bytes`` ends with are a pure
+        function of the video's entries: insertion order, the other
+        videos and a reload do not change a byte."""
+        entries = _entries(2)
+        parts = list(ColumnarVarianceIndex(entries).video_rows())
+        assert dict(ColumnarVarianceIndex(entries[::-1]).video_rows()) == dict(parts)
+        for video_id, data in parts:
+            assert data == ColumnarVarianceIndex.encode_rows(
+                e for e in entries if e.video_id == video_id
+            )
+        # encode -> from_parts -> encode is byte-identical: the intern
+        # tables are compacted to first-appearance order on every
+        # encoding, so an unchanged video dedups to a no-op at the
         # publish layer.
-        reloaded = ColumnarVarianceIndex.from_bytes(data)
-        assert reloaded.to_bytes() == data
-        again = ColumnarVarianceIndex.from_bytes(reloaded.to_bytes())
-        assert again.to_bytes() == data
+        reloaded = ColumnarVarianceIndex.from_parts(parts)
+        assert list(reloaded.video_rows()) == parts
+        again = ColumnarVarianceIndex.from_parts(reloaded.video_rows())
+        assert list(again.video_rows()) == parts
 
     def test_empty_index_roundtrip(self):
-        data = ColumnarVarianceIndex().to_bytes()
-        reloaded = ColumnarVarianceIndex.from_bytes(data)
+        assert list(ColumnarVarianceIndex().video_rows()) == []
+        reloaded = _reload(ColumnarVarianceIndex.encode_rows(()))
         assert len(reloaded) == 0
         assert reloaded.entries == ()
 
     def test_pending_rows_included_in_serialization(self):
-        index = ColumnarVarianceIndex(merge_threshold=1_000)
+        index = ColumnarVarianceIndex()
         for entry in _entries(3, n=10):
             index.insert(entry)
-        reloaded = ColumnarVarianceIndex.from_bytes(index.to_bytes())
+        assert index.stats()["pending"] == 10
+        reloaded = ColumnarVarianceIndex.from_parts(index.video_rows())
         assert len(reloaded) == 10
 
 
 class TestCorruptionDetection:
     def test_truncation_is_detected_at_every_boundary(self):
-        data = ColumnarVarianceIndex(_entries(4)).to_bytes()
+        data = _video_rows(4)
         for cut in (0, 3, len(data) // 4, len(data) // 2, len(data) - 1):
             with pytest.raises(IndexError_):
-                ColumnarVarianceIndex.from_bytes(data[:cut])
+                _reload(data[:cut])
         with pytest.raises(IndexError_):
-            ColumnarVarianceIndex.from_bytes(data + b"\x00")
+            _reload(data + b"\x00")
 
     def test_bit_flips_are_detected_everywhere(self):
-        data = ColumnarVarianceIndex(_entries(5, n=20)).to_bytes()
+        data = _video_rows(5, n=20)
         # Header, string tables, each column region, and the digest
         # trailer itself — a flip anywhere must raise, never serve.
         for offset in range(4, len(data), max(1, len(data) // 37)):
             corrupted = bytearray(data)
             corrupted[offset] ^= 0x40
             with pytest.raises(IndexError_):
-                ColumnarVarianceIndex.from_bytes(bytes(corrupted))
+                _reload(bytes(corrupted))
 
     def test_wrong_magic_and_garbage_payloads(self):
         with pytest.raises(IndexError_):
-            ColumnarVarianceIndex.from_bytes(b"NOPE" + b"\x00" * 64)
+            _reload(b"NOPE" + b"\x00" * 64)
         with pytest.raises(IndexError_):
-            ColumnarVarianceIndex.from_bytes(b"\x01\x02 not json")
-
-    def test_validate_bytes_accepts_good_rejects_bad(self):
-        data = ColumnarVarianceIndex(_entries(6, n=8)).to_bytes()
-        ColumnarVarianceIndex.validate_bytes(data)
-        with pytest.raises(IndexError_):
-            ColumnarVarianceIndex.validate_bytes(data[:-1])
+            _reload(b"\x01\x02 not json")
 
 
 class TestMigration:
-    def test_manifest_tracked_json_index_is_refused(self, tmp_path):
-        """Builds between the manifest and the binary index committed
-        the index as a JSON document (under a version-2 manifest); this
-        build fails loudly on it."""
-        from tests.test_storage_manifest import write_version_2
-
-        root = tmp_path / "db"
-        db = synth_database(12, n_videos=2)
-        write_version_2(db, root)
-        storage = DatabaseStorage(root)
-        manifest = storage.read_manifest()
-        document = {
-            "version": 1,
-            "entries": [
-                {
-                    "video_id": e.video_id,
-                    "shot_number": e.shot_number,
-                    "start_frame": e.start_frame,
-                    "end_frame": e.end_frame,
-                    "var_ba": e.features.var_ba,
-                    "var_oa": e.features.var_oa,
-                    "archetype": e.archetype,
-                }
-                for e in db.index.entries
-            ],
-        }
-        data = json.dumps(document).encode("utf-8")
-        relpath = f"index-g{manifest.generation + 1:08d}.json"
-        (root / relpath).write_bytes(data)
-        payload = json.loads(storage.manifest_path.read_text())
-        payload["generation"] += 1
-        payload["files"]["index"] = FileRecord(
-            relpath, digest_bytes(data), len(data)
-        ).to_dict()
-        storage.manifest_path.write_text(json.dumps(payload))
-
-        with pytest.raises(StorageError, match="binary index magic"):
-            VideoDatabase.load(root)
-        with pytest.raises(StorageError, match="binary index magic"):
-            VideoDatabase.open(root)
-        report = storage.fsck()
-        assert not report.clean
-        by_logical = {c.logical: c.status for c in report.checks}
-        assert by_logical["index"] == "corrupt-binary"
-        assert by_logical["catalog"] == "ok"
+    """A save writes records whose tails are RVIX rows."""
 
     def test_save_load_cycle_keeps_binary_format(self, tmp_path):
         root = tmp_path / "db"
@@ -179,7 +150,7 @@ class TestMigration:
             entry, _, rows = parse_record((root / record.path).read_bytes())
             # The record's tail is one RVIX file holding its rows.
             assert rows.startswith(COLUMNAR_MAGIC)
-            ColumnarVarianceIndex.validate_bytes(rows)
+            assert len(_reload(rows, entry.video_id)) == entry.n_shots
             assert rows == ColumnarVarianceIndex.encode_rows(
                 VideoDatabase.load(root).index.entries_for(entry.video_id)
             )

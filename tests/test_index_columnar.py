@@ -27,7 +27,7 @@ import pytest
 from repro.config import QueryConfig
 from repro.errors import IndexError_
 from repro.features.vector import FeatureVector
-from repro.index import ColumnarVarianceIndex, IndexEntry, VarianceQuery
+from repro.index import ColumnarVarianceIndex, IndexEntry, VarianceQuery, columnar
 from repro.index.query import search as scan_search
 from repro.cluster import ClusterCoordinator, Rebalancer
 from repro.testing.synth import add_synth_video
@@ -143,8 +143,9 @@ def test_batch_equals_sequential_singles(seed):
 
 
 class TestPendingBuffer:
-    def test_inserts_merge_at_threshold_and_on_read(self):
-        index = ColumnarVarianceIndex(merge_threshold=8)
+    def test_inserts_merge_at_threshold_and_on_read(self, monkeypatch):
+        monkeypatch.setattr(columnar, "_MERGE_THRESHOLD", 8)
+        index = ColumnarVarianceIndex()
         mirror: list[IndexEntry] = []
         rng = np.random.default_rng(3)
         for k in range(30):
@@ -171,9 +172,13 @@ class TestPendingBuffer:
         )
         d_vs = [e.d_v for e in index.entries]
         assert d_vs == sorted(d_vs)
+        # Inserts alone merge once the buffer reaches the threshold.
+        for k in range(8):
+            index.insert(entry)
+            assert index.stats()["pending"] == (k + 1) % 8
 
     def test_remove_video_covers_pending_rows(self):
-        index = ColumnarVarianceIndex(merge_threshold=1000)
+        index = ColumnarVarianceIndex()
         for k in range(10):
             index.insert(
                 IndexEntry(
@@ -332,7 +337,7 @@ class TestContracts:
 
         index = ColumnarVarianceIndex([entry("a", 1, "closeup"), entry("b", 2, None)])
         index.remove_video("a")
-        reloaded = ColumnarVarianceIndex.from_bytes(index.to_bytes())
+        reloaded = ColumnarVarianceIndex.from_parts(index.video_rows())
         assert index.stats() == reloaded.stats()
         assert (index.stats()["videos"], index.stats()["archetypes"]) == (1, 0)
         # Pending rows count without forcing a merge.

@@ -58,7 +58,7 @@ class TestFullPipelineOnGenreClip:
 
     def test_query_round_trips_through_sorted_index(self, pipeline):
         _, _, detection, _, table = pipeline
-        index = ColumnarVarianceIndex.from_table(table)
+        index = ColumnarVarianceIndex(table)
         vectors = extract_shot_features(detection)
         for vector in vectors[:5]:
             query = VarianceQuery.from_features(vector)

@@ -1,16 +1,20 @@
 """Checksummed-manifest persistence: commit protocol (record files,
-checkpoint and deltas), verification, recovery, the version-2
-migration, refusal of the pre-manifest layout, and the ``repro fsck``
-CLI."""
+checkpoint and deltas), verification, recovery, refusal of the
+version-2 and pre-manifest layouts, and the ``repro fsck`` CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.cluster import ClusterCoordinator
 from repro.errors import StorageError, StorageIntegrityError
-from repro.index.query import search as scan_search
+from repro.index import ColumnarVarianceIndex
 from repro.scenetree.serialize import scene_tree_to_dict
 from repro.testing import FaultyFS, synth_database
 from repro.testing.synth import synth_record
@@ -177,9 +181,9 @@ class TestPreManifestLayout:
         root = tmp_path / "pre-manifest"
         (root / "trees").mkdir(parents=True)
         (root / "videos").mkdir()
-        from repro.scenetree.serialize import scene_tree_to_dict
-
-        (root / "catalog.json").write_text(json.dumps(db.catalog.to_dict()))
+        (root / "catalog.json").write_text(
+            json.dumps({"videos": [entry.to_dict() for entry in db.catalog]})
+        )
         rows = [
             {
                 "video_id": e.video_id,
@@ -333,12 +337,14 @@ class TestFsckCli:
         assert cli_main(["fsck", str(tmp_path / "nope")]) == 1
 
 
-def write_version_2(db, root):
-    """Materialize ``db`` in the version-2 layout by hand: one catalog,
-    one index and one tree file per video behind a version-2 manifest
-    (what builds before record files wrote)."""
+def _write_version_2(root):
+    """Materialize a one-video version-2 directory by hand: one catalog,
+    one index and one tree file behind a version-2 manifest (what
+    builds before record files wrote).  Nothing past the manifest is
+    read, so one video is enough."""
+    db = synth_database(8, n_videos=1)
+    [video_id] = db.catalog.ids()
     (root / "trees").mkdir(parents=True)
-    (root / "videos").mkdir()
     files = {}
 
     def put(logical, relpath, data):
@@ -347,86 +353,84 @@ def write_version_2(db, root):
             "path": relpath, "blake2s": digest_bytes(data), "bytes": len(data)
         }
 
-    put("catalog", "catalog-g00000003.json", json.dumps(db.catalog.to_dict()).encode())
-    put("index", "index-g00000003.bin", db.index.to_bytes())
-    for vid, tree in db.trees.items():
-        put(
-            "tree:" + vid,
-            f"trees/{_safe_id(vid)}-g00000003.json",
-            json.dumps(scene_tree_to_dict(tree)).encode(),
-        )
+    catalog = {"videos": [entry.to_dict() for entry in db.catalog]}
+    put("catalog", "catalog-g00000003.json", json.dumps(catalog).encode())
+    # One video's rows are the whole index.
+    rows = ColumnarVarianceIndex.encode_rows(db.index.entries)
+    put("index", "index-g00000003.bin", rows)
+    put(
+        "tree:" + video_id,
+        f"trees/{_safe_id(video_id)}-g00000003.json",
+        json.dumps(scene_tree_to_dict(db.trees[video_id])).encode(),
+    )
     manifest = {"version": 2, "generation": 3, "files": files}
     (root / "manifest.json").write_text(json.dumps(manifest))
-    return sorted(record["path"] for record in files.values())
 
 
-def _oracle_key(db, point):
-    return [
-        (m.video_id, m.shot_number)
-        for m in scan_search(db.index.entries, _probe(point), db.config.query, limit=10)
-    ]
+class TestVersion2Layout:
+    """A version-2 directory is refused like the pre-manifest layout:
+    never read past its manifest, written, repaired or swept."""
 
-
-def _probe(point):
-    from repro.index.query import VarianceQuery
-
-    return VarianceQuery(var_ba=point[0], var_oa=point[1])
-
-
-class TestVersion2Migration:
-    """A version-2 directory loads as before and migrates at its first
-    publish; garbage collection then deletes the files its manifest
-    tracked."""
-
-    POINTS = [(4.0, 9.0), (50.0, 120.0), (300.0, 10.0), (25.0, 25.0)]
-
-    def _v2(self, tmp_path, seed=8):
-        db = synth_database(seed, n_videos=3)
+    def test_load_open_save_and_adopt_refuse_and_touch_nothing(self, tmp_path):
         root = tmp_path / "v2"
-        v2_files = write_version_2(db, root)
-        return db, root, v2_files
+        bound = VideoDatabase.open(root)  # bound while the root was empty
+        _write_version_2(root)
+        before = _snapshot(root)
+        with pytest.raises(StorageError, match="version 2"):
+            VideoDatabase.load(root)
+        with pytest.raises(StorageError, match="version 2"):
+            VideoDatabase.open(root)
+        with pytest.raises(StorageError, match="version 2"):
+            synth_database(9, n_videos=2).save(root)
+        record = synth_record("fresh-video", np.random.default_rng(4))
+        with pytest.raises(StorageError, match="version 2"):
+            bound.adopt(record)
+        assert record.video_id not in bound.catalog  # rolled back
+        assert _snapshot(root) == before
 
-    def _assert_answers_like(self, db, reference):
-        for point in self.POINTS:
-            got = db.query(*point, limit=10)
-            assert [(m.video_id, m.shot_number) for m in got.matches] == _oracle_key(
-                reference, point
-            )
-            assert got.suggestions == reference.query(*point, limit=10).suggestions
+    def test_fsck_reports_it_and_repair_refuses(self, tmp_path, capsys):
+        root = tmp_path / "v2"
+        _write_version_2(root)
+        before = _snapshot(root)
+        report = DatabaseStorage(root).fsck()
+        assert report.mode == "version-2"
+        assert not report.clean
+        [check] = report.problems()
+        assert (check.logical, check.status) == ("manifest", "unsupported")
+        assert cli_main(["fsck", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "version 2" in out
+        assert "--repair" not in out
+        assert cli_main(["fsck", str(root), "--repair"]) == 1
+        assert "version 2" in capsys.readouterr().out
+        assert _snapshot(root) == before
 
-    def test_opens_and_matches_the_scan_oracle(self, tmp_path):
-        db, root, _ = self._v2(tmp_path)
-        loaded = VideoDatabase.load(root)
-        assert loaded.catalog.ids() == db.catalog.ids()
-        self._assert_answers_like(loaded, db)
-        assert DatabaseStorage(root).fsck().clean
+    def test_serve_exits_one(self, tmp_path):
+        root = tmp_path / "v2"
+        _write_version_2(root)
+        before = _snapshot(root)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--db", str(root), "--port", "0"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert "version 2" in done.stderr
+        assert _snapshot(root) == before
 
-    @pytest.mark.parametrize("publish", ["save", "adopt", "remove"])
-    def test_first_publish_migrates_and_leaves_no_version_2_file(
-        self, tmp_path, publish
-    ):
-        db, root, v2_files = self._v2(tmp_path)
-        opened = VideoDatabase.open(root)
-        if publish == "save":
-            opened.save(root)
-        elif publish == "adopt":
-            opened.adopt(synth_record("fresh-video", np.random.default_rng(4)))
-            db.adopt(synth_record("fresh-video", np.random.default_rng(4)))
-        else:
-            victim = db.catalog.ids()[0]
-            opened.remove(victim)
-            db.remove(victim)
-        storage = DatabaseStorage(root)
-        manifest = storage.read_manifest()
-        assert manifest.version == MANIFEST_VERSION
-        assert manifest.generation == 4
-        assert set(manifest.files) == {RECORD_PREFIX + vid for vid in db.catalog.ids()}
-        assert not any((root / relpath).exists() for relpath in v2_files)
-        assert storage.fsck().clean and storage.fsck().untracked == []
-        assert cli_main(["fsck", str(root)]) == 0
-        reloaded = VideoDatabase.load(root)
-        assert reloaded.catalog.ids() == db.catalog.ids()
-        self._assert_answers_like(reloaded, db)
+    def test_cluster_with_a_version_2_shard_does_not_open(self, tmp_path):
+        root = tmp_path / "cluster"
+        ClusterCoordinator.create(root, 2, replication=1).close()
+        _write_version_2(root / "shard-001")
+        before = _snapshot(root)
+        with pytest.raises(StorageError, match="version 2"):
+            ClusterCoordinator.open(root)
+        assert _snapshot(root) == before
 
 
 class TestManifestChain:

@@ -60,21 +60,12 @@ class TestCatalog:
         hits = catalog.in_category(comedy)
         assert [e.video_id for e in hits] == ["funny"]
 
-    def test_round_trip(self):
-        catalog = Catalog()
-        catalog.add(_entry("a", VideoCategory(genres=("war",), forms=("feature",))))
-        catalog.add(_entry("b"))
-        rebuilt = Catalog.from_dict(catalog.to_dict())
-        assert rebuilt.ids() == ["a", "b"]
-        assert rebuilt.get("a").category.genres == ("war",)
-        assert rebuilt.get("b").category is None
-
 
 class TestStorage:
     def test_initialize_layout(self, tmp_path):
         storage = DatabaseStorage(tmp_path / "db")
         storage.initialize()
-        assert (tmp_path / "db" / "videos").is_dir()
+        assert not (tmp_path / "db" / "videos").exists()  # no clips are kept
         assert (tmp_path / "db" / "records").is_dir()
         assert (tmp_path / "db" / "deltas").is_dir()
         assert not storage.exists()  # nothing saved yet
@@ -87,18 +78,6 @@ class TestStorage:
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(StorageError):
             VideoDatabase.load(tmp_path)
-
-    def test_video_round_trip(self, tmp_path):
-        storage = DatabaseStorage(tmp_path)
-        frames = np.zeros((3, 20, 20, 3), dtype=np.uint8)
-        clip = VideoClip("weird/name:clip", frames)
-        storage.save_video(clip)
-        loaded = storage.load_video("weird/name:clip")
-        assert np.array_equal(loaded.frames, frames)
-
-    def test_load_missing_video(self, tmp_path):
-        with pytest.raises(StorageError):
-            DatabaseStorage(tmp_path).load_video("nope")
 
 
 class TestVideoDatabase:
@@ -255,27 +234,16 @@ def _tree_relpath(storage, video_id, generation=1):
 
 class TestSafeIdInjective:
     """Regression: ids like ``a/b`` and ``a_b`` used to sanitize to the
-    same filename and silently overwrite each other's trees/videos."""
+    same filename and silently overwrite each other's files."""
 
     def test_colliding_ids_get_distinct_paths(self, tmp_path):
         storage = DatabaseStorage(tmp_path)
         for left, right in [("a/b", "a_b"), ("a b", "a_b"), ("x:y", "x_y")]:
             assert _tree_relpath(storage, left) != _tree_relpath(storage, right)
-            assert storage.video_path(left) != storage.video_path(right)
 
     def test_same_id_is_stable(self, tmp_path):
         storage = DatabaseStorage(tmp_path)
         assert _tree_relpath(storage, "a/b") == _tree_relpath(storage, "a/b")
-        assert storage.video_path("a/b") == storage.video_path("a/b")
-
-    def test_colliding_videos_both_survive(self, tmp_path):
-        storage = DatabaseStorage(tmp_path)
-        frames_a = np.full((3, 20, 20, 3), 10, dtype=np.uint8)
-        frames_b = np.full((3, 20, 20, 3), 200, dtype=np.uint8)
-        storage.save_video(VideoClip("a/b", frames_a))
-        storage.save_video(VideoClip("a_b", frames_b))
-        assert np.array_equal(storage.load_video("a/b").frames, frames_a)
-        assert np.array_equal(storage.load_video("a_b").frames, frames_b)
 
     def test_database_save_load_with_slashy_ids(self, tmp_path):
         db = VideoDatabase()
