@@ -27,19 +27,16 @@ import sys
 from pathlib import Path
 
 from .config import ExtractionConfig, PipelineConfig
-from .errors import ReproError
+from .errors import QueryError, ReproError
 from .experiments.report import format_table
+from .index.query import query_points
 from .scenetree.nodes import SceneNode
 from .vdbms.database import VideoDatabase
 from .vdbms.storage import DatabaseStorage
-from .video.avi import read_avi
-from .video.io import read_rvid
-from .video.sampling import resample_fps
+from .video.sampling import read_clip
 from .workloads.taxonomy import VideoCategory
 
 __all__ = ["main"]
-
-ANALYSIS_FPS = 3.0
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig | None:
@@ -66,15 +63,6 @@ def _open_existing(db_dir: str) -> VideoDatabase:
     return VideoDatabase.open(db_dir)
 
 
-def _read_clip(path: str):
-    suffix = Path(path).suffix.lower()
-    if suffix == ".avi":
-        return read_avi(path)
-    if suffix == ".rvid":
-        return read_rvid(path)
-    raise ReproError(f"unsupported video format {suffix!r} (use .avi or .rvid)")
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -82,9 +70,7 @@ def _read_clip(path: str):
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     db = VideoDatabase.open(args.db, config=_pipeline_config(args))
-    clip = _read_clip(args.video)
-    if clip.fps > ANALYSIS_FPS:
-        clip = resample_fps(clip, ANALYSIS_FPS)
+    clip = read_clip(args.video)
     category = None
     if args.genre:
         category = VideoCategory(
@@ -311,17 +297,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if limit is not None and (type(limit) is not int or limit < 1):
         print(f"error: limit must be a positive integer, got {limit!r}", file=sys.stderr)
         return 2
-    if not isinstance(spec, list) or not spec:
-        print(
-            "error: batch file must hold a non-empty list of "
-            '{"var_ba": .., "var_oa": ..} objects',
-            file=sys.stderr,
-        )
-        return 2
     try:
-        points = [(float(q["var_ba"]), float(q["var_oa"])) for q in spec]
-    except (TypeError, KeyError, ValueError) as exc:
-        print(f"error: bad batch query object: {exc!r}", file=sys.stderr)
+        points = query_points(spec)
+    except QueryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.explain:
         from .obs import tracing
@@ -345,9 +324,7 @@ def _cmd_storyboard(args: argparse.Namespace) -> int:
     from .sbd.detector import CameraTrackingDetector
     from .video.ppm import write_storyboard
 
-    clip = _read_clip(args.video)
-    if clip.fps > ANALYSIS_FPS:
-        clip = resample_fps(clip, ANALYSIS_FPS)
+    clip = read_clip(args.video)
     detection = CameraTrackingDetector().detect(clip)
     tree = SceneTreeBuilder().build_from_detection(detection)
     out = Path(args.output) if args.output else Path(args.video).with_suffix(".ppm")
@@ -561,18 +538,23 @@ def _is_cluster_root(root: str | Path) -> bool:
 
 
 def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    """Show shard layout, health, and placement conflicts."""
+    """Show shard layout, health, and the copies a pass would change."""
     import json as json_module
 
-    from .cluster import ClusterCoordinator
+    from .cluster import ClusterCoordinator, Rebalancer
 
     cluster = ClusterCoordinator.open(args.root, recover=True)
     try:
         status = cluster.status()
-        from .cluster import Rebalancer
-
-        pending = len(Rebalancer(cluster).plan())
-        status["pending_moves"] = pending
+        plan = Rebalancer(cluster).plan()
+        pending = status["pending_moves"] = len(plan)
+        # A planned delete is a copy outside its video's expected shards.
+        status["strays"] = [
+            {"video_id": move.video_id, "shard": cluster.shard(move.source).name}
+            for move in plan
+            if move.kind in ("drop", "move")
+        ]
+        status["unrepairable"] = plan.unrepairable
         if args.json:
             print(json_module.dumps(status, indent=2))
             return 0
@@ -588,13 +570,12 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
                 f"{shard['videos']:5d} videos  "
                 f"{shard['indexed_shots']:6d} shots"
             )
-        for conflict in status["conflicts"]:
-            print(
-                f"  conflict: {conflict['video_id']!r} has a stray copy "
-                f"on {conflict['shard']}"
-            )
+        for stray in status["strays"]:
+            print(f"  stray: {stray['video_id']!r} has a copy on {stray['shard']}")
+        for video_id in plan.unrepairable:
+            print(f"  unrepairable: {video_id!r} has no live copy to act from")
         if pending:
-            print(f"  {pending} videos off their home shard (run rebalance)")
+            print(f"  {pending} placement actions pending (run rebalance or repair)")
         return 0
     finally:
         cluster.close()
@@ -623,33 +604,26 @@ def _cmd_cluster_rebalance(args: argparse.Namespace) -> int:
             else:
                 for move in moves:
                     d = move.to_dict()
-                    print(f"  {d['video_id']!r}: {d['source']} -> {d['dest']}")
+                    print(
+                        f"  {d['video_id']!r}: {d['kind']} "
+                        f"{d['source']} -> {d['dest']}"
+                    )
                 print(f"{len(moves)} moves planned")
             return 0
         if args.shards and args.shards != cluster.n_shards:
             report = rebalancer.reshard(args.shards, max_moves=args.max_moves)
         else:
             report = rebalancer.execute(max_moves=args.max_moves)
-        if args.json:
-            print(json_module.dumps(report.to_dict(), indent=2))
-        else:
-            print(
-                f"{report.moved}/{report.planned} moves done, "
-                f"{report.conflicts_cleaned} stray copies cleaned, "
-                f"{report.skipped} skipped"
-            )
-            for error in report.errors:
-                print(f"  {error['video_id']!r}: {error['error']}")
+        _print_pass(report, args.json)
         return 0 if not report.errors else 1
     finally:
         cluster.close()
 
 
 def _cmd_cluster_repair(args: argparse.Namespace) -> int:
-    """One anti-entropy pass: converge every video to R healthy copies."""
-    import json as json_module
-
-    from .cluster import AntiEntropyRepairer, ClusterCoordinator
+    """One reconciler pass: exit 0 only once every video's holders are
+    its expected shards."""
+    from .cluster import ClusterCoordinator, Rebalancer
 
     cluster = ClusterCoordinator.open(args.root, recover=True)
     try:
@@ -657,25 +631,32 @@ def _cmd_cluster_repair(args: argparse.Namespace) -> int:
             cluster.set_replication(args.replicas)
             if not args.json:
                 print(f"replication factor set to {args.replicas}")
-        report = AntiEntropyRepairer(cluster).run()
+        report = Rebalancer(cluster).execute()
         cluster.save_all()
-        if args.json:
-            print(json_module.dumps(report.to_dict(), indent=2))
-            return 0 if report.converged else 1
-        print(
-            f"{report.videos_checked} videos checked: "
-            f"{report.copies_added} copies added, "
-            f"{report.divergent_repaired} divergent repaired, "
-            f"{report.strays_removed} strays removed"
-        )
-        for video_id in report.unrepairable:
-            print(f"  UNREPAIRABLE {video_id!r}: no healthy source for a copy")
-        for error in report.errors:
-            print(f"  error: {error}")
-        print("converged" if report.converged else "NOT CONVERGED")
+        _print_pass(report, args.json)
         return 0 if report.converged else 1
     finally:
         cluster.close()
+
+
+def _print_pass(report, as_json: bool) -> None:
+    """Print one reconciler pass (``cluster rebalance`` and ``repair``)."""
+    import json as json_module
+
+    if as_json:
+        print(json_module.dumps(report.to_dict(), indent=2))
+        return
+    print(
+        f"{report.moved}/{report.planned} moves done: "
+        f"{report.copies_added} copies added, "
+        f"{report.divergent_repaired} divergent repaired, "
+        f"{report.strays_removed} strays removed, {report.skipped} skipped"
+    )
+    for video_id in report.unrepairable:
+        print(f"  UNREPAIRABLE {video_id!r}: no live copy to act from")
+    for error in report.errors:
+        print(f"  {error['video_id']!r}: {error['error']}")
+    print("converged" if report.converged else "NOT CONVERGED")
 
 
 def _cmd_cluster_scrub(args: argparse.Namespace) -> int:
@@ -782,8 +763,8 @@ def _fsck_cluster(args: argparse.Namespace) -> int:
                     damaged_videos.setdefault(video_id, set()).add(name)
         worst = max(worst, code)
     # A damaged video with a copy on a shard fsck did *not* flag is
-    # recoverable without backups — point the operator at anti-entropy
-    # repair.  (The recover-mode open above may already have dropped
+    # recoverable without backups — point the operator at ``cluster
+    # repair``.  (The recover-mode open above may already have dropped
     # the rotted copy from the holder map, so any surviving holder
     # outside the damaged set counts.)
     repairable = sorted(
@@ -1159,7 +1140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cluster_sub = p.add_subparsers(dest="cluster_command", required=True)
 
-    cp = cluster_sub.add_parser("status", help="shard layout, health, conflicts")
+    cp = cluster_sub.add_parser("status", help="shard layout, health, stray copies")
     cp.add_argument("--root", required=True, help="cluster directory")
     cp.add_argument("--json", action="store_true", help="emit JSON")
     cp.set_defaults(func=_cmd_cluster_status)
@@ -1193,7 +1174,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cp = cluster_sub.add_parser(
         "repair",
-        help="anti-entropy pass: converge every video to R healthy copies",
+        help="one reconciler pass: converge every video to its R expected copies",
     )
     cp.add_argument("--root", required=True, help="cluster directory")
     cp.add_argument(

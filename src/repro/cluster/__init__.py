@@ -12,11 +12,12 @@ one database-shaped API:
   answers + ``shards_failed``), write-path replica fan-out, and —
   with replication >= 2 — automatic read failover (a single-shard
   outage yields a complete, decision-identical answer),
-* :class:`Rebalancer` — online, replica-aware video moves and
-  grow/shrink resharding through the checksummed publish path,
-  without stopping reads,
-* :class:`AntiEntropyRepairer` / :class:`IntegrityScrubber` —
-  placement-level convergence and byte-level digest scrubbing with
+* :class:`Rebalancer` — the placement reconciler: one plan per pass
+  (copies, divergent-copy replaces, then drops that wait out the
+  scatter rounds in flight) serves ``cluster rebalance``, ``cluster
+  repair`` and grow/shrink resharding, all online through the
+  checksummed publish path,
+* :class:`IntegrityScrubber` — byte-level digest scrubbing with
   repair from healthy replicas,
 * :class:`ShardSupervisor` — breaker-style consecutive-failure
   tracking that benches sick shards and re-admits them after repair.
@@ -26,14 +27,13 @@ See ``docs/CLUSTER.md`` for the design document.
 
 from .coordinator import CLUSTER_MANIFEST, ClusterAnswer, ClusterCoordinator
 from .rebalance import RebalanceMove, RebalanceReport, Rebalancer
-from .repair import AntiEntropyRepairer, IntegrityScrubber, RepairReport
+from .repair import IntegrityScrubber
 from .replication import ShardSupervisor, copy_video
 from .router import DEFAULT_REPLICAS, ConsistentHashRouter
 from .shard import Shard
 
 __all__ = [
     "CLUSTER_MANIFEST",
-    "AntiEntropyRepairer",
     "ClusterAnswer",
     "ClusterCoordinator",
     "ConsistentHashRouter",
@@ -42,7 +42,6 @@ __all__ = [
     "RebalanceMove",
     "RebalanceReport",
     "Rebalancer",
-    "RepairReport",
     "ShardSupervisor",
     "Shard",
     "copy_video",

@@ -41,12 +41,11 @@ inside the same ``Deadline``.  A covered failure is still reported in
 ``shards_failed`` (and echoed in ``shards_recovered``) but the answer
 is *not* partial.
 
-Placement conflicts (the same video on two shards, e.g. after a crash
-between a rebalance copy and its source delete) are detected on open:
-the copy on the video's home shard wins (falling back to the lowest
-shard id) and the strays are recorded in :attr:`conflicts` for the
-rebalancer to clean up.  Queries stay correct meanwhile thanks to the
-merge-time dedup.
+A copy outside a video's expected set (a *stray*, e.g. left by a crash
+between a rebalance copy and its source delete) is a holder like any
+other: queries stay correct thanks to the merge-time dedup, and the
+next rebalance or repair pass drops it
+(:class:`~repro.cluster.rebalance.Rebalancer`).
 """
 
 from __future__ import annotations
@@ -180,22 +179,19 @@ class ClusterCoordinator:
         self._placement_lock = threading.Lock()
         self._placement: dict[str, int] = {}
         #: video id -> every shard currently holding a committed copy
-        #: (primary and replicas alike); the failover coverage check and
-        #: the repair subsystem both read this.
+        #: (primary, replicas and strays alike); the failover coverage
+        #: check and the placement reconciler both read this.
         self._holders: dict[str, tuple[int, ...]] = {}
         # Scatter rounds vs. online moves: a round reads the shards one
-        # after another, so a move whose copy and delete both fell
-        # between its reads of the destination and of the source would
+        # after another, so a copy and a delete that both fell between
+        # its reads of the copy's shard and of the deleted one would
         # hide the video from it.  Each round registers the move count
-        # it started at, and a move's source delete waits for every
-        # round that began before its copy was visible (a grace period,
-        # see note_move_visible), so no round can straddle a whole move.
+        # it started at, and every delete (drop_video) waits for every
+        # round that began before it (a grace period, see
+        # note_move_visible), so no round can straddle a copy and drop.
         self._rounds = threading.Condition(self._placement_lock)
         self._moves_seq = 0
         self._rounds_at: dict[int, int] = {}
-        #: ``(video_id, shard_id)`` stray copies found on open — see the
-        #: module docstring; cleaned by ``Rebalancer.execute``.
-        self.conflicts: list[tuple[str, int]] = []
         self._build_placement()
 
     # ------------------------------------------------------------------
@@ -383,43 +379,24 @@ class ClusterCoordinator:
             os.close(dir_fd)
 
     def _build_placement(self) -> None:
-        """Derive placement, holders, and conflicts from shard catalogs.
+        """Derive holders and primaries from the shard catalogs.
 
-        With replication, a video legitimately lives on every shard in
-        ``router.shards_for(id, R)``; the primary is the ring home when
-        it holds a copy (falling back to the lowest legitimate holder,
-        then the lowest holder of any kind).  Copies *outside* the
-        expected set are conflicts — strays from a crashed move — for
-        the rebalancer/repairer to clean; they still count as holders
-        meanwhile, since their data is real and merge-time dedup keeps
-        queries correct.
+        Every shard holding a copy is a holder, strays included (their
+        data is real, and merge-time dedup keeps queries correct).  The
+        primary is the ring home when it holds a copy, else the lowest
+        holder — the rule :meth:`note_drop` keeps.
         """
-        held: dict[str, list[int]] = {}
+        holders: dict[str, tuple[int, ...]] = {}
         for shard in self.shards:
             for video_id in shard.db.catalog.ids():
-                held.setdefault(video_id, []).append(shard.shard_id)
-        placement: dict[str, int] = {}
-        holders: dict[str, tuple[int, ...]] = {}
-        conflicts: list[tuple[str, int]] = []
-        for video_id, shard_ids in held.items():
-            expected = self.router.shards_for(video_id, self.replication)
-            expected_set = set(expected)
-            legitimate = [s for s in shard_ids if s in expected_set]
-            if legitimate:
-                winner = (
-                    expected[0] if expected[0] in legitimate else min(legitimate)
-                )
-                strays = [s for s in shard_ids if s not in expected_set]
-            else:
-                winner = min(shard_ids)
-                strays = [s for s in shard_ids if s != winner]
-            placement[video_id] = winner
-            holders[video_id] = tuple(sorted(shard_ids))
-            conflicts.extend((video_id, shard_id) for shard_id in strays)
+                holders[video_id] = holders.get(video_id, ()) + (shard.shard_id,)
+        placement = {}
+        for video_id, held in holders.items():
+            home = self.router.shard_for(video_id)
+            placement[video_id] = home if home in held else held[0]
         with self._placement_lock:
             self._placement = placement
             self._holders = holders
-        self.conflicts = conflicts
 
     # ------------------------------------------------------------------
     # placement
@@ -439,7 +416,7 @@ class ClusterCoordinator:
 
         Rewrites only the manifest and the placement maps — no data
         moves here.  Copies converge to the new factor on the next
-        anti-entropy pass (``repro cluster repair``), which adds the
+        reconciler pass (``repro cluster repair``), which adds the
         missing replicas (raised R) or drops the now-stray ones
         (lowered R).
         """
@@ -491,13 +468,8 @@ class ClusterCoordinator:
         with self._placement_lock:
             return sorted(self._placement)
 
-    def placement_snapshot(self) -> dict[str, int]:
-        """A copy of the video -> primary shard map (rebalancer planning)."""
-        with self._placement_lock:
-            return dict(self._placement)
-
     def holders_snapshot(self) -> dict[str, tuple[int, ...]]:
-        """A copy of the video -> holder-set map (repair/failover use)."""
+        """A copy of the video -> holder-set map (reconciler planning)."""
         with self._placement_lock:
             return dict(self._holders)
 
@@ -521,16 +493,8 @@ class ClusterCoordinator:
             self._placement.pop(video_id, None)
             self._holders.pop(video_id, None)
 
-    def reassign(self, video_id: str, shard_id: int) -> None:
-        """Point the primary at a new holder (rebalancer move)."""
-        with self._placement_lock:
-            self._placement[video_id] = shard_id
-            held = set(self._holders.get(video_id, ()))
-            held.add(shard_id)
-            self._holders[video_id] = tuple(sorted(held))
-
     def note_copy(self, video_id: str, shard_id: int) -> None:
-        """Record a new committed copy (repair/rebalance bookkeeping)."""
+        """Record a new committed copy (reconciler bookkeeping)."""
         with self._placement_lock:
             held = set(self._holders.get(video_id, ()))
             held.add(shard_id)
@@ -551,15 +515,15 @@ class ClusterCoordinator:
                 self._placement[video_id] = home if home in held else held[0]
 
     def note_move_visible(self) -> None:
-        """Rebalancer hook: a move's copy just became queryable.
+        """Grace period before a copy is deleted (``drop_video``).
 
-        Must be called between the destination adopt and the source
-        remove, with no shard lock held.  Returns once every scatter
-        round that began before the call has ended: such a round may
-        have read the destination before the copy, but then it reads
-        the source before the delete.  A round that begins after the
-        call reads the destination after the copy.  Either way it sees
-        the video.
+        Must be called after the copies that replace the doomed one are
+        committed and before the delete, with no shard lock held.
+        Returns once every scatter round that began before the call has
+        ended: such a round may have read a copy's shard before the
+        copy, but then it reads the doomed copy before the delete.  A
+        round that begins after the call reads the copy.  Either way it
+        sees the video.
         """
         with self._rounds:
             self._moves_seq += 1
@@ -599,7 +563,7 @@ class ClusterCoordinator:
         """Best-effort undo of a half-fanned-out write (all-or-nothing).
 
         A copy that refuses to roll back is left behind as a stray —
-        the anti-entropy repairer removes it on its next pass.
+        the next rebalance or repair pass drops it.
         """
         for shard in committed:
             try:
@@ -1053,10 +1017,6 @@ class ClusterCoordinator:
             "videos": self.catalog_size(),
             "indexed_shots": self.index_size(),
             "shards_up": sum(1 for s in shard_status if s["up"]),
-            "conflicts": [
-                {"video_id": video_id, "shard": _shard_dirname(shard_id)}
-                for video_id, shard_id in self.conflicts
-            ],
             "shards": shard_status,
         }
 

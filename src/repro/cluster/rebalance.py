@@ -1,25 +1,38 @@
-"""Online rebalancing: move videos between shards without stopping reads.
+"""The placement reconciler: rebalance, repair and reshard in one plan.
 
-A move is copy-then-delete through the existing durability machinery:
+:class:`Rebalancer` is the one place that decides which shards should
+hold a video and what happens to its other copies.
+:meth:`Rebalancer.plan` compares each video's holders with
+``router.shards_for(video_id, R)`` once and lists, video by video,
+copies before drops:
 
-1. **export** the video's derived state from the source shard (under
-   its *read* lock — queries there continue),
-2. **adopt** it on the destination (under that shard's write lock; the
-   adopt publishes through the checksummed manifest-swap path, so the
-   copy is durable before we touch the source),
-3. flip the coordinator's placement map to the destination,
-4. **remove** the source copy (under the source's write lock, again a
-   durable publish).
+* ``copy`` fills a missing expected holder from the *source*: the live
+  primary, else a live legitimate holder, else a live stray (a stray's
+  data is still real data);
+* ``replace`` rewrites a legitimate holder whose record digest
+  (``VideoDatabase.record_digest``) differs from the source's;
+* ``drop`` deletes a copy outside the expected set, planned only once
+  a legitimate copy exists or a copy is planned;
+* ``move`` is a single misplaced copy: that copy, then that drop.
 
-Between steps 2 and 4 the video exists on two shards; scatter-gather
-queries stay correct because the coordinator dedups merged answers by
-shot identity.  A crash in that window leaves both copies on disk —
-:meth:`ClusterCoordinator.open` records the stray as a *conflict*, and
-the next :meth:`Rebalancer.execute` (or ``repro cluster rebalance``)
-deletes it.  At no point can a crash lose the video entirely.
+A video whose holders differ from its expected set and which has no
+live holder to act from is listed as unrepairable.
+
+:meth:`Rebalancer.execute` runs the actions one by one: every copy goes
+through :func:`~repro.cluster.replication.copy_video` (export under the
+source's read lock, adopt under the destination's write lock, one
+durable publish) and every delete through
+:func:`~repro.cluster.replication.drop_video`, which refuses the last
+copy and first waits out the scatter rounds in flight, so no round can
+read a copy's destination before the copy and its source after the
+delete.  A crash at any point leaves at worst an extra copy, which
+merge-time dedup hides from queries and the next pass drops; no crash
+loses a video.  ``repro cluster rebalance`` runs one pass, and so does
+``repro cluster repair`` after an optional change of the replication
+factor.
 
 :meth:`Rebalancer.reshard` grows or shrinks the cluster online by
-swapping in a new consistent-hash ring and moving exactly the diff.
+swapping in a new consistent-hash ring and running the plan against it.
 The ``cluster.json`` rewrite is ordered for crash safety: *before* the
 moves when growing (so a half-populated new shard is already part of
 the reopened cluster) and *after* the moves when shrinking (so shards
@@ -28,30 +41,29 @@ are never dropped from the manifest while still holding videos).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from ..config import PipelineConfig
-from ..errors import CatalogError, ClusterError, ShardUnavailableError
+from ..errors import CatalogError, ClusterError, ReproError
 from ..vdbms.database import VideoDatabase
 from .coordinator import ClusterCoordinator, _shard_dirname
-from .replication import copy_video
+from .replication import copy_video, drop_video
 from .router import ConsistentHashRouter
 from .shard import Shard
 
-__all__ = ["RebalanceMove", "RebalanceReport", "Rebalancer"]
+__all__ = ["RebalanceMove", "RebalancePlan", "RebalanceReport", "Rebalancer"]
 
 
 @dataclass(frozen=True, slots=True)
 class RebalanceMove:
     """One planned placement action.
 
-    ``kind`` is ``"move"`` (copy then delete — the classic single-copy
-    relocation), ``"copy"`` (add a replica on ``dest``, source kept),
-    or ``"drop"`` (delete the copy on ``source``; ``dest`` mirrors
-    ``source``).  Replicated clusters plan their reconciliations as
-    explicit copy/drop pairs so every intermediate state has at least
-    as many live copies as before.
+    ``kind`` is ``"copy"`` (add a copy on ``dest`` from ``source``),
+    ``"replace"`` (rewrite ``dest``'s divergent copy from ``source``),
+    ``"drop"`` (delete the copy on ``source``; ``dest`` mirrors
+    ``source``), or ``"move"`` (a single misplaced copy: copy it to
+    ``dest``, then drop it from ``source``).
     """
 
     video_id: str
@@ -69,25 +81,40 @@ class RebalanceMove:
         }
 
 
+class RebalancePlan(list):
+    """The planned :class:`RebalanceMove` actions in execution order;
+    ``unrepairable`` names the videos whose holders differ from their
+    expected set with no live holder to act from."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.unrepairable: list[str] = []
+
+
 @dataclass(slots=True)
 class RebalanceReport:
-    """What one :meth:`Rebalancer.execute` run did."""
+    """What one :meth:`Rebalancer.execute` pass did (``repro cluster
+    rebalance`` and ``repro cluster repair`` both print it)."""
 
     planned: int = 0
+    #: Actions that ran to their end; ``skipped`` ones raised.
     moved: int = 0
     skipped: int = 0
-    conflicts_cleaned: int = 0
+    copies_added: int = 0
+    divergent_repaired: int = 0
+    strays_removed: int = 0
+    unrepairable: list[str] = field(default_factory=list)
     errors: list[dict[str, str]] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        """True when every planned action ran and nothing was
+        unrepairable: each video's holders now equal its expected set."""
+        return not self.unrepairable and self.moved == self.planned
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible form for the CLI's ``--json`` output."""
-        return {
-            "planned": self.planned,
-            "moved": self.moved,
-            "skipped": self.skipped,
-            "conflicts_cleaned": self.conflicts_cleaned,
-            "errors": self.errors,
-        }
+        return {**asdict(self), "converged": self.converged}
 
 
 class Rebalancer:
@@ -96,177 +123,100 @@ class Rebalancer:
     def __init__(self, cluster: ClusterCoordinator) -> None:
         self.cluster = cluster
 
-    # ------------------------------------------------------------------
-    # planning
-    # ------------------------------------------------------------------
-
-    def plan(
-        self, router: ConsistentHashRouter | None = None
-    ) -> list[RebalanceMove]:
-        """Every action needed to match the (target) placement contract.
+    def plan(self, router: ConsistentHashRouter | None = None) -> RebalancePlan:
+        """Every action that brings each video's holders to its expected
+        set (see the module docstring for the rules).
 
         With no argument, plans against the cluster's own ring — a
-        healthy, fully-settled cluster plans zero moves.  Pass a new
-        router to plan a reshard.
-
-        A single-copy relocation plans as one ``"move"`` (copy+delete,
-        the pre-replication behavior).  Everything else decomposes into
-        ``"copy"`` actions (fill a missing expected holder from a live
-        one) followed by ``"drop"`` actions (shed copies outside the
-        expected set) — copies always ordered before drops so no plan
-        prefix ever reduces the number of live copies.
+        settled cluster plans nothing.  Pass a new router to plan a
+        reshard.
         """
         cluster = self.cluster
         target = router or cluster.router
-        replication = cluster.replication
-        moves: list[RebalanceMove] = []
+        plan = RebalancePlan()
         for video_id, held in sorted(cluster.holders_snapshot().items()):
-            holders = set(held)
-            expected = target.shards_for(video_id, replication)
-            expected_set = set(expected)
-            if holders == expected_set:
+            expected = target.shards_for(video_id, cluster.replication)
+            missing = [s for s in expected if s not in held]
+            strays = [s for s in held if s not in expected]
+            live = [
+                s
+                for s in expected + strays
+                if s in held and not cluster.shard(s).down
+            ]
+            if not live:
+                if missing or strays:
+                    plan.unrepairable.append(video_id)
                 continue
-            missing = [s for s in expected if s not in holders]
-            strays = sorted(holders - expected_set)
-            if len(holders) == 1 and len(missing) == 1 and strays:
-                # Classic single-copy relocation: one atomic-ish move.
-                moves.append(
-                    RebalanceMove(video_id, source=strays[0], dest=missing[0])
-                )
+            source = live[0]
+            if len(held) == 1 and len(missing) == 1 and strays:
+                plan.append(RebalanceMove(video_id, source, missing[0]))
                 continue
-            settled = sorted(holders & expected_set)
-            source_pool = settled or strays
-            for dest in missing:
-                moves.append(
-                    RebalanceMove(
-                        video_id, source=source_pool[0], dest=dest, kind="copy"
-                    )
-                )
-            if settled or missing:
-                for stray in strays:
-                    moves.append(
-                        RebalanceMove(
-                            video_id, source=stray, dest=stray, kind="drop"
-                        )
-                    )
-        return moves
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
+            plan += [RebalanceMove(video_id, source, s, "copy") for s in missing]
+            others = [s for s in expected if s in held and s != source]
+            if others:
+                digest = cluster.shard(source).db.record_digest(video_id)
+                plan += [
+                    RebalanceMove(video_id, source, s, "replace")
+                    for s in others
+                    if cluster.shard(s).db.record_digest(video_id) != digest
+                ]
+            if missing or len(strays) < len(held):
+                plan += [RebalanceMove(video_id, s, s, "drop") for s in strays]
+        return plan
 
     def execute(
         self,
         moves: list[RebalanceMove] | None = None,
         max_moves: int | None = None,
     ) -> RebalanceReport:
-        """Clean stray conflict copies, then run ``moves`` one by one.
+        """Run ``moves`` (default: :meth:`plan`) one by one.
 
-        Each move is independent: a failed move is recorded in
+        Each action is independent: a failed one is recorded in
         ``report.errors`` and does not stop the rest.  ``max_moves``
         bounds a run (for incremental, operator-paced rebalancing).
         """
-        report = RebalanceReport()
-        self._clean_conflicts(report)
         if moves is None:
             moves = self.plan()
-        report.planned = len(moves)
-        if max_moves is not None:
-            moves = moves[:max_moves]
-        for move in moves:
+        report = RebalanceReport(
+            planned=len(moves),
+            unrepairable=list(getattr(moves, "unrepairable", ())),
+        )
+        for move in moves[:max_moves]:
             try:
-                self._apply(move)
+                self._apply(move, report)
                 report.moved += 1
-            except (ClusterError, CatalogError, OSError) as exc:
+            except (ReproError, OSError) as exc:
                 report.skipped += 1
                 report.errors.append(
                     {"video_id": move.video_id, "error": f"{type(exc).__name__}: {exc}"}
                 )
         return report
 
-    def _apply(self, move: RebalanceMove) -> None:
-        if move.kind == "copy":
-            self._copy(move)
-        elif move.kind == "drop":
-            self._drop(move)
-        else:
-            self._move(move)
-
-    def _copy(self, move: RebalanceMove) -> None:
-        """Add a replica on ``dest`` from a live holder (source kept)."""
+    def _apply(self, move: RebalanceMove, report: RebalanceReport) -> None:
         cluster = self.cluster
+        try:
+            held = cluster.holders_of(move.video_id)
+        except CatalogError:
+            return  # removed since planning: nothing left to place
         source = cluster.shard(move.source)
-        dest = cluster.shard(move.dest)
-        source.check_up("rebalance copy source")
-        dest.check_up("rebalance copy dest")
-        # A vanished video (removed since planning) is convergence, not
-        # an error — copy_video returns False and we move on.
-        copy_video(cluster, move.video_id, source, dest)
-
-    def _drop(self, move: RebalanceMove) -> None:
-        """Shed one copy, refusing ever to delete the last one."""
-        cluster = self.cluster
-        shard = cluster.shard(move.source)
-        shard.check_up("rebalance drop")
-        holders = set(cluster.holders_of(move.video_id))
-        if holders <= {move.source}:
-            raise ClusterError(
-                f"refusing to drop the only copy of {move.video_id!r} "
-                f"(on {shard.name})"
-            )
-        with shard.lock.write_locked():
-            if move.video_id in shard.db.catalog:
-                shard.db.remove(move.video_id)
-        cluster.note_drop(move.video_id, move.source)
-
-    def _move(self, move: RebalanceMove) -> None:
-        cluster = self.cluster
-        source = cluster.shard(move.source)
-        dest = cluster.shard(move.dest)
-        source.check_up("rebalance source")
-        dest.check_up("rebalance dest")
-        if cluster.placement_snapshot().get(move.video_id) != move.source:
+        if move.source not in held:
             raise ClusterError(
                 f"stale plan: {move.video_id!r} is no longer on {source.name}"
             )
-        with source.lock.read_locked():
-            record = source.db.export_video(move.video_id)
-        try:
-            with dest.lock.write_locked():
-                dest.db.adopt(record)
-        except CatalogError:
-            # A crashed earlier run already copied it; converge anyway.
-            pass
-        cluster.reassign(move.video_id, move.dest)
-        # Inside the copy->delete window: returns once every scatter
-        # round that may have read the destination before the copy has
-        # ended, so none can read the source after the delete.
-        cluster.note_move_visible()
-        with source.lock.write_locked():
-            source.db.remove(move.video_id)
-        cluster.note_drop(move.video_id, move.source)
-
-    def _clean_conflicts(self, report: RebalanceReport) -> None:
-        """Delete stray copies recorded by the coordinator on open."""
-        remaining: list[tuple[str, int]] = []
-        for video_id, shard_id in self.cluster.conflicts:
-            winner = self.cluster.placement_snapshot().get(video_id)
-            if winner is None or winner == shard_id:
-                remaining.append((video_id, shard_id))
-                continue  # placement changed under us; leave it alone
-            shard = self.cluster.shard(shard_id)
-            try:
-                shard.check_up("conflict cleanup")
-                with shard.lock.write_locked():
-                    if video_id in shard.db.catalog:
-                        shard.db.remove(video_id)
-                report.conflicts_cleaned += 1
-            except (ClusterError, CatalogError, OSError) as exc:
-                remaining.append((video_id, shard_id))
-                report.errors.append(
-                    {"video_id": video_id, "error": f"{type(exc).__name__}: {exc}"}
-                )
-        self.cluster.conflicts = remaining
+        if move.kind != "drop":
+            dest = cluster.shard(move.dest)
+            source.check_up("rebalance source")
+            dest.check_up("rebalance dest")
+            replace = move.kind == "replace"
+            if not copy_video(cluster, move.video_id, source, dest, replace=replace):
+                return  # removed since planning
+            if replace:
+                report.divergent_repaired += 1
+            else:
+                report.copies_added += 1
+        if move.kind in ("drop", "move"):
+            drop_video(cluster, move.video_id, source)
+            report.strays_removed += 1
 
     # ------------------------------------------------------------------
     # online resharding
@@ -281,57 +231,42 @@ class Rebalancer:
         """Change the cluster's shard count online.
 
         Reads and writes continue throughout: only the individual
-        per-shard locks are taken, one move at a time, and the
+        per-shard locks are taken, one action at a time, and the
         consistent-hash ring guarantees only ~``|N-M|/max(N,M)`` of
-        the corpus relocates.  ``max_moves`` turns this into an
-        incremental step (rerun until ``plan()`` is empty); the
-        manifest ordering (see module docstring) keeps every
-        intermediate crash state reopenable.
+        the corpus relocates.  ``max_moves`` turns a grow into an
+        incremental step (rerun until ``plan()`` is empty); a shrink
+        refuses a budget that would strand videos on the dropped
+        shards.  The manifest ordering (see module docstring) keeps
+        every intermediate crash state reopenable.
         """
         cluster = self.cluster
         if n_shards < 1:
             raise ClusterError(f"a cluster needs >= 1 shard, got {n_shards}")
-        if n_shards == cluster.n_shards and not self.plan():
-            return RebalanceReport()
+        if n_shards == cluster.n_shards:
+            # Same count: settle any drift against the current ring.
+            return self.execute(max_moves=max_moves)
         new_router = ConsistentHashRouter(
             n_shards, replicas=cluster.router.replicas
         )
         if n_shards > cluster.n_shards:
             self._grow_to(new_router, config)
             return self.execute(max_moves=max_moves)
-        if n_shards < cluster.n_shards:
-            moves = self.plan(new_router)
-            if max_moves is not None and len(moves) > max_moves:
-                raise ClusterError(
-                    f"shrinking to {n_shards} shards needs {len(moves)} moves; "
-                    f"max_moves={max_moves} would strand videos on dropped shards"
-                )
-            report = RebalanceReport()
-            self._clean_conflicts(report)
-            report.planned = len(moves)
-            # Old router still active: queries keep covering the
-            # draining shards until every video has left them.
-            for move in moves:
-                try:
-                    self._apply(move)
-                    report.moved += 1
-                except (ClusterError, CatalogError, OSError) as exc:
-                    report.skipped += 1
-                    report.errors.append(
-                        {
-                            "video_id": move.video_id,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-            if report.skipped:
-                raise ClusterError(
-                    f"shrink aborted: {report.skipped} moves failed "
-                    f"({report.errors[:3]}...); cluster unchanged, rerun to retry"
-                )
-            self._shrink_to(new_router)
-            return report
-        # Same count: settle any drift against the current ring.
-        return self.execute(max_moves=max_moves)
+        moves = self.plan(new_router)
+        if max_moves is not None and len(moves) > max_moves:
+            raise ClusterError(
+                f"shrinking to {n_shards} shards needs {len(moves)} moves; "
+                f"max_moves={max_moves} would strand videos on dropped shards"
+            )
+        # Old router still active: queries keep covering the draining
+        # shards until every video has left them.
+        report = self.execute(moves)
+        if report.skipped:
+            raise ClusterError(
+                f"shrink aborted: {report.skipped} moves failed "
+                f"({report.errors[:3]}...); cluster unchanged, rerun to retry"
+            )
+        self._shrink_to(new_router)
+        return report
 
     def _grow_to(
         self, new_router: ConsistentHashRouter, config: PipelineConfig | None

@@ -1,25 +1,8 @@
-"""Anti-entropy repair and the background integrity scrubber.
+"""The background integrity scrubber.
 
-Two complementary loops keep an R-replicated cluster converged with
-its placement contract and honest about bit-rot:
-
-**Anti-entropy** (:class:`AntiEntropyRepairer`) is placement-level: for
-every video it compares the shards that *should* hold a copy
-(``router.shards_for(id, R)``) against the shards that *do*, then
-
-* copies missing replicas from a healthy holder (export -> adopt, the
-  same staged, checksummed publish path every write takes),
-* repairs divergent replicas — detected by comparing each holder's
-  fingerprint of the video, the digest of its record file
-  (``VideoDatabase.record_digest``: the ``blake2s`` a durable shard's
-  manifest records for ``video:<id>``, no re-hashing; an in-memory
-  shard hashes the bytes the same serializer would write) — by
-  re-adopting the primary's copy, and
-* drops stray copies living outside the expected set (left by a crash
-  between a rebalance copy and its source delete), but only when a
-  legitimate holder exists.
-
-**Scrubbing** (:class:`IntegrityScrubber`) is byte-level: it walks
+Placement-level convergence (missing, divergent and stray copies) is
+the placement reconciler's job (:class:`~repro.cluster.rebalance.Rebalancer`,
+``repro cluster repair``).  The scrubber is byte-level: it walks
 every durable shard's manifest-tracked files and re-verifies each
 against its committed digest — the same check ``fsck`` runs, but
 continuously and at a configurable pace (``files_per_tick`` files per
@@ -32,7 +15,7 @@ shard's own in-memory copy, which was verified when it was loaded
 (``files_republished``).  Only a video with no healthy copy on disk or
 in memory is counted in ``videos_lost``.
 
-Both loops are safe against live traffic: checks run under shard read
+The scrubber is safe against live traffic: checks run under shard read
 locks (so a publish can never be half-observed) and repairs under the
 usual write locks, like any other ingest.
 """
@@ -40,163 +23,19 @@ usual write locks, like any other ingest.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..errors import CatalogError
 from ..vdbms.manifest import RECORD_PREFIX
-from .replication import copy_video
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .coordinator import ClusterCoordinator
     from .shard import Shard
 
-__all__ = ["AntiEntropyRepairer", "IntegrityScrubber", "RepairReport"]
+__all__ = ["IntegrityScrubber"]
 
-#: Lock budget for repair-side reads/writes (outwaits a publish).
+#: Lock budget for scrub reads and repairs (outwaits a publish).
 _LOCK_TIMEOUT_S = 30.0
-
-
-@dataclass
-class RepairReport:
-    """What one anti-entropy pass found and fixed."""
-
-    videos_checked: int = 0
-    copies_added: int = 0
-    divergent_repaired: int = 0
-    strays_removed: int = 0
-    #: Videos with a missing/divergent copy that no healthy source
-    #: could repair (every other holder down or gone).
-    unrepairable: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def repaired_anything(self) -> bool:
-        return bool(
-            self.copies_added or self.divergent_repaired or self.strays_removed
-        )
-
-    @property
-    def converged(self) -> bool:
-        """True when the cluster now matches its placement contract."""
-        return not self.unrepairable and not self.errors
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible report for the CLI and tests."""
-        return {
-            "videos_checked": self.videos_checked,
-            "copies_added": self.copies_added,
-            "divergent_repaired": self.divergent_repaired,
-            "strays_removed": self.strays_removed,
-            "unrepairable": list(self.unrepairable),
-            "errors": list(self.errors),
-            "converged": self.converged,
-        }
-
-
-class AntiEntropyRepairer:
-    """Converge every video onto its expected holder set (one pass)."""
-
-    def __init__(
-        self, cluster: "ClusterCoordinator", *, metrics: Any = None
-    ) -> None:
-        self.cluster = cluster
-        self.metrics = metrics
-
-    def _bump(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.increment(name, amount)
-
-    def run(self) -> RepairReport:
-        """One full anti-entropy pass over every video in the cluster."""
-        report = RepairReport()
-        cluster = self.cluster
-        for video_id in cluster.video_ids():
-            try:
-                holders = set(cluster.holders_of(video_id))
-            except CatalogError:
-                continue  # removed while we walked
-            report.videos_checked += 1
-            expected = cluster.router.shards_for(
-                video_id, cluster.replication
-            )
-            expected_set = set(expected)
-            live = {
-                shard_id
-                for shard_id in holders
-                if not cluster.shard(shard_id).down
-            }
-            # The authoritative copy: the primary when it is live,
-            # otherwise any live legitimate holder, otherwise any live
-            # holder at all (a stray's data is still real data).
-            source_id = next(
-                (
-                    s
-                    for s in [expected[0]]
-                    + [e for e in expected[1:]]
-                    + sorted(holders - expected_set)
-                    if s in live
-                ),
-                None,
-            )
-            if source_id is None:
-                if expected_set - holders:
-                    report.unrepairable.append(video_id)
-                continue
-            source = cluster.shard(source_id)
-            source_print = source.db.record_digest(video_id)
-
-            for shard_id in expected:
-                if shard_id == source_id:
-                    continue
-                dest = cluster.shard(shard_id)
-                if dest.down:
-                    report.unrepairable.append(video_id)
-                    continue
-                try:
-                    if shard_id not in holders:
-                        if copy_video(cluster, video_id, source, dest):
-                            report.copies_added += 1
-                    elif dest.db.record_digest(video_id) != source_print:
-                        if copy_video(
-                            cluster, video_id, source, dest, replace=True
-                        ):
-                            report.divergent_repaired += 1
-                except Exception as exc:
-                    report.errors.append(
-                        f"{video_id} -> {dest.name}: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-
-            if holders & expected_set:
-                for shard_id in sorted(holders - expected_set):
-                    stray = cluster.shard(shard_id)
-                    if stray.down:
-                        continue
-                    try:
-                        with stray.lock.write_locked(_LOCK_TIMEOUT_S):
-                            stray.db.remove(video_id)
-                        cluster.note_drop(video_id, shard_id)
-                        report.strays_removed += 1
-                    except Exception as exc:
-                        report.errors.append(
-                            f"{video_id} stray on {stray.name}: "
-                            f"{type(exc).__name__}: {exc}"
-                        )
-        cluster.conflicts = [
-            (video_id, shard_id)
-            for video_id, shard_id in cluster.conflicts
-            if shard_id in set(cluster.holders_snapshot().get(video_id, ()))
-            and shard_id
-            not in set(
-                cluster.router.shards_for(video_id, cluster.replication)
-            )
-        ]
-        self._bump("repair_copies_added", report.copies_added)
-        self._bump("repair_divergent_repaired", report.divergent_repaired)
-        self._bump("repair_strays_removed", report.strays_removed)
-        self._bump("repair_unrepairable", len(report.unrepairable))
-        return report
 
 
 class IntegrityScrubber:

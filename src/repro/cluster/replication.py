@@ -6,9 +6,10 @@ row, index rows, scene tree) is a self-contained
 ``export_video`` on a healthy holder followed by ``adopt`` on the
 target — both through the checksummed staged-publish protocol, so a
 replica is exactly as durable (and exactly as verifiable) as a
-primary.  :func:`copy_video` packages that under the right locks; the
-coordinator's write fan-out, the anti-entropy repairer, and the
-integrity scrubber all go through it.
+primary.  :func:`copy_video` packages that under the right locks and
+:func:`drop_video` deletes a copy; every copy and every delete the
+placement reconciler (:class:`~repro.cluster.rebalance.Rebalancer`)
+makes goes through them.
 
 :class:`ShardSupervisor` is the service-side health loop: it watches
 scatter outcomes, benches a shard after ``threshold`` *consecutive*
@@ -25,17 +26,18 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any
 
-from ..errors import CatalogError
+from ..errors import CatalogError, ClusterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .coordinator import ClusterAnswer, ClusterCoordinator
     from .shard import Shard
 
-__all__ = ["ShardSupervisor", "copy_video"]
+__all__ = ["ShardSupervisor", "copy_video", "drop_video"]
 
-#: Lock-acquisition budget for repair copies: long enough to outwait a
-#: publish, short enough that repair never wedges behind a stuck shard.
-_COPY_LOCK_TIMEOUT_S = 30.0
+#: Lock-acquisition budget for copies and deletes: long enough to
+#: outwait a publish, short enough that a pass never wedges behind a
+#: stuck shard.
+_LOCK_TIMEOUT_S = 30.0
 
 
 def copy_video(
@@ -57,21 +59,43 @@ def copy_video(
     (already-removed videos are not an error for repair).
     """
     try:
-        with source.lock.read_locked(_COPY_LOCK_TIMEOUT_S):
+        with source.lock.read_locked(_LOCK_TIMEOUT_S):
             record = source.db.export_video(video_id)
     except CatalogError:
         return False
-    with dest.lock.write_locked(_COPY_LOCK_TIMEOUT_S):
+    with dest.lock.write_locked(_LOCK_TIMEOUT_S):
         try:
             if replace and video_id in dest.db.catalog:
                 dest.db.replace(record)
             else:
                 dest.db.adopt(record)
         except CatalogError:
-            return True  # raced with another repairer: copy already there
+            return True  # raced with another pass: copy already there
     cluster.note_copy(video_id, dest.shard_id)
     dest.repairs += 1
     return True
+
+
+def drop_video(cluster: "ClusterCoordinator", video_id: str, shard: "Shard") -> None:
+    """Delete ``shard``'s copy of one video, never the last copy.
+
+    Waits first for every scatter round in flight
+    (:meth:`ClusterCoordinator.note_move_visible`): such a round may have
+    read a fresh copy's shard before the copy, but then it reads this
+    one before the delete.  Removes under the shard's write lock (one
+    manifest delta on a durable shard) and records the drop in the
+    coordinator's holder map.
+    """
+    shard.check_up("drop")
+    if set(cluster.holders_of(video_id)) <= {shard.shard_id}:
+        raise ClusterError(
+            f"refusing to drop the only copy of {video_id!r} (on {shard.name})"
+        )
+    cluster.note_move_visible()
+    with shard.lock.write_locked(_LOCK_TIMEOUT_S):
+        if video_id in shard.db.catalog:
+            shard.db.remove(video_id)
+    cluster.note_drop(video_id, shard.shard_id)
 
 
 class ShardSupervisor:

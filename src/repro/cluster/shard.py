@@ -51,7 +51,7 @@ class Shard:
         self.errors = 0
         #: Replica copies adopted onto this shard (write-path fan-out).
         self.replications = 0
-        #: Copies restored onto this shard by anti-entropy or the scrubber.
+        #: Copies restored onto this shard by a repair pass or the scrubber.
         self.repairs = 0
 
     @property

@@ -150,8 +150,8 @@ class ClusterError(ReproError):
     """A sharded-cluster operation is invalid or cannot proceed.
 
     Raised for malformed cluster layouts (bad ``cluster.json``, shard
-    count mismatches), rebalance conflicts, and operations that require
-    a shard the cluster does not have.
+    count mismatches), stale or refused rebalance actions, and
+    operations that require a shard the cluster does not have.
     """
 
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..config import QueryConfig
 from ..errors import QueryError
 from ..features.vector import FeatureVector
 from .table import IndexEntry, IndexTable
 
-__all__ = ["VarianceQuery", "entry_matches", "search"]
+__all__ = ["VarianceQuery", "entry_matches", "query_points", "search"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,6 +100,26 @@ class VarianceQuery:
             entry.video_id,
             entry.shot_number,
         )
+
+
+def query_points(queries: Any) -> list[tuple[float, float]]:
+    """The ``(Var^BA, Var^OA)`` points of a batch request: ``queries``
+    must be a non-empty list of ``{"var_ba": .., "var_oa": ..}``
+    objects (``POST /query/batch`` and ``repro query --batch-file``).
+    Raises :class:`QueryError` naming the first bad item."""
+    if not isinstance(queries, list) or not queries:
+        raise QueryError("'queries' must be a non-empty list of query objects")
+    points: list[tuple[float, float]] = []
+    for k, item in enumerate(queries):
+        if not isinstance(item, dict):
+            raise QueryError(f"query {k} is not an object")
+        try:
+            points.append((float(item["var_ba"]), float(item["var_oa"])))
+        except KeyError as exc:
+            raise QueryError(f"query {k} is missing {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise QueryError(f"query {k} has non-numeric variances") from exc
+    return points
 
 
 def entry_matches(

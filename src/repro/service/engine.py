@@ -53,6 +53,7 @@ from ..errors import (
     StorageIntegrityError,
     WorkloadError,
 )
+from ..index.query import query_points
 from ..obs import (
     TraceCollector,
     TraceContext,
@@ -62,7 +63,7 @@ from ..obs import (
 from ..scenetree.serialize import scene_tree_to_dict
 from ..vdbms.database import VideoDatabase
 from ..video.clip import VideoClip
-from ..video.sampling import resample_fps
+from ..video.sampling import ANALYSIS_FPS, read_clip
 from ..workloads.taxonomy import VideoCategory
 from .resilience import CircuitBreaker, Deadline
 
@@ -76,8 +77,6 @@ __all__ = [
     "ServiceEngine",
     "clip_from_spec",
 ]
-
-ANALYSIS_FPS = 3.0
 
 
 # ----------------------------------------------------------------------
@@ -357,24 +356,7 @@ def clip_from_spec(spec: dict[str, Any]) -> tuple[VideoClip, VideoCategory | Non
             clip = VideoClip(video_id, clip.frames, fps=clip.fps)
         return clip, category
 
-    from pathlib import Path
-
-    from ..video.avi import read_avi
-    from ..video.io import read_rvid
-
-    path = spec["path"]  # the "file" source
-    suffix = Path(path).suffix.lower()
-    if suffix == ".avi":
-        clip = read_avi(path)
-    elif suffix == ".rvid":
-        clip = read_rvid(path)
-    else:
-        raise WorkloadError(
-            f"unsupported video format {suffix!r} (use .avi or .rvid)"
-        )
-    if clip.fps > ANALYSIS_FPS:
-        clip = resample_fps(clip, ANALYSIS_FPS)
-    return clip, category
+    return read_clip(spec["path"]), category  # the "file" source
 
 
 # ----------------------------------------------------------------------
@@ -1014,23 +996,12 @@ class ServiceEngine:
         ``query_batch_requests`` counts calls, ``query_batch_queries``
         the points answered.
         """
-        if not isinstance(queries, list) or not queries:
-            raise QueryError("'queries' must be a non-empty list of query objects")
-        if len(queries) > self.MAX_BATCH_QUERIES:
+        points = query_points(queries)
+        if len(points) > self.MAX_BATCH_QUERIES:
             raise QueryError(
-                f"batch of {len(queries)} queries exceeds the per-request "
+                f"batch of {len(points)} queries exceeds the per-request "
                 f"maximum of {self.MAX_BATCH_QUERIES}"
             )
-        points: list[tuple[float, float]] = []
-        for k, item in enumerate(queries):
-            if not isinstance(item, dict):
-                raise QueryError(f"query {k} is not an object")
-            try:
-                points.append((float(item["var_ba"]), float(item["var_oa"])))
-            except KeyError as exc:
-                raise QueryError(f"query {k} is missing {exc.args[0]!r}") from exc
-            except (TypeError, ValueError) as exc:
-                raise QueryError(f"query {k} has non-numeric variances") from exc
         base = self.cluster.config.query
         query_config = QueryConfig(
             alpha=base.alpha if alpha is None else float(alpha),

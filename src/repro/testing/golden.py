@@ -28,6 +28,7 @@ import numpy as np
 from ..features.vector import extract_shot_features
 from ..sbd.detector import CameraTrackingDetector, DetectionResult
 from ..video.clip import VideoClip
+from ..video.sampling import ANALYSIS_FPS
 
 __all__ = [
     "GOLDEN_SPECS",
@@ -39,8 +40,6 @@ __all__ = [
     "fixture_name",
     "write_fixtures",
 ]
-
-ANALYSIS_FPS = 3.0
 
 #: Well-separated shot colors (same idea as the service's synthetic
 #: ingest palette): adjacent shots differ by far more than the

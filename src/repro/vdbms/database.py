@@ -140,7 +140,7 @@ class VideoDatabase:
 
         Read-only integrity surfaces hang off this — ``fsck()``,
         ``tracked_records()``, ``check_tracked()`` — used by the cluster
-        scrubber and anti-entropy repair.
+        scrubber and the placement reconciler.
         """
         return self._storage
 

@@ -449,11 +449,15 @@ class DatabaseStorage:
         return manifest, chain
 
     def current_manifest(self) -> Manifest | None:
-        """The committed manifest, skipping the disk read when this
-        object was the last writer of the root (see :meth:`publish`)."""
-        if self._committed is not None:
-            return self._committed
-        return self.read_manifest()
+        """The committed manifest: read from disk once, then kept, since
+        the object this is called on is its root's only writer (see
+        :meth:`publish`)."""
+        if self._committed is None:
+            manifest, chain = self._read_chain()
+            if manifest is not None:
+                self._committed, self._chain = manifest, chain
+            return manifest
+        return self._committed
 
     def distrust(self, logical: str) -> None:
         """Mark a tracked record's on-disk file as not matching its
@@ -468,17 +472,17 @@ class DatabaseStorage:
         self._distrusted.add(logical)
 
     # ------------------------------------------------------------------
-    # digest enumeration (anti-entropy / scrubber API)
+    # digest enumeration (reconciler / scrubber API)
     # ------------------------------------------------------------------
 
     def tracked_records(self) -> dict[str, "FileRecord"]:
         """Logical name -> committed :class:`FileRecord`, from the
         current manifest.
 
-        This is the digest-enumeration API the cluster repair subsystem
-        builds on: two shards compare a video by comparing the
-        ``blake2s`` each side's manifest records for ``video:<id>`` —
-        no file reads, no re-hashing.  Empty for unsaved roots.
+        The cluster scrubber walks these; two shards compare one video
+        by the ``blake2s`` each side's manifest records for
+        ``video:<id>`` (:meth:`video_digest`) — no file reads, no
+        re-hashing.  Empty for unsaved roots.
         """
         manifest = self.current_manifest()
         if manifest is None:
@@ -487,8 +491,11 @@ class DatabaseStorage:
 
     def video_digest(self, video_id: str) -> str | None:
         """The committed blake2s of one video's record file, or None
-        when the manifest does not track that video."""
-        record = self.tracked_records().get(RECORD_PREFIX + video_id)
+        when the manifest does not track that video (one lookup)."""
+        manifest = self.current_manifest()
+        if manifest is None:
+            return None
+        record = manifest.files.get(RECORD_PREFIX + video_id)
         return record.blake2s if record is not None else None
 
     def check_tracked(self, logical: str) -> "FileCheck":

@@ -10,13 +10,14 @@ the equivalent plumbing for the reproduction:
   entry");
 * :mod:`repro.video.io` — the uncompressed ``.rvid`` container with
   streaming reads;
-* :mod:`repro.video.sampling` — frame-rate resampling (30 → 3 fps).
+* :mod:`repro.video.sampling` — frame-rate resampling (30 → 3 fps)
+  and :func:`read_clip`, the one reader of clip files.
 """
 
 from .frame import frame_shape, validate_frame, validate_frames
 from .clip import VideoClip
 from .io import RVID_MAGIC, read_rvid, stream_rvid, write_rvid
-from .sampling import resample_fps, subsample_indices
+from .sampling import ANALYSIS_FPS, read_clip, resample_fps, subsample_indices
 from .avi import read_avi, write_avi
 from .ppm import read_ppm, write_ppm, write_storyboard
 
@@ -29,6 +30,8 @@ __all__ = [
     "read_rvid",
     "stream_rvid",
     "write_rvid",
+    "ANALYSIS_FPS",
+    "read_clip",
     "resample_fps",
     "subsample_indices",
     "read_avi",

@@ -1,20 +1,29 @@
-"""Frame-rate resampling.
+"""Frame-rate resampling, and the one reader of clip files.
 
 Sec. 5.1: "To reduce computation time, we made our test video clips by
 extracting frames from these originals at the rate of 3 frames/second"
 (from 30 fps sources).  :func:`resample_fps` reproduces that
 decimation for any source/target rate pair with uniform index
-selection.
+selection; :func:`read_clip` reads a ``.avi`` or ``.rvid`` file and
+decimates it to :data:`ANALYSIS_FPS`, for the CLI and the service
+alike.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from ..errors import FrameError
+from ..errors import FrameError, VideoFormatError
+from .avi import read_avi
 from .clip import VideoClip
+from .io import read_rvid
 
-__all__ = ["subsample_indices", "resample_fps"]
+__all__ = ["ANALYSIS_FPS", "read_clip", "subsample_indices", "resample_fps"]
+
+#: The rate every clip is analysed at (Sec. 5.1: 3 frames/second).
+ANALYSIS_FPS = 3.0
 
 
 def subsample_indices(n_frames: int, source_fps: float, target_fps: float) -> np.ndarray:
@@ -55,3 +64,19 @@ def resample_fps(clip: VideoClip, target_fps: float) -> VideoClip:
         fps=target_fps,
         metadata=metadata,
     )
+
+
+def read_clip(path: str | Path) -> VideoClip:
+    """Read a ``.avi`` or ``.rvid`` clip file, decimated to
+    :data:`ANALYSIS_FPS` when it is faster.  Any other suffix raises
+    :class:`~repro.errors.VideoFormatError`."""
+    suffix = Path(path).suffix.lower()
+    if suffix == ".avi":
+        clip = read_avi(path)
+    elif suffix == ".rvid":
+        clip = read_rvid(path)
+    else:
+        raise VideoFormatError(
+            f"unsupported video format {suffix!r} (use .avi or .rvid)"
+        )
+    return resample_fps(clip, ANALYSIS_FPS) if clip.fps > ANALYSIS_FPS else clip

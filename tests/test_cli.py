@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.errors import ReproError
+from repro.service.engine import clip_from_spec
 from repro.testing import synth_database
 from repro.vdbms.database import VideoDatabase
 from repro.video.avi import write_avi
@@ -103,6 +105,34 @@ class TestIngest:
         bad.write_bytes(b"x")
         assert main(["ingest", str(bad), "--db", str(tmp_path / "db")]) == 1
         assert "unsupported" in capsys.readouterr().err
+
+
+class TestOneClipReader:
+    """The CLI and the service's ``file`` ingest source read a clip file
+    through one reader, which also decimates it to the analysis rate."""
+
+    def test_unsupported_suffix_says_the_same_both_ways(self, tmp_path, capsys):
+        bad = tmp_path / "movie.mp4"
+        bad.write_bytes(b"x")
+        assert main(["ingest", str(bad), "--db", str(tmp_path / "db")]) == 1
+        printed = capsys.readouterr().err.strip()
+        with pytest.raises(ReproError) as raised:
+            clip_from_spec({"source": "file", "path": str(bad)})
+        assert printed == f"error: {raised.value}"
+        assert "unsupported video format '.mp4'" in printed
+
+    def test_a_fast_clip_gets_the_same_record_both_ways(self, tmp_path):
+        clip = _cut_clip("fast-clip")
+        fast = VideoClip("fast-clip", np.repeat(clip.frames, 3, axis=0), fps=9.0)
+        path = write_rvid(fast, tmp_path / "fast.rvid")
+        assert main(["ingest", str(path), "--db", str(tmp_path / "db")]) == 0
+        served_clip, _ = clip_from_spec({"source": "file", "path": str(path)})
+        assert served_clip.fps == 3.0 and len(served_clip) == 18
+        served = VideoDatabase()
+        served.ingest(served_clip)
+        digest = VideoDatabase.open(tmp_path / "db").record_digest("fast-clip")
+        assert digest is not None
+        assert served.record_digest("fast-clip") == digest
 
 
 class TestReadCommands:

@@ -253,45 +253,97 @@ class TestInlineScatter:
 
 
 class TestMovesDuringScatter:
-    """A scatter round reads the shards one after another, so a move
-    whose copy and delete both fell between its reads of the
-    destination and of the source would hide the video.  The move's
-    delete waits for the rounds in flight instead (a grace period)."""
+    """A scatter round reads the shards one after another, so a pass
+    whose copies and drop all fell between its reads of a copy's
+    destination and of the dropped copy would hide the video.  Every
+    drop waits for the rounds in flight instead (a grace period)."""
+
+    @staticmethod
+    def _straddle(cluster, video_id, maintenance):
+        """Pause a wide query round after its reads of every shard but
+        the last, which holds the video's only copy; run the whole
+        ``maintenance`` on another thread meanwhile.  The drop must wait
+        for the round, and the round must see every shot."""
+        last = cluster.shards[-1]
+        n_shots = len(last.db.index.entries_for(video_id))
+        done = threading.Event()
+        worker = threading.Thread(target=lambda: (maintenance(), done.set()))
+        check_up = last.check_up
+        held_back: list[bool] = []
+
+        def maintain_before_reading_the_last_shard(what):
+            if not worker.is_alive() and not done.is_set():
+                worker.start()
+                held_back.append(not done.wait(0.3))
+            check_up(what)
+
+        last.check_up = maintain_before_reading_the_last_shard
+        wide = QueryConfig(alpha=1e6, beta=1e6)
+        answer = cluster.query(1.0, 1.0, config=wide)
+        worker.join(10.0)
+        assert held_back == [True]  # the drop waited for the round
+        assert done.is_set()
+        assert not answer.partial
+        assert sum(m.video_id == video_id for m in answer.matches) == n_shots
 
     def test_a_round_sees_a_video_moved_between_its_reads(self):
         from repro.cluster.rebalance import Rebalancer, RebalanceMove
 
         cluster = ClusterCoordinator.ephemeral(2)
         ids = populate(cluster, 8)
-        dest, source = cluster.shards
         video_id = next(v for v in ids if cluster.locate(v).shard_id == 1)
-        n_shots = len(source.db.index.entries_for(video_id))
-        moved = threading.Event()
+        move = RebalanceMove(video_id, source=1, dest=0)
+        self._straddle(
+            cluster, video_id, lambda: Rebalancer(cluster).execute([move])
+        )
+        assert cluster.locate(video_id) is cluster.shards[0]
 
-        def move():
-            Rebalancer(cluster)._move(RebalanceMove(video_id, source=1, dest=0))
-            moved.set()
+    def test_a_round_sees_a_copy_copy_drop_plan_run_between_its_reads(self):
+        """R=2: the only copy sits on shard 2, and the plan copies it to
+        shards 0 and 1, then drops it."""
+        from repro.cluster.rebalance import Rebalancer
 
-        mover = threading.Thread(target=move)
-        check_up = source.check_up
-        held_back: list[bool] = []
+        cluster = ClusterCoordinator.ephemeral(3, replication=2)
+        video_id = next(
+            v
+            for v in (f"clip-{k:03d}" for k in range(200))
+            if set(cluster.router.shards_for(v, 2)) == {0, 1}
+        )
+        with cluster.shards[2].lock.write_locked():
+            cluster.shards[2].db.adopt(make_record(video_id, 0))
+        cluster.note_copy(video_id, 2)
+        rebalancer = Rebalancer(cluster)
+        assert [m.kind for m in rebalancer.plan()] == ["copy", "copy", "drop"]
+        self._straddle(cluster, video_id, rebalancer.execute)
+        assert cluster.holders_of(video_id) == (0, 1)
 
-        def move_before_reading_the_source(what):
-            # The round has read the destination (shard 0, without the
-            # video) and not yet the source: run the whole move now.
-            if not mover.is_alive() and not moved.is_set():
-                mover.start()
-                held_back.append(not moved.wait(0.3))
-            check_up(what)
+    def test_a_round_sees_a_stray_settled_by_repair_between_its_reads(
+        self, tmp_path, monkeypatch
+    ):
+        """R=1: the only copy is a stray on shard 1, the video's home is
+        shard 0; ``repro cluster repair`` runs twice (the second pass
+        must find nothing to do)."""
+        from repro import cli
 
-        source.check_up = move_before_reading_the_source
-        wide = QueryConfig(alpha=1e6, beta=1e6)
-        answer = cluster.query(1.0, 1.0, config=wide)
-        mover.join(10.0)
-        assert held_back == [True]  # the delete waited for the round
-        assert moved.is_set() and cluster.locate(video_id) is dest
-        assert not answer.partial
-        assert sum(m.video_id == video_id for m in answer.matches) == n_shots
+        root = tmp_path / "c"
+        cluster = ClusterCoordinator.create(root, 2)
+        video_id = next(
+            v
+            for v in (f"clip-{k:03d}" for k in range(200))
+            if cluster.router.shard_for(v) == 0
+        )
+        with cluster.shards[1].lock.write_locked():
+            cluster.shards[1].db.adopt(make_record(video_id, 0))
+        cluster.note_copy(video_id, 1)
+        # The command opens the cluster itself: hand it this one, so
+        # the query round runs against the same shards.
+        monkeypatch.setattr(ClusterCoordinator, "open", lambda *a, **k: cluster)
+        repair = ["cluster", "repair", "--root", str(root), "--json"]
+        self._straddle(
+            cluster, video_id, lambda: [cli.main(repair) for _ in range(2)]
+        )
+        assert cluster.holders_of(video_id) == (0,)
+        cluster.close()
 
     def test_a_move_waits_only_for_the_rounds_in_flight(self):
         cluster = ClusterCoordinator.ephemeral(2)

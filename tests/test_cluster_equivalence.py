@@ -36,9 +36,12 @@ def build_corpus(seed: int, n_videos: int):
     return records
 
 
-def load(records, cluster_sizes):
+def load(records, cluster_sizes, replication=1):
     single = VideoDatabase()
-    clusters = {k: ClusterCoordinator.ephemeral(k) for k in cluster_sizes}
+    clusters = {
+        k: ClusterCoordinator.ephemeral(k, replication=replication)
+        for k in cluster_sizes
+    }
     for record in records:
         single.adopt(record)
         for cluster in clusters.values():
@@ -124,10 +127,12 @@ class TestEquivalenceAcrossRebalance:
             got = cluster.query(var_ba, var_oa, limit=10)
             assert decisions(got) == decisions(expected) == expected_before
 
-    def test_identical_while_rebalance_runs(self):
-        """Queries racing the mover never see a wrong or torn answer."""
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_identical_during_reshards(self, replication):
+        """Queries racing the mover never see a wrong or torn answer;
+        at R=2 the plans copy and drop instead of moving."""
         records = build_corpus(seed=21, n_videos=20)
-        single, clusters = load(records, [4])
+        single, clusters = load(records, [4], replication=replication)
         cluster = clusters[4]
         points = probe_points(single, stride=3)
         expected = {

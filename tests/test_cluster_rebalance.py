@@ -1,10 +1,13 @@
-"""Online rebalancing: planning, moves, resharding, crash conflicts."""
+"""Online rebalancing: planning, moves, resharding, crash strays."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.cluster import (
     ClusterCoordinator,
     ConsistentHashRouter,
@@ -66,7 +69,7 @@ class TestExecution:
         # The move survived through the checksummed publish path.
         reopened = ClusterCoordinator.open(tmp_path / "c")
         assert reopened.locate(victim).shard_id == dest
-        assert reopened.conflicts == []
+        assert reopened.holders_of(victim) == (dest,)  # no stray copy left
         reopened.close()
 
     def test_max_moves_bounds_a_run(self):
@@ -80,6 +83,16 @@ class TestExecution:
         report = rebalancer.execute(moves, max_moves=1)
         assert report.moved == 1
         assert report.planned == len(moves)
+
+    def test_a_drop_never_removes_the_last_copy(self):
+        cluster = ClusterCoordinator.ephemeral(2)
+        [video_id] = populate(cluster, 1)
+        holder = cluster.locate(video_id).shard_id
+        drop = RebalanceMove(video_id, source=holder, dest=holder, kind="drop")
+        report = Rebalancer(cluster).execute([drop])
+        assert report.skipped == 1 and "only copy" in report.errors[0]["error"]
+        assert cluster.holders_of(video_id) == (holder,)
+        assert video_id in cluster.shards[holder].db.catalog
 
     def test_stale_move_is_skipped_not_fatal(self):
         cluster = ClusterCoordinator.ephemeral(2)
@@ -177,11 +190,14 @@ class TestCrashConflicts:
 
     def test_open_detects_the_conflict(self, tmp_path):
         victim, reopened = self._cluster_with_stray(tmp_path)
-        assert [v for v, _ in reopened.conflicts] == [victim]
-        # The winner is the ring home, so reads stay deterministic.
-        assert reopened.locate(victim).shard_id == (
-            reopened.router.shard_for(victim)
-        )
+        home = reopened.router.shard_for(victim)
+        # The holder map keeps both copies; the plan drops the stray.
+        plan = Rebalancer(reopened).plan()
+        assert [(m.video_id, m.kind, m.source) for m in plan] == [
+            (victim, "drop", 1 - home)
+        ]
+        # The primary is the ring home, so reads stay deterministic.
+        assert reopened.locate(victim).shard_id == home
         # Queries stay duplicate-free even before cleanup.
         probe = reopened.locate(victim).db.index.entries[0]
         answer = reopened.query(probe.features.var_ba, probe.features.var_oa)
@@ -189,11 +205,23 @@ class TestCrashConflicts:
         assert len(keys) == len(set(keys))
         reopened.close()
 
+    def test_status_lists_the_stray(self, tmp_path, capsys):
+        victim, reopened = self._cluster_with_stray(tmp_path)
+        home = reopened.router.shard_for(victim)
+        reopened.close()
+        root = str(tmp_path / "c")
+        assert cli.main(["cluster", "status", "--root", root, "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["strays"] == [
+            {"video_id": victim, "shard": f"shard-{1 - home}"}
+        ]
+        assert status["pending_moves"] == 1 and status["unrepairable"] == []
+
     def test_rebalance_cleans_the_stray_copy(self, tmp_path):
         victim, reopened = self._cluster_with_stray(tmp_path)
         report = Rebalancer(reopened).execute()
-        assert report.conflicts_cleaned == 1
-        assert reopened.conflicts == []
+        assert report.strays_removed == 1
+        assert Rebalancer(reopened).plan() == []
         holders = [
             shard.shard_id
             for shard in reopened.shards
@@ -203,5 +231,33 @@ class TestCrashConflicts:
         reopened.close()
         # Cleanliness is durable.
         final = ClusterCoordinator.open(tmp_path / "c")
-        assert final.conflicts == []
+        assert Rebalancer(final).plan() == []
         final.close()
+
+
+class TestRebalanceCLI:
+    def test_plan_then_bounded_grow(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        cluster = ClusterCoordinator.create(root, 2)
+        ids = populate(cluster, 12)
+        cluster.close()
+        base = ["cluster", "rebalance", "--root", str(root), "--json"]
+        assert cli.main([*base, "--shards", "4", "--plan"]) == 0
+        planned = json.loads(capsys.readouterr().out)
+        target = ConsistentHashRouter(4, replicas=cluster.router.replicas)
+        assert {m["video_id"] for m in planned} == {
+            v for v in ids if target.shard_for(v) != cluster.router.shard_for(v)
+        }
+        assert {m["kind"] for m in planned} == {"move"}
+        assert len(planned) >= 2
+        # --plan moved nothing; a one-move budget grows and moves one.
+        assert cli.main([*base, "--shards", "4", "--max-moves", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["planned"] == len(planned) and report["moved"] == 1
+        assert report["converged"] is False and report["errors"] == []
+        assert cli.main(base) == 0  # settles the rest against the new ring
+        report = json.loads(capsys.readouterr().out)
+        assert report["moved"] == len(planned) - 1 and report["converged"]
+        reopened = ClusterCoordinator.open(root)
+        assert reopened.n_shards == 4 and Rebalancer(reopened).plan() == []
+        reopened.close()

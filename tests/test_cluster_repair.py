@@ -4,8 +4,9 @@ The acceptance round-trip under test: flip bytes in a committed shard
 file (manifest untouched — exactly what bit-rot looks like), and the
 scrubber detects the digest mismatch, quarantines the evidence, and
 re-adopts a fresh copy from a healthy replica, leaving every query
-answer unchanged.  Anti-entropy covers the placement half: missing
-copies, divergent copies, strays, and the honestly-unrepairable.
+answer unchanged.  The placement reconciler (``repro cluster repair``)
+covers the placement half: missing copies, divergent copies, strays,
+and the honestly-unrepairable.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.cluster import ClusterCoordinator
-from repro.cluster.repair import AntiEntropyRepairer, IntegrityScrubber
+from repro.cluster import ClusterCoordinator, Rebalancer
+from repro.cluster.repair import IntegrityScrubber
 from repro.service.engine import ServiceEngine
 from repro.testing import FaultyFS, ShardOutage, inject_bit_rot
 from repro.testing.synth import add_synth_video
@@ -64,17 +65,17 @@ class TestAntiEntropy:
         cluster = ClusterCoordinator.ephemeral(3, replication=1)
         ids = populate(cluster, 6)
         cluster.set_replication(2)
-        report = AntiEntropyRepairer(cluster).run()
-        assert report.videos_checked == len(ids)
+        report = Rebalancer(cluster).execute()
+        assert report.planned == len(ids)
         assert report.copies_added == len(ids)
-        assert report.converged and report.repaired_anything
+        assert report.converged
         for video_id in ids:
             assert set(cluster.holders_of(video_id)) == set(
                 cluster.router.shards_for(video_id, 2)
             )
         # A second pass finds nothing left to do.
-        second = AntiEntropyRepairer(cluster).run()
-        assert not second.repaired_anything
+        second = Rebalancer(cluster).execute()
+        assert second.planned == 0 and second.converged
 
     def test_repairs_divergent_replica_from_primary(self):
         cluster = ClusterCoordinator.ephemeral(3, replication=2)
@@ -88,7 +89,7 @@ class TestAntiEntropy:
             shard.db.adopt(make_record(video_id, seed=999))
         primary_db = cluster.shards[primary].db
         assert shard.db.record_digest(video_id) != primary_db.record_digest(video_id)
-        report = AntiEntropyRepairer(cluster).run()
+        report = Rebalancer(cluster).execute()
         assert report.divergent_repaired == 1
         assert report.converged
         primary_entries = primary_db.index.entries_for(video_id)
@@ -115,13 +116,32 @@ class TestAntiEntropy:
         with shard.lock.write_locked():
             shard.db.remove(video_id)
             shard.db.adopt(make_record(video_id, seed=999))
-        report = AntiEntropyRepairer(cluster).run()
+        report = Rebalancer(cluster).execute()
         assert report.divergent_repaired == 1
         assert (
             shard.db.storage.record_path(video_id).read_bytes()
             == cluster.shards[primary].db.storage.record_path(video_id).read_bytes()
         )
         cluster.close()
+
+    def test_a_pass_reads_each_shard_manifest_once(self, tmp_path, monkeypatch):
+        """Digests come from the manifest each shard keeps, so a pass
+        over a freshly opened cluster stays linear in its videos."""
+        cluster = ClusterCoordinator.create(tmp_path / "c", 3, replication=2)
+        populate(cluster, 6)
+        cluster.close()
+        reopened = ClusterCoordinator.open(tmp_path / "c")
+        reads = []
+        read_chain = DatabaseStorage._read_chain
+
+        def counted(storage):
+            reads.append(storage.root)
+            return read_chain(storage)
+
+        monkeypatch.setattr(DatabaseStorage, "_read_chain", counted)
+        assert Rebalancer(reopened).execute().converged
+        assert len(reads) <= reopened.n_shards
+        reopened.close()
 
     def test_removes_stray_copies(self):
         cluster = ClusterCoordinator.ephemeral(3, replication=1)
@@ -132,7 +152,7 @@ class TestAntiEntropy:
         with stray.lock.write_locked():
             stray.db.adopt(make_record(video_id, 0))
         cluster.note_copy(video_id, stray_id)
-        report = AntiEntropyRepairer(cluster).run()
+        report = Rebalancer(cluster).execute()
         assert report.strays_removed == 1
         assert cluster.holders_of(video_id) == (home,)
         assert video_id not in stray.db.catalog
@@ -146,20 +166,10 @@ class TestAntiEntropy:
             shard.db.remove(video_id)
         cluster.note_drop(video_id, replica)
         cluster.shards[primary].mark_down("dead disk")
-        report = AntiEntropyRepairer(cluster).run()
+        report = Rebalancer(cluster).execute()
         assert report.unrepairable == [video_id]
         assert not report.converged
         assert "converged" in report.to_dict()
-
-    def test_metrics_counters_ride_along(self):
-        from repro.service.metrics import MetricsRegistry
-
-        cluster = ClusterCoordinator.ephemeral(2, replication=1)
-        populate(cluster, 3)
-        cluster.set_replication(2)
-        metrics = MetricsRegistry()
-        AntiEntropyRepairer(cluster, metrics=metrics).run()
-        assert metrics.counter("repair_copies_added") == 3
 
 
 class TestScrubberRoundTrip:
@@ -394,6 +404,27 @@ class TestRepairCLI:
         assert payload["corruption_found"] == 1
         assert payload["videos_repaired"] == 1
         assert payload["clean"] is True
+
+    def test_a_stray_only_video_converges_in_one_pass(self, tmp_path, capsys):
+        """R=1, the only copy on a shard outside the video's expected
+        set: one pass copies it home and drops the stray."""
+        root = tmp_path / "c"
+        cluster = ClusterCoordinator.create(root, 2, replication=1)
+        ids = populate(cluster, 4)
+        victim = ids[0]
+        home = cluster.router.shard_for(victim)
+        source, stray = cluster.shards[home], cluster.shards[1 - home]
+        stray.db.adopt(source.db.export_video(victim))
+        source.db.remove(victim)
+        cluster.close()
+        rc = cli.main(["cluster", "repair", "--root", str(root), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0 and payload["converged"] is True
+        assert payload["copies_added"] == payload["strays_removed"] == 1
+        reopened = ClusterCoordinator.open(root)
+        assert reopened.holders_of(victim) == (home,)
+        assert Rebalancer(reopened).plan() == []
+        reopened.close()
 
     def test_fsck_points_at_cluster_repair(self, tmp_path, capsys):
         root = tmp_path / "c"

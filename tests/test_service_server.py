@@ -195,6 +195,42 @@ class TestMalformedQueryInput:
         assert status == 400
 
 
+class TestMalformedBatch:
+    """``POST /query/batch`` and ``repro query --batch-file`` parse a
+    batch with one function, so each malformed batch gets one message."""
+
+    @pytest.mark.parametrize(
+        "queries",
+        [
+            None,
+            [],
+            "x",
+            [1.0],
+            [{"var_ba": 1.0}],
+            [{"var_ba": 1.0, "var_oa": 1.0}, {"var_ba": "x", "var_oa": 1.0}],
+            [{"var_ba": None, "var_oa": 1.0}],
+        ],
+    )
+    def test_same_message_from_cli_and_http(
+        self, lone_shard_service, tmp_path, capsys, queries
+    ):
+        from repro.cli import main
+
+        _, base_url = lone_shard_service
+        status, payload = _request(
+            base_url, "POST", "/query/batch", {"queries": queries}
+        )
+        assert status == 400
+        db = VideoDatabase()
+        add_synth_video(db, "only", np.random.default_rng(2))
+        db.save(tmp_path / "db")
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps({"queries": queries}))
+        args = ["query", "--db", str(tmp_path / "db"), "--batch-file", str(batch)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.strip() == f"error: {payload['error']}"
+
+
 class TestConcurrentIngestAndQuery:
     def test_queries_stay_consistent_while_ingest_commits(self, service):
         """Readers under live ingest see either the old or the new corpus,
