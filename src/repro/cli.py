@@ -32,7 +32,7 @@ from .experiments.report import format_table
 from .index.query import query_points
 from .scenetree.nodes import SceneNode
 from .vdbms.database import VideoDatabase
-from .vdbms.storage import DatabaseStorage
+from .vdbms.storage import DatabaseStorage, FsckReport
 from .video.sampling import read_clip
 from .workloads.taxonomy import VideoCategory
 
@@ -667,34 +667,23 @@ def _cmd_cluster_scrub(args: argparse.Namespace) -> int:
 
     cluster = ClusterCoordinator.open(args.root, recover=True)
     try:
-        scrubber = IntegrityScrubber(
-            cluster,
-            files_per_tick=args.files_per_tick,
-            interval_s=0.0,  # offline: no pacing between batches
-        )
-        totals: dict[str, int] = {}
-        for _ in range(max(1, args.passes)):
-            for name, delta in scrubber.run_once().items():
-                totals[name] = totals.get(name, 0) + delta
+        # Offline: one pass, no pacing (a second pass could only find
+        # again what the first could not heal).
+        totals = IntegrityScrubber(cluster, interval_s=0.0).run_once()
         cluster.save_all()
         # Clean = every corruption was healed (repaired from a replica
         # or republished from live state) and nothing was lost.
-        healed = totals.get("videos_repaired", 0) + totals.get(
-            "files_republished", 0
-        )
-        clean = (
-            totals.get("videos_lost", 0) == 0
-            and totals.get("corruption_found", 0) == healed
-        )
+        healed = totals["videos_repaired"] + totals["files_republished"]
+        clean = totals["videos_lost"] == 0 and totals["corruption_found"] == healed
         if args.json:
             print(json_module.dumps({**totals, "clean": clean}, indent=2))
             return 0 if clean else 1
         print(
-            f"{totals.get('files_checked', 0)} files checked: "
-            f"{totals.get('corruption_found', 0)} corrupt, "
-            f"{totals.get('videos_repaired', 0)} repaired from replicas, "
-            f"{totals.get('files_republished', 0)} republished, "
-            f"{totals.get('videos_lost', 0)} lost (no healthy replica)"
+            f"{totals['files_checked']} files checked: "
+            f"{totals['corruption_found']} corrupt, "
+            f"{totals['videos_repaired']} repaired from replicas, "
+            f"{totals['files_republished']} republished, "
+            f"{totals['videos_lost']} lost (no healthy replica)"
         )
         print("clean" if clean else "PROBLEMS REMAIN")
         return 0 if clean else 1
@@ -710,9 +699,14 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     means the directory is empty, damaged, or repair could not make it
     clean.
     """
+    import json as json_module
+
     if _is_cluster_root(args.root):
         return _fsck_cluster(args)
-    return _fsck_single(args)
+    code, _, payload = _fsck_single(args)
+    if payload is not None:
+        print(json_module.dumps(payload, indent=2))
+    return code
 
 
 def _fsck_cluster(args: argparse.Namespace) -> int:
@@ -740,27 +734,15 @@ def _fsck_cluster(args: argparse.Namespace) -> int:
     for name, shard_root in shard_roots:
         shard_args = copy.copy(args)
         shard_args.root = str(shard_root)
-        sink: list = []
-        if args.json:
-            # Buffer per-shard reports into one aggregate document.
-            import contextlib
-            import io
-
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
-                code = _fsck_single(shard_args, report_sink=sink)
-            reports.append(
-                {"shard": name, "clean": code == 0,
-                 "report": json_module.loads(buffer.getvalue())}
-            )
-        else:
+        if not args.json:
             print(f"--- {name} ---")
-            code = _fsck_single(shard_args, report_sink=sink)
-        for report in sink:
-            for check in report.problems():
-                if check.logical.startswith(RECORD_PREFIX):
-                    video_id = check.logical[len(RECORD_PREFIX):]
-                    damaged_videos.setdefault(video_id, set()).add(name)
+        code, found, document = _fsck_single(shard_args)
+        if document is not None:
+            reports.append({"shard": name, "clean": code == 0, "report": document})
+        for check in found.problems():
+            if check.logical.startswith(RECORD_PREFIX):
+                video_id = check.logical[len(RECORD_PREFIX):]
+                damaged_videos.setdefault(video_id, set()).add(name)
         worst = max(worst, code)
     # A damaged video with a copy on a shard fsck did *not* flag is
     # recoverable without backups — point the operator at ``cluster
@@ -793,23 +775,18 @@ def _fsck_cluster(args: argparse.Namespace) -> int:
     return worst
 
 
-def _fsck_single(
-    args: argparse.Namespace, report_sink: list | None = None
-) -> int:
+def _fsck_single(args: argparse.Namespace) -> tuple[int, FsckReport, dict | None]:
     """Verify (and optionally repair) one database directory.
 
-    ``report_sink``, when given, receives the final
-    :class:`~repro.vdbms.storage.FsckReport` — the cluster fsck uses it
-    to cross-reference damaged videos against the replica holder map.
+    Returns the exit status, the pre-repair
+    :class:`~repro.vdbms.storage.FsckReport` (the cluster fsck
+    cross-references its damage against the replica holder map, so it
+    must see what fsck found, not the clean state a ``--repair``
+    rewrite leaves behind) and, with ``--json``, the document to print;
+    without ``--json`` the report is printed here.
     """
-    import json as json_module
-
     storage = DatabaseStorage(args.root)
-    report = storage.fsck()
-    if report_sink is not None:
-        # The pre-repair report: damage discovery must see what fsck
-        # found, not the clean state a --repair rewrite leaves behind.
-        report_sink.append(report)
+    report = found = storage.fsck()
     quarantined_files: list[str] = []
     dropped_videos: list[str] = []
     if args.repair and report.mode == "manifest" and (
@@ -835,8 +812,7 @@ def _fsck_single(
         if args.repair:
             payload["quarantined_files"] = quarantined_files
             payload["dropped_videos"] = dropped_videos
-        print(json_module.dumps(payload, indent=2))
-        return 0 if report.clean else 1
+        return (0 if report.clean else 1), found, payload
     generation = f" generation {report.generation}" if report.generation else ""
     print(f"{report.root}: {report.mode}{generation}")
     for check in report.checks:
@@ -851,10 +827,10 @@ def _fsck_single(
         print(f"  dropped video {video_id!r} (unreadable record)")
     if report.mode == "empty":
         print("  no database here")
-        return 1
+        return 1, found, None
     hint = " (try --repair)" if report.mode == "manifest" else ""
     print("clean" if report.clean else f"PROBLEMS FOUND{hint}")
-    return 0 if report.clean else 1
+    return (0 if report.clean else 1), found, None
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -1192,16 +1168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-verify every committed digest; repair bit rot from replicas",
     )
     cp.add_argument("--root", required=True, help="cluster directory")
-    cp.add_argument(
-        "--passes", type=int, default=1, metavar="N", help="scrub passes to run"
-    )
-    cp.add_argument(
-        "--files-per-tick",
-        type=int,
-        default=64,
-        metavar="N",
-        help="files verified per batch (offline scrubbing needs no pacing)",
-    )
     cp.add_argument("--json", action="store_true", help="emit JSON")
     cp.set_defaults(func=_cmd_cluster_scrub)
 

@@ -17,8 +17,8 @@ one database-shaped API:
   scatter rounds in flight) serves ``cluster rebalance``, ``cluster
   repair`` and grow/shrink resharding, all online through the
   checksummed publish path,
-* :class:`IntegrityScrubber` — byte-level digest scrubbing with
-  repair from healthy replicas,
+* :class:`IntegrityScrubber` — byte-level digest scrubbing that heals
+  through :func:`copy_video`,
 * :class:`ShardSupervisor` — breaker-style consecutive-failure
   tracking that benches sick shards and re-admits them after repair.
 

@@ -5,28 +5,31 @@ the placement reconciler's job (:class:`~repro.cluster.rebalance.Rebalancer`,
 ``repro cluster repair``).  The scrubber is byte-level: it walks
 every durable shard's manifest-tracked files and re-verifies each
 against its committed digest — the same check ``fsck`` runs, but
-continuously and at a configurable pace (``files_per_tick`` files per
-shard, ``interval_s`` sleep between ticks, so a big corpus is scrubbed
-gently in the background rather than in one IO storm).  A rotted
-record file is quarantined (evidence preserved), the video is dropped
-from the sick shard, and a fresh copy is adopted from a healthy holder
-(``videos_repaired``); with none, the record is rewritten from the
-shard's own in-memory copy, which was verified when it was loaded
-(``files_republished``).  Only a video with no healthy copy on disk or
-in memory is counted in ``videos_lost``.
+continuously and at a gentle pace (``interval_s`` sleep after every
+:data:`_FILES_PER_TICK` files per shard, so a big corpus is scrubbed in
+the background rather than in one IO storm).
+
+The scrubber only detects; the reconciler's copy path heals.  A
+rotted record file is quarantined (evidence preserved), then
+:func:`~repro.cluster.replication.copy_video` rewrites the video on the
+sick shard from a live holder on another shard (``videos_repaired``),
+else from the shard's own in-memory copy, which was verified when it
+was loaded (``files_republished``).  Only a video with no healthy copy
+on disk or in memory is counted in ``videos_lost``.
 
 The scrubber is safe against live traffic: checks run under shard read
 locks (so a publish can never be half-observed) and repairs under the
-usual write locks, like any other ingest.
+usual write locks, like any other copy.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..errors import CatalogError
 from ..vdbms.manifest import RECORD_PREFIX
+from .replication import _LOCK_TIMEOUT_S, copy_video
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .coordinator import ClusterCoordinator
@@ -34,8 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["IntegrityScrubber"]
 
-#: Lock budget for scrub reads and repairs (outwaits a publish).
-_LOCK_TIMEOUT_S = 30.0
+#: Files verified per shard between two ``interval_s`` sleeps.
+_FILES_PER_TICK = 8
 
 
 class IntegrityScrubber:
@@ -44,26 +47,15 @@ class IntegrityScrubber:
     ``run_once`` performs one full pass (every tracked file on every
     durable shard) and is what the CLI and tests call; ``start`` runs
     passes forever on a daemon thread, sleeping ``interval_s`` between
-    ``files_per_tick``-sized batches so scrubbing never competes with
-    foreground traffic for more than a moment.
+    small batches of files so scrubbing never competes with foreground
+    traffic for more than a moment (``interval_s=0`` never sleeps).
     """
 
     def __init__(
-        self,
-        cluster: "ClusterCoordinator",
-        *,
-        files_per_tick: int = 8,
-        interval_s: float = 0.25,
-        metrics: Any = None,
+        self, cluster: "ClusterCoordinator", *, interval_s: float = 0.25
     ) -> None:
-        if files_per_tick < 1:
-            raise ValueError(
-                f"files_per_tick must be >= 1, got {files_per_tick}"
-            )
         self.cluster = cluster
-        self.files_per_tick = files_per_tick
         self.interval_s = interval_s
-        self.metrics = metrics
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._stats_lock = threading.Lock()
@@ -76,11 +68,9 @@ class IntegrityScrubber:
             "videos_lost": 0,
         }
 
-    def _bump(self, name: str, amount: int = 1) -> None:
+    def _bump(self, name: str) -> None:
         with self._stats_lock:
-            self.stats[name] += amount
-        if self.metrics is not None and amount:
-            self.metrics.increment(f"scrub_{name}", amount)
+            self.stats[name] += 1
 
     def stats_snapshot(self) -> dict[str, int]:
         """A consistent copy of the lifetime scrub counters."""
@@ -111,15 +101,11 @@ class IntegrityScrubber:
                 logicals = sorted(storage.tracked_records())
         except Exception:
             return
-        since_sleep = 0
-        for logical in logicals:
+        for k, logical in enumerate(logicals):
+            if k and k % _FILES_PER_TICK == 0 and self.interval_s > 0:
+                self._stop.wait(self.interval_s)
             if self._stop.is_set():
                 return
-            if since_sleep >= self.files_per_tick:
-                since_sleep = 0
-                if self.interval_s > 0:
-                    self._stop.wait(self.interval_s)
-            since_sleep += 1
             try:
                 with shard.lock.read_locked(_LOCK_TIMEOUT_S):
                     check = storage.check_tracked(logical)
@@ -139,9 +125,9 @@ class IntegrityScrubber:
     # ------------------------------------------------------------------
 
     def _repair(self, shard: "Shard", logical: str, relpath: str) -> None:
-        """Quarantine a rotted record and restore the video: re-adopt it
-        from a healthy holder, else rewrite it from this shard's own
-        in-memory copy (verified when it was loaded)."""
+        """Quarantine a rotted record, then rewrite the video on
+        ``shard`` through :func:`copy_video` (whose ``replace`` rewrites
+        the record even when the rotted file is still in place)."""
         storage = shard.db.storage
         assert storage is not None
         try:
@@ -150,47 +136,31 @@ class IntegrityScrubber:
         except OSError:
             pass
         video_id = logical[len(RECORD_PREFIX):]
-        cluster = self.cluster
-        record, stat = None, "videos_repaired"
+        source = self._source_for(video_id, shard)
+        if source is None:
+            self.cluster.note_drop(video_id, shard.shard_id)
+            self._bump("videos_lost")
+            return
         try:
-            holders = cluster.holders_of(video_id)
-        except CatalogError:
-            holders = ()
-        for holder_id in holders:
-            if holder_id == shard.shard_id:
-                continue
-            other = cluster.shard(holder_id)
-            if other.down:
-                continue
-            try:
-                with other.lock.read_locked(_LOCK_TIMEOUT_S):
-                    record = other.db.export_video(video_id)
-                break
-            except Exception:
-                continue
-        try:
-            with shard.lock.write_locked(_LOCK_TIMEOUT_S):
-                held = video_id in shard.db.catalog
-                if record is None and held:
-                    record = shard.db.export_video(video_id)
-                    stat = "files_republished"
-                if record is not None:
-                    # Replicas are byte-identical, so the fresh copy
-                    # matches the manifest digest of the rotted file; if
-                    # the quarantine above failed, that file is still in
-                    # place and must be rewritten, not carried over.
-                    storage.distrust(logical)
-                    (shard.db.replace if held else shard.db.adopt)(record)
+            copied = copy_video(self.cluster, video_id, source, shard, replace=True)
         except Exception:
             shard.mark_down(f"scrubber: cannot repair {video_id}")
             return
-        if record is not None:
-            cluster.note_copy(video_id, shard.shard_id)
-            shard.repairs += 1
-            self._bump(stat)
-        else:
-            cluster.note_drop(video_id, shard.shard_id)
-            self._bump("videos_lost")
+        if copied:
+            self._bump("files_republished" if source is shard else "videos_repaired")
+
+    def _source_for(self, video_id: str, shard: "Shard") -> "Shard | None":
+        """A live holder on another shard, else ``shard`` itself when
+        its memory still holds the video, else None (lost)."""
+        try:
+            holders = self.cluster.holders_of(video_id)
+        except CatalogError:
+            holders = ()
+        for holder_id in holders:
+            other = self.cluster.shard(holder_id)
+            if other is not shard and not other.down:
+                return other
+        return shard if video_id in shard.db.catalog else None
 
     # ------------------------------------------------------------------
     # background thread

@@ -9,7 +9,7 @@ replica is exactly as durable (and exactly as verifiable) as a
 primary.  :func:`copy_video` packages that under the right locks and
 :func:`drop_video` deletes a copy; every copy and every delete the
 placement reconciler (:class:`~repro.cluster.rebalance.Rebalancer`)
-makes goes through them.
+makes, and every heal of the integrity scrubber, goes through them.
 
 :class:`ShardSupervisor` is the service-side health loop: it watches
 scatter outcomes, benches a shard after ``threshold`` *consecutive*
@@ -54,7 +54,8 @@ def copy_video(
     write lock (one record file and one manifest delta on durable
     shards), and records the new copy in the coordinator's holder map.
     With ``replace=True`` an existing copy on ``dest`` is swapped for
-    the source's in one commit — the divergence repair path.  Returns
+    the source's in one commit, its record file rewritten even when
+    the bytes match — the divergence and bit-rot repair path.  Returns
     False when the video vanished from the source meanwhile
     (already-removed videos are not an error for repair).
     """

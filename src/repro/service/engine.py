@@ -391,10 +391,10 @@ class ServiceEngine:
             ingest attempt; an exception it raises goes through the
             same transient/permanent classification as a real fault.
         retry_seed: seeds the jitter RNG for reproducible backoff.
-        max_queue: bound on queued-but-not-started ingest jobs; a full
-            queue rejects submits with
+        max_queue: bound on queued-but-not-started ingest jobs, summed
+            over the per-shard queues; a submit past it is rejected with
             :class:`~repro.errors.ServiceOverloadError` (HTTP 429).
-            ``None`` keeps the queue unbounded.
+            ``None`` keeps the queues unbounded.
         default_deadline_ms: deadline budget applied to requests that
             do not carry an ``X-Deadline-Ms`` header (None = none).
         breaker_threshold: consecutive transient storage failures that
@@ -417,10 +417,6 @@ class ServiceEngine:
         slow_query_ms: traces at least this many milliseconds long are
             additionally retained in the slow-query log and counted in
             the ``slow_queries`` metric (None disables the log).
-        supervisor_threshold: consecutive scatter failures before the
-            shard supervisor benches a shard.
-        supervisor_retry_s: cool-down before a benched shard gets a
-            half-open re-admission probe.
         scrub_interval_s: cluster databases only (a plain database has
             no replica to heal from) — pacing interval of the
             background integrity scrubber (None, the default, disables
@@ -448,8 +444,6 @@ class ServiceEngine:
         stall_timeout: float = 300.0,
         trace_capacity: int = 64,
         slow_query_ms: float | None = None,
-        supervisor_threshold: int = 3,
-        supervisor_retry_s: float = 5.0,
         scrub_interval_s: float | None = None,
     ) -> None:
         # repro.cluster imports this module (its shards use
@@ -512,15 +506,11 @@ class ServiceEngine:
         self._jobs_lock = threading.Lock()
         self._job_counter = itertools.count(1)
         # One ingest queue per shard: jobs for different shards never
-        # queue behind each other, which is what lets cluster ingest
-        # throughput scale.  A bounded max_queue is split evenly (ceil)
-        # across queues.
+        # queue behind each other.  max_queue bounds their sum
+        # (_enqueue checks it under _jobs_lock).
         self.n_queues = self.cluster.n_shards
-        per_queue = 0
-        if max_queue is not None:
-            per_queue = max(1, -(-max_queue // self.n_queues))
         self._queues: list[queue.Queue] = [
-            queue.Queue(maxsize=per_queue) for _ in range(self.n_queues)
+            queue.Queue() for _ in range(self.n_queues)
         ]
         # Lifecycle flags: _accepting gates admission (flipped by
         # begin_drain/shutdown); _stopping tells workers and the
@@ -551,17 +541,10 @@ class ServiceEngine:
         # Health loop: the supervisor benches shards that fail scatters
         # repeatedly (watchdog sweeps run its re-admission probes); the
         # scrubber re-verifies committed bytes on a pace.
-        self.supervisor = ShardSupervisor(
-            self.cluster,
-            threshold=supervisor_threshold,
-            retry_after_s=supervisor_retry_s,
-            clock=self._clock,
-        )
+        self.supervisor = ShardSupervisor(self.cluster, clock=self._clock)
         self.scrubber = None
         if scrub_interval_s is not None:
-            self.scrubber = IntegrityScrubber(
-                self.cluster, interval_s=scrub_interval_s, metrics=self.metrics
-            )
+            self.scrubber = IntegrityScrubber(self.cluster, interval_s=scrub_interval_s)
             self.scrubber.start()
         self._watchdog: threading.Thread | None = None
         if watchdog_interval > 0:
@@ -629,23 +612,24 @@ class ServiceEngine:
         # the same shard the coordinator will).
         queue_index = self.cluster.router.shard_for(route_hint) if route_hint else 0
         with self._jobs_lock:
-            self._jobs[job.job_id] = job
-            self._pending += 1
-            self._idle.clear()
-        try:
-            self._queues[queue_index].put_nowait((job, payload))
-        except queue.Full:
-            with self._jobs_lock:
-                del self._jobs[job.job_id]
-                self._pending -= 1
-                if self._pending == 0:
-                    self._idle.set()
+            # Workers only ever shrink the sum, so checking it and
+            # putting under the one lock keeps it within the bound.
+            full = (
+                self.max_queue is not None
+                and self._total_queue_depth() >= self.max_queue
+            )
+            if not full:
+                self._jobs[job.job_id] = job
+                self._pending += 1
+                self._idle.clear()
+                self._queues[queue_index].put_nowait((job, payload))
+        if full:
             self.metrics.increment("ingest_rejected_overload")
             raise ServiceOverloadError(
                 f"ingest queue is full ({self.max_queue} jobs deep); "
                 f"retry after the backlog drains",
                 retry_after=1.0,
-            ) from None
+            )
         self.metrics.increment("ingest_submitted")
         self._observe_queue_depth()
         return job
@@ -1164,10 +1148,6 @@ class ServiceEngine:
         from ..signature.extract import SignatureExtractor
 
         self._observe_queue_depth()
-        if self.scrubber is not None:
-            # Mirror the scrub thread's progress into gauges so scrapes
-            # see it even between scrub_* counter bumps.
-            self.metrics.set_gauges(self.scrubber.stats_snapshot(), prefix="scrub_")
         payload = self.metrics.snapshot()
         payload["query_cache"] = self.cache.stats()
         payload["extractor_cache"] = SignatureExtractor.cache_stats()

@@ -154,17 +154,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = value
 
-    def set_gauges(self, values: dict[str, float], prefix: str = "") -> None:
-        """Set a batch of gauges under one lock acquisition.
-
-        Used for mirroring another component's stats dict (e.g. the
-        integrity scrubber's progress counters) into the gauge table
-        atomically, so a scrape never sees a half-updated set.
-        """
-        with self._lock:
-            for name, value in values.items():
-                self._gauges[prefix + name] = value
-
     def set_gauge_max(self, name: str, value: float) -> None:
         """Raise a high-water gauge to ``value`` if it is larger."""
         with self._lock:

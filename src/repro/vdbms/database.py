@@ -117,7 +117,6 @@ class VideoDatabase:
         self.catalog = Catalog()
         self.index = ColumnarVarianceIndex()
         self.trees: dict[str, SceneTree] = {}
-        self.detections: dict[str, DetectionResult] = {}
         #: Videos dropped by a recovering load (see :meth:`load`).
         self.quarantined: list[str] = []
         #: Bound storage (see :meth:`open`): when set, every ingest and
@@ -221,7 +220,6 @@ class VideoDatabase:
             raise CatalogError(f"video {clip.name!r} already ingested")
         record, detection = self.derive(clip, category, archetypes)
         (adopt or self.adopt)(record)
-        self.detections[clip.name] = detection
         return IngestReport(
             video_id=clip.name,
             n_frames=len(clip),
@@ -363,23 +361,19 @@ class VideoDatabase:
         )
 
     def remove(self, video_id: str) -> int:
-        """Drop a video: catalog entry, scene tree, detection cache,
-        and every index entry.  Returns the number of index entries
-        removed.
+        """Drop a video: catalog entry, scene tree and every index
+        entry.  Returns the number of index entries removed.
 
         On a database bound to a root (:meth:`open`) the removal is
         committed durably before returning; otherwise the on-disk copy
         (if any) is untouched until the next :meth:`save`.
         """
         old = self._unregister(video_id)  # raises CatalogError when unknown
-        detection = self.detections.pop(video_id, None)
         if self._storage is not None:
             try:
                 self._commit(video_id, None)
             except StorageError:
                 self._register(old)
-                if detection is not None:
-                    self.detections[video_id] = detection
                 raise
         return len(old.index_entries)
 
@@ -450,21 +444,24 @@ class VideoDatabase:
         commit: how repair heals a divergent or rotted copy with no
         moment at which the video is missing, on disk or in memory.
 
-        Raises :class:`CatalogError` when the video is not held; rolls
-        back to the old copy when the publish fails.  Returns the
-        number of index entries registered.
+        The record file is always rewritten, even when ``record``
+        serializes to the bytes the manifest already records: the file
+        on disk may be the rot being healed.  Raises
+        :class:`CatalogError` when the video is not held; rolls back to
+        the old copy when the publish fails.  Returns the number of
+        index entries registered.
         """
         video_id = record.video_id
         old = self._unregister(video_id)
         self._register(record)
         if self._storage is not None:
+            self._storage.distrust(RECORD_PREFIX + video_id)
             try:
                 self._commit(video_id, record)
             except StorageError:
                 self._unregister(video_id)
                 self._register(old)
                 raise
-        self.detections.pop(video_id, None)
         return len(record.index_entries)
 
     def ask(self, text: str) -> QueryAnswer:
@@ -491,10 +488,12 @@ class VideoDatabase:
         return entry
 
     def shots(self, video_id: str) -> list[Shot]:
-        """The detected shots of one video."""
-        if video_id not in self.detections:
+        """The detected shots of one video, from its index rows (which
+        hold each shot's 1-based inclusive frame range)."""
+        if video_id not in self.catalog:
             raise CatalogError(f"unknown video {video_id!r}")
-        return self.detections[video_id].shots
+        rows = sorted(self.index.entries_for(video_id), key=lambda e: e.shot_number)
+        return [Shot(e.shot_number - 1, e.start_frame - 1, e.end_frame) for e in rows]
 
     def scene_tree(self, video_id: str) -> SceneTree:
         """The browsing hierarchy of one video."""
@@ -643,8 +642,7 @@ class VideoDatabase:
         then built by concatenating the columns and sorting once.
 
         Detection results (raw per-frame features) are not persisted;
-        queries and browsing work immediately, while :meth:`shots`
-        requires re-ingesting the raw clip.
+        queries, browsing and :meth:`shots` work immediately.
         """
         storage = DatabaseStorage(root, fs=fs)
         manifest = storage.read_manifest()

@@ -461,7 +461,8 @@ class DatabaseStorage:
 
     def distrust(self, logical: str) -> None:
         """Mark a tracked record's on-disk file as not matching its
-        manifest digest (bit rot found by a recovering load).
+        manifest digest (bit rot found by a recovering load, or a record
+        ``VideoDatabase.replace`` heals).
 
         The next :meth:`publish` that receives ``logical`` rewrites the
         file even when the serialized bytes match the recorded digest —

@@ -1,12 +1,14 @@
-"""Anti-entropy repair and the integrity scrubber, driven by fault injection.
+"""The placement reconciler and the integrity scrubber, driven by fault
+injection.
 
 The acceptance round-trip under test: flip bytes in a committed shard
 file (manifest untouched — exactly what bit-rot looks like), and the
 scrubber detects the digest mismatch, quarantines the evidence, and
-re-adopts a fresh copy from a healthy replica, leaving every query
-answer unchanged.  The placement reconciler (``repro cluster repair``)
-covers the placement half: missing copies, divergent copies, strays,
-and the honestly-unrepairable.
+hands the video to the reconciler's copy path (``copy_video``), which
+rewrites it from a healthy replica, leaving every query answer
+unchanged.  The placement reconciler (``Rebalancer``, ``repro cluster
+repair``) covers the placement half: missing copies, divergent copies,
+strays, and the honestly-unrepairable.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ def shard_dir(root, shard_id: int):
 
 
 class TestAntiEntropy:
+    """The placement reconciler (:class:`Rebalancer`): missing,
+    divergent and stray copies."""
+
     def test_fills_missing_copies_after_factor_change(self):
         cluster = ClusterCoordinator.ephemeral(3, replication=1)
         ids = populate(cluster, 6)
@@ -192,7 +197,7 @@ class TestScrubberRoundTrip:
         damaged = inject_bit_rot(
             shard_dir(root, sick_id), logical=f"{RECORD_PREFIX}{victim}"
         )
-        scrubber = IntegrityScrubber(cluster, files_per_tick=64, interval_s=0.0)
+        scrubber = IntegrityScrubber(cluster, interval_s=0.0)
         delta = scrubber.run_once()
         assert delta["corruption_found"] == 1
         assert delta["videos_repaired"] == 1
@@ -220,7 +225,7 @@ class TestScrubberRoundTrip:
         point = (probe.features.var_ba, probe.features.var_oa)
         baseline = canonical(cluster.query(*point))
         damaged = inject_bit_rot(shard_dir(root, 0), logical=f"{RECORD_PREFIX}{ids[0]}")
-        scrubber = IntegrityScrubber(cluster, files_per_tick=64, interval_s=0.0)
+        scrubber = IntegrityScrubber(cluster, interval_s=0.0)
         delta = scrubber.run_once()
         assert delta["corruption_found"] == 1
         assert delta["files_republished"] == 1
@@ -256,7 +261,7 @@ class TestScrubberRoundTrip:
         )
         faulty = FaultyFS(mode="error", ops=("replace",), fail_times=1)
         sick.db.storage.fs = faulty
-        scrubber = IntegrityScrubber(cluster, files_per_tick=64, interval_s=0.0)
+        scrubber = IntegrityScrubber(cluster, interval_s=0.0)
         delta = scrubber.run_once()
         assert faulty.failures == 1  # the quarantine rename failed
         assert delta["corruption_found"] == 1
@@ -282,7 +287,7 @@ class TestScrubberRoundTrip:
         cluster.close()
         inject_bit_rot(shard_dir(root, 0), logical=f"{RECORD_PREFIX}{ids[0]}")
         cluster = ClusterCoordinator.open(root, recover=True)
-        scrubber = IntegrityScrubber(cluster, files_per_tick=64, interval_s=0.0)
+        scrubber = IntegrityScrubber(cluster, interval_s=0.0)
         delta = scrubber.run_once()
         assert delta["corruption_found"] == 1
         assert delta["videos_repaired"] == 0
@@ -307,11 +312,6 @@ class TestScrubberRoundTrip:
         scrubber.stop()
         assert not scrubber.running
         scrubber.stop()  # idempotent
-
-    def test_rejects_bad_pacing(self):
-        cluster = ClusterCoordinator.ephemeral(1)
-        with pytest.raises(ValueError):
-            IntegrityScrubber(cluster, files_per_tick=0)
 
 
 class TestFaultInjectors:
@@ -360,7 +360,12 @@ class TestEngineScrubIntegration:
         try:
             assert engine.scrubber is not None and engine.scrubber.running
             assert engine.health_payload()["cluster"]["scrubber_running"]
-            assert "scrub_passes" in engine.metrics_payload()["gauges"]
+            metrics = engine.metrics_payload()
+            assert "passes" in metrics["cluster"]["scrubber"]
+            assert not any(
+                key.startswith("scrub_")
+                for key in (*metrics["counters"], *metrics["gauges"])
+            )
         finally:
             engine.shutdown(timeout=10)
         assert not engine.scrubber.running

@@ -6,6 +6,7 @@ and drain suites."""
 
 import contextlib
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -15,11 +16,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator
-from repro.errors import ServiceTimeout
+from repro.errors import ServiceOverloadError, ServiceTimeout
 from repro.service.engine import JobStatus, ServiceEngine
 from repro.service.resilience import Deadline
 from repro.service.server import create_server
-from repro.testing.chaos import run_overload_burst
+from repro.testing.chaos import StallingHook, run_overload_burst
 from repro.testing.synth import add_synth_video
 from repro.vdbms.database import VideoDatabase
 
@@ -128,6 +129,92 @@ class TestBackpressure:
             finally:
                 gate.set()
             engine.drain(timeout=60)
+
+    @staticmethod
+    def _wedged_three_shards(max_queue):
+        """A 3-shard engine whose one worker per shard queue is stuck in
+        a job, plus spare video ids grouped by home shard."""
+        cluster = ClusterCoordinator.ephemeral(3)
+        hook = StallingHook()
+        engine = ServiceEngine(
+            cluster,
+            n_workers=3,
+            max_queue=max_queue,
+            watchdog_interval=0,
+            ingest_hook=hook,
+        )
+        by_shard: dict[int, list[str]] = {0: [], 1: [], 2: []}
+        for k in range(300):
+            by_shard[cluster.router.shard_for(f"q-{k}")].append(f"q-{k}")
+        for shard_id in range(3):
+            engine.submit_spec(_spec(by_shard[shard_id].pop()))
+        deadline = time.monotonic() + 10
+        while engine.overload_payload()["workers_busy"] < 3:
+            assert time.monotonic() < deadline, "workers never started"
+            time.sleep(0.01)
+        return engine, hook, by_shard
+
+    def test_the_bound_spans_every_shard_queue(self):
+        """On K shards ``max_queue`` bounds the sum of the per-shard
+        queues: jobs that share one home shard may fill all of it, and
+        no job past it is queued on any shard."""
+        engine, hook, by_shard = self._wedged_three_shards(max_queue=4)
+        with _serve(engine) as base_url:
+            try:
+                for video_id in by_shard[0][:4]:
+                    status, _, _ = _request(base_url, "POST", "/ingest", _spec(video_id))
+                    assert status == 202
+                for video_id in (by_shard[0][4], by_shard[1][0]):
+                    status, payload, _ = _request(
+                        base_url, "POST", "/ingest", _spec(video_id)
+                    )
+                    assert status == 429
+                    assert "4 jobs deep" in payload["error"]
+                status, metrics, _ = _request(base_url, "GET", "/metrics")
+                assert metrics["gauges"]["ingest_queue_depth_peak"] == 4
+                assert metrics["overload"]["queue_capacity"] == 4
+                assert metrics["overload"]["queue_depth_per_shard"] == [4, 0, 0]
+            finally:
+                hook.release()
+            engine.drain(timeout=60)
+
+    def test_concurrent_submits_never_pass_the_bound(self):
+        """Eight threads race to submit across all three shards with a
+        tiny switch interval: exactly ``max_queue`` jobs get in."""
+        engine, hook, by_shard = self._wedged_three_shards(max_queue=5)
+        ids = [video_id for shard_ids in by_shard.values() for video_id in shard_ids]
+        accepted: list[str] = []
+        rejected: list[str] = []
+        start = threading.Barrier(8)
+
+        def submit(mine):
+            start.wait(timeout=10)
+            for video_id in mine:
+                try:
+                    engine.submit_spec(_spec(video_id))
+                    accepted.append(video_id)
+                except ServiceOverloadError:
+                    rejected.append(video_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=submit, args=(ids[k::8],)) for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            hook.release()
+        assert len(accepted) == 5
+        assert len(rejected) == len(ids) - 5
+        assert engine.metrics.gauge("ingest_queue_depth_peak") == 5
+        engine.drain(timeout=60)
+        engine.shutdown()
 
     def test_unbounded_queue_never_429s(self):
         engine = ServiceEngine(n_workers=1, watchdog_interval=0)

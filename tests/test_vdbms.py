@@ -5,6 +5,8 @@ import pytest
 
 from repro.config import PipelineConfig, QueryConfig
 from repro.errors import CatalogError, StorageError
+from repro.testing import inject_bit_rot
+from repro.testing.synth import synth_record
 from repro.vdbms.catalog import Catalog, CatalogEntry
 from repro.vdbms.database import VideoDatabase
 from repro.vdbms.manifest import RECORD_PREFIX
@@ -225,6 +227,34 @@ class TestRemove:
         db.remove("figure5")
         report = db.ingest(figure5[0])
         assert report.n_shots == 10
+
+
+class TestRecordBackedState:
+    """What a bound database serves comes from its committed records,
+    so it survives a reopen and is the same on every replica."""
+
+    def test_shots_survive_a_reopen_and_match_a_replica(
+        self, figure5, figure5_detection, tmp_path
+    ):
+        clip, _ = figure5
+        db = VideoDatabase.open(tmp_path / "db")
+        db.ingest(clip)
+        shots = db.shots(clip.name)
+        assert shots == figure5_detection.shots
+        assert VideoDatabase.open(tmp_path / "db").shots(clip.name) == shots
+        replica = VideoDatabase()
+        replica.adopt(db.export_video(clip.name))
+        assert replica.shots(clip.name) == shots
+
+    def test_replace_rewrites_a_rotted_record(self, tmp_path):
+        """Replacing a video with its own export serializes to the bytes
+        the manifest records, yet the rotted file must be rewritten."""
+        db = VideoDatabase.open(tmp_path / "db")
+        db.adopt(synth_record("v", np.random.default_rng(0)))
+        inject_bit_rot(tmp_path / "db", logical=f"{RECORD_PREFIX}v")
+        assert not DatabaseStorage(tmp_path / "db").fsck().clean
+        db.replace(db.export_video("v"))
+        assert DatabaseStorage(tmp_path / "db").fsck().clean
 
 
 def _tree_relpath(storage, video_id, generation=1):
