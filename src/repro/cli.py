@@ -342,8 +342,8 @@ def _graceful_shutdown(server, engine, drain_timeout: float) -> None:
     Readiness flips first (``/ready`` answers 503 and new ingests are
     rejected as draining) while queries and in-flight jobs keep being
     served; then the in-flight work gets ``drain_timeout`` seconds to
-    finish before the serve loop is stopped.  The final save happens in
-    ``engine.shutdown()`` once the loop exits.
+    finish before the serve loop is stopped.  There is no final save: a
+    durable database committed each job before reporting it done.
     """
     engine.begin_drain()
     try:
@@ -538,7 +538,8 @@ def _is_cluster_root(root: str | Path) -> bool:
 
 
 def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    """Show shard layout, health, and the copies a pass would change."""
+    """Show shard layout, health, the copies a pass would change, and
+    the records a shard could not read."""
     import json as json_module
 
     from .cluster import ClusterCoordinator, Rebalancer
@@ -555,6 +556,11 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
             if move.kind in ("drop", "move")
         ]
         status["unrepairable"] = plan.unrepairable
+        status["unreadable"] = [
+            {"video_id": video_id, "shard": shard.name}
+            for shard in cluster.shards
+            for video_id in shard.db.quarantined
+        ]
         if args.json:
             print(json_module.dumps(status, indent=2))
             return 0
@@ -574,6 +580,8 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
             print(f"  stray: {stray['video_id']!r} has a copy on {stray['shard']}")
         for video_id in plan.unrepairable:
             print(f"  unrepairable: {video_id!r} has no live copy to act from")
+        for bad in status["unreadable"]:
+            print(f"  unreadable: {bad['video_id']!r} on {bad['shard']}")
         if pending:
             print(f"  {pending} placement actions pending (run rebalance or repair)")
         return 0
@@ -632,7 +640,6 @@ def _cmd_cluster_repair(args: argparse.Namespace) -> int:
             if not args.json:
                 print(f"replication factor set to {args.replicas}")
         report = Rebalancer(cluster).execute()
-        cluster.save_all()
         _print_pass(report, args.json)
         return 0 if report.converged else 1
     finally:
@@ -670,7 +677,6 @@ def _cmd_cluster_scrub(args: argparse.Namespace) -> int:
         # Offline: one pass, no pacing (a second pass could only find
         # again what the first could not heal).
         totals = IntegrityScrubber(cluster, interval_s=0.0).run_once()
-        cluster.save_all()
         # Clean = every corruption was healed (repaired from a replica
         # or republished from live state) and nothing was lost.
         healed = totals["videos_repaired"] + totals["files_republished"]
@@ -737,6 +743,8 @@ def _fsck_cluster(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"--- {name} ---")
         code, found, document = _fsck_single(shard_args)
+        if found.mode == "empty":
+            code = 0  # no video was ever placed on this shard
         if document is not None:
             reports.append({"shard": name, "clean": code == 0, "report": document})
         for check in found.problems():

@@ -1020,13 +1020,6 @@ class ClusterCoordinator:
             "shards": shard_status,
         }
 
-    def save_all(self) -> None:
-        """Final save of every durable shard (engine shutdown path)."""
-        for shard in self.shards:
-            if shard.db.storage_root is not None and not shard.down:
-                with shard.lock.write_locked():
-                    shard.db.save(shard.db.storage_root)
-
     def close(self) -> None:
         """Release the coordinator's resources: it holds none, since
         queries run on the caller's thread; kept for callers that close

@@ -1323,17 +1323,16 @@ class ServiceEngine:
 
         Flips readiness down, optionally waits up to ``timeout``
         seconds for accepted jobs to finish (graceful drain), then
-        stops the workers.  Jobs still unfinished after the drain
-        budget are settled as failed so no client polls forever, and a
-        durable database gets a final save.
+        stops the scrubber and the workers.  Jobs still unfinished
+        after the drain budget are settled as failed so no client polls
+        forever.  Nothing is saved: a durable database committed every
+        finished job before reporting it done.
         """
         self.begin_drain()
         if drain:
             self._idle.wait(timeout)
         self._stopping = True
         if self.scrubber is not None:
-            # Stop scrubbing before the final save: a repair publishing
-            # mid-shutdown would race the closing manifests.
             self.scrubber.stop()
         with self._workers_lock:
             workers = list(self._workers)
@@ -1351,12 +1350,4 @@ class ServiceEngine:
                 abandoned += 1
         if abandoned:
             self.metrics.increment("ingest_abandoned", abandoned)
-        # Durable shards publish every ingest incrementally, so this is
-        # normally a no-op manifest rewrite — but it makes "drain then
-        # exit" leave a clean, current generation even if the last
-        # publish was interrupted.
-        try:
-            self.cluster.save_all()
-        except (StorageError, OSError):  # pragma: no cover - best effort
-            pass
         self.cluster.close()

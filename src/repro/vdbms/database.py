@@ -14,8 +14,9 @@ one video's record file.
 
 Queries are impression queries (Eqs. 7-8); answers carry both the
 matching shots and the scene-tree nodes to start browsing from
-(Sec. 4.2's hand-off).  The whole database round-trips through a
-directory via :meth:`save` / :meth:`load`.
+(Sec. 4.2's hand-off).  An in-memory database round-trips through a
+directory via :meth:`save` / :meth:`load`; one bound to a directory by
+:meth:`open` commits each change as it happens.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class VideoDatabase:
         self.catalog = Catalog()
         self.index = ColumnarVarianceIndex()
         self.trees: dict[str, SceneTree] = {}
-        #: Videos dropped by a recovering load (see :meth:`load`).
+        #: Videos a recovering load could not read (see :meth:`load`);
+        #: their manifest still tracks them until ``repro fsck --repair``.
         self.quarantined: list[str] = []
         #: Bound storage (see :meth:`open`): when set, every ingest and
         #: remove publishes durably before returning.
@@ -444,9 +446,9 @@ class VideoDatabase:
         commit: how repair heals a divergent or rotted copy with no
         moment at which the video is missing, on disk or in memory.
 
-        The record file is always rewritten, even when ``record``
-        serializes to the bytes the manifest already records: the file
-        on disk may be the rot being healed.  Raises
+        Like every commit, it writes a fresh record file, even when
+        ``record`` serializes to the bytes the manifest already records
+        (the file on disk may be the rot being healed).  Raises
         :class:`CatalogError` when the video is not held; rolls back to
         the old copy when the publish fails.  Returns the number of
         index entries registered.
@@ -455,7 +457,6 @@ class VideoDatabase:
         old = self._unregister(video_id)
         self._register(record)
         if self._storage is not None:
-            self._storage.distrust(RECORD_PREFIX + video_id)
             try:
                 self._commit(video_id, record)
             except StorageError:
@@ -510,66 +511,63 @@ class VideoDatabase:
     # ------------------------------------------------------------------
 
     def save(self, root: str | Path, *, fs: LocalFS | None = None) -> Path:
-        """Persist every video's record under ``root``.
+        """Persist an unbound database's whole state under ``root``.
 
-        The whole state is committed through one atomic publish (see
-        :mod:`repro.vdbms.storage`): a crash mid-save leaves the
-        previous save fully intact.  Records whose bytes are unchanged
-        are carried over without rewriting; records of videos no longer
-        in the database are dropped and their files garbage-collected
-        after the commit.
+        One atomic publish (see :mod:`repro.vdbms.storage`): a crash
+        mid-save leaves the previous save fully intact.  Records whose
+        bytes match what the manifest tracks are carried over without a
+        write, so a save that changes nothing keeps the generation;
+        records of videos no longer in the database are dropped and
+        their files garbage-collected after the commit.  A database
+        bound by :meth:`open` commits each change itself and raises
+        :class:`StorageError` here.
 
         Raw frames and detection features are not stored.  ``fs``
         overrides the filesystem backend (fault-injection seam).
         """
-        root = Path(root)
-        if self._storage is not None and root == self._storage.root and fs is None:
-            storage = self._storage
-        else:
-            storage = DatabaseStorage(root, fs=fs)
+        if self._storage is not None:
+            raise StorageError(
+                f"database is bound to {self._storage.root}: it commits "
+                "every change itself, so there is nothing to save"
+            )
+        storage = DatabaseStorage(root, fs=fs)
         self._publish_all(storage)
         return storage.root
 
     def _publish_all(self, storage: DatabaseStorage) -> None:
-        """Publish the whole state: every record, dropping the rest.
-        Rows are serialized from the index columns in one pass (no
+        """Publish the whole state: every record whose bytes differ from
+        what the manifest tracks (read once), dropping the rest.  Rows
+        are serialized from the index columns in one pass (no
         ``IndexEntry`` objects)."""
+        manifest = storage.current_manifest()
+        tracked = dict(manifest.files) if manifest is not None else {}
         rows = dict(self.index.video_rows())
         empty = ColumnarVarianceIndex.encode_rows(())
-        payloads = {
-            RECORD_PREFIX + entry.video_id: record_bytes(
+        payloads = {}
+        for entry in self.catalog:
+            logical = RECORD_PREFIX + entry.video_id
+            data = record_bytes(
                 entry, self.trees[entry.video_id], rows.get(entry.video_id, empty)
             )
-            for entry in self.catalog
-        }
-        manifest = storage.current_manifest()
-        tracked = manifest.files if manifest is not None else {}
-        storage.publish(
-            payloads, drop=[logical for logical in tracked if logical not in payloads]
-        )
+            prior = tracked.pop(logical, None)
+            if (
+                prior is None
+                or prior.blake2s != digest_bytes(data)
+                or not (storage.root / prior.path).exists()
+            ):
+                payloads[logical] = data
+        storage.publish(payloads, drop=list(tracked))  # the videos not held
 
     def _commit(self, video_id: str, record: VideoRecord | None) -> None:
-        """Durably publish one video's change: its record, or (``None``)
-        its removal.
-
-        Records of videos a recovering load quarantined are dropped
-        along the way.  The first publish into an empty root writes the
-        whole state instead.
-        """
+        """Durably publish one video's change, its record or (``None``)
+        its removal, as one commit: the only way a bound database
+        writes."""
         assert self._storage is not None
-        if self._storage.current_manifest() is None:
-            self._publish_all(self._storage)
-            return
         logical = RECORD_PREFIX + video_id
-        drop = [
-            RECORD_PREFIX + quarantined
-            for quarantined in self.quarantined
-            if quarantined not in self.catalog
-        ]
         if record is None:
-            self._storage.publish({}, drop=[logical, *drop])
+            self._storage.publish({}, drop=[logical])
         else:
-            self._storage.publish({logical: record.to_bytes()}, drop=drop)
+            self._storage.publish({logical: record.to_bytes()})
 
     def record_digest(self, video_id: str) -> str | None:
         """The blake2s of one video's record file, its fingerprint: the
@@ -595,21 +593,17 @@ class VideoDatabase:
         """Load-or-create a database *bound* to ``root``.
 
         A bound database is durable: every :meth:`ingest`,
-        :meth:`adopt` and :meth:`remove` commits to disk (record write →
-        fsync → delta or checkpoint rename) before returning, so a
-        crash between operations never loses an acknowledged one and a
-        crash mid-operation is invisible after reload.  A root holding
-        a refused layout raises :class:`~repro.errors.StorageError`
-        (see :meth:`load`).
+        :meth:`adopt`, :meth:`replace` and :meth:`remove` commits that
+        one video to disk (record write → fsync → delta or checkpoint
+        rename) before returning, so a crash between operations never
+        loses an acknowledged one and a crash mid-operation is invisible
+        after reload.  Those commits are all it writes (:meth:`save`
+        refuses it).  A root holding a refused layout raises
+        :class:`~repro.errors.StorageError` (see :meth:`load`).
         """
         storage = DatabaseStorage(root, fs=fs)
         if storage.exists():
             db = cls.load(root, config=config, recover=recover, fs=fs)
-            # A quarantined video's record file is still on disk,
-            # rotted, with an intact manifest digest; re-adopting the
-            # same content must rewrite it rather than carry it over.
-            for video_id in db.quarantined:
-                storage.distrust(RECORD_PREFIX + video_id)
         else:
             db = cls(config=config)
         db._storage = storage
@@ -629,13 +623,13 @@ class VideoDatabase:
         Every tracked file is verified (size + blake2s digest) before
         use.  A corrupt or missing record raises
         :class:`~repro.errors.StorageError` by default; with
-        ``recover=True`` the video is dropped instead (its id is
-        recorded in :attr:`quarantined`) and the rest of the database
-        loads normally.  An unreadable manifest chain always raises —
-        there is no partial state worth serving without it — as do a
-        root without a manifest and the refused layouts (version 2 and
-        the pre-manifest layout), which are never read past the
-        manifest.
+        ``recover=True`` the video is left out instead (its id is
+        recorded in :attr:`quarantined`; the manifest still tracks it)
+        and the rest of the database loads normally.  An unreadable
+        manifest chain always raises — there is no partial state worth
+        serving without it — as do a root without a manifest and the
+        refused layouts (version 2 and the pre-manifest layout), which
+        are never read past the manifest.
 
         Records are streamed: each one is verified, its tree, catalog
         entry and row columns kept and its bytes dropped; the index is

@@ -37,6 +37,7 @@ fsck reports the directory as not clean.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -285,13 +286,9 @@ class DatabaseStorage:
         self._committed: Manifest | None = None
         self._chain = _Chain()
         # A generation whose commit file may be on disk although its
-        # publish failed: the next publish writes a checkpoint past it.
+        # publish failed and so did the repair checkpoint after it: the
+        # next publish writes a checkpoint past it.
         self._floor = 0
-        # Logical names whose on-disk bytes are known not to match the
-        # manifest digest (bit rot found by a recovering load).  publish
-        # must not carry these forward on a digest match — the digest
-        # describes the intended bytes, not what the disk holds.
-        self._distrusted: set[str] = set()
 
     # ------------------------------------------------------------------
     # layout helpers
@@ -459,19 +456,6 @@ class DatabaseStorage:
             return manifest
         return self._committed
 
-    def distrust(self, logical: str) -> None:
-        """Mark a tracked record's on-disk file as not matching its
-        manifest digest (bit rot found by a recovering load, or a record
-        ``VideoDatabase.replace`` heals).
-
-        The next :meth:`publish` that receives ``logical`` rewrites the
-        file even when the serialized bytes match the recorded digest —
-        without this, re-adopting a quarantined video whose content is
-        unchanged would be carried over as a "no-op" and leave the
-        rotted bytes on disk.
-        """
-        self._distrusted.add(logical)
-
     # ------------------------------------------------------------------
     # digest enumeration (reconciler / scrubber API)
     # ------------------------------------------------------------------
@@ -528,18 +512,20 @@ class DatabaseStorage:
         """Atomically commit a change of the database state.
 
         Args:
-            records: logical name (``video:<id>``) → record bytes; the
-                new state tracks these.
+            records: logical name (``video:<id>``) → record bytes; each
+                is written to a fresh file, and the new state tracks it.
             drop: logical names the new state no longer tracks (their
                 files are deleted after the commit).  Every other
                 record is carried over by reference.
 
-        Records whose bytes match the current manifest's digest are
-        carried over too (no write).  When nothing changes at all the
-        current manifest is returned untouched — a no-op save does not
-        even bump the generation.  The commit is one small delta file,
-        or a new ``manifest.json`` checkpoint when there is none yet or
-        the deltas since it would hold more bytes than it does.
+        With nothing to write or drop the current manifest is returned
+        untouched, generation included.  The commit is one small delta
+        file, or a new ``manifest.json`` checkpoint when there is none
+        yet or the deltas since it would hold more bytes than it does.
+
+        A failure raises :class:`StorageError` once the previous state
+        is back in force on disk: past the commit file's rename, by
+        committing that state again as a checkpoint.
         """
         # Single-writer fast path: after the first publish this object
         # is the only writer of the root (the engine's/shard's write
@@ -556,25 +542,14 @@ class DatabaseStorage:
         old_files = dict(old.files) if old is not None else {}
         generation = max(old.generation if old is not None else 0, self._floor) + 1
 
-        changed: dict[str, FileRecord] = {}
-        to_write: dict[str, bytes] = {}
-        for logical, data in records.items():
-            digest = digest_bytes(data)
-            prior = old_files.get(logical)
-            if (
-                prior is not None
-                and logical not in self._distrusted
-                and prior.blake2s == digest
-                and prior.n_bytes == len(data)
-                and (self.root / prior.path).exists()
-            ):
-                continue
-            changed[logical] = FileRecord(
+        changed = {
+            logical: FileRecord(
                 path=self._target_relpath(logical, generation),
-                blake2s=digest,
+                blake2s=digest_bytes(data),
                 n_bytes=len(data),
             )
-            to_write[logical] = data
+            for logical, data in records.items()
+        }
         dropped = [
             logical
             for logical in dict.fromkeys(drop)
@@ -607,7 +582,7 @@ class DatabaseStorage:
             # instead of one per file.  Nothing is visible until the
             # commit file is renamed into place below.
             renames: list[tuple[Path, Path]] = []
-            for logical, data in to_write.items():
+            for logical, data in records.items():
                 final = self.root / changed[logical].path
                 stage = self._staging_path(final.name)
                 self.fs.write_bytes(stage, data)
@@ -634,19 +609,23 @@ class DatabaseStorage:
             # The save failed but the process lives on: drop our staging
             # litter so a retry (or a later save) starts clean.  Unless
             # the commit file was already renamed, the old chain is
-            # still in force, so the database is unharmed; if it was,
-            # the next publish writes a checkpoint past it.
+            # still in force, so the database is unharmed.
             for stage in staged:
                 try:
                     self.fs.unlink(stage)
                 except OSError:
                     pass
             if renamed:
-                # Build on the state the caller rolls back to, not on
-                # what the disk may now hold.
+                # The commit may survive, yet the caller rolls back:
+                # recommit the old state as a checkpoint past it.  That
+                # sets and drops nothing, so it needs no repair itself;
+                # if it fails, _floor makes the next publish one.
                 self._floor = generation
                 self._committed = old if old is not None else Manifest(generation=0)
                 self._chain = chain
+                if changed or dropped:
+                    with contextlib.suppress(StorageError):
+                        self.publish({})
             raise StorageError(f"publish failed: {exc}") from exc
         self._floor = 0
         if checkpoint:
@@ -658,12 +637,6 @@ class DatabaseStorage:
                 [*chain.deltas, target],
             )
         self._committed, self._chain = manifest, chain
-        # Rewritten (or dropped) records have fresh, trusted files.
-        self._distrusted = {
-            name
-            for name in self._distrusted
-            if name in manifest.files and name not in to_write
-        }
         self._collect_garbage(manifest, None if old is None else stale, checkpoint)
         return manifest
 

@@ -22,6 +22,7 @@ import pytest
 from repro import cli
 from repro.cluster import ClusterCoordinator, Rebalancer
 from repro.cluster.repair import IntegrityScrubber
+from repro.errors import StorageError
 from repro.service.engine import ServiceEngine
 from repro.testing import FaultyFS, ShardOutage, inject_bit_rot
 from repro.testing.synth import add_synth_video
@@ -473,3 +474,63 @@ class TestRepairCLI:
         assert all(shard["clean"] for shard in report["shards"])
         # The rotted file was actually replaced, not carried over.
         assert not rotted.exists() or rotted.read_bytes() != rotted_bytes
+
+
+class TestLostVideoCLI:
+    """A 2-shard R=1 cluster whose four videos all land on shard 0."""
+
+    @staticmethod
+    def _cluster(root):
+        cluster = ClusterCoordinator.create(root, 2, replication=1)
+        for k in range(4):
+            cluster.adopt(make_record(f"v{k}", k))
+        assert [len(shard.db.catalog) for shard in cluster.shards] == [4, 0]
+        cluster.close()
+
+    def test_an_empty_shard_is_clean_to_fsck(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        self._cluster(root)
+        assert cli.main(["fsck", str(root)]) == 0
+        assert "cluster: 2 shards, replication x1, clean" in capsys.readouterr().out
+        # A single database with nothing in it is still an error.
+        assert cli.main(["fsck", str(shard_dir(root, 1))]) == 1
+
+    def test_status_names_unreadable_records(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        self._cluster(root)
+        inject_bit_rot(shard_dir(root, 0), logical=RECORD_PREFIX + "v1")
+        assert cli.main(["cluster", "status", "--root", str(root), "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["videos"] == 3
+        assert status["unreadable"] == [{"video_id": "v1", "shard": "shard-0"}]
+        assert cli.main(["cluster", "status", "--root", str(root)]) == 0
+        assert "unreadable: 'v1' on shard-0" in capsys.readouterr().out
+
+    def test_a_lost_video_stays_reported_until_fsck_repair(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        self._cluster(root)
+        inject_bit_rot(shard_dir(root, 0), logical=RECORD_PREFIX + "v1")
+
+        def run(*argv):
+            code = cli.main(list(argv))
+            out = capsys.readouterr().out
+            return code, json.loads(out) if "--json" in argv else out
+
+        code, scrub = run("cluster", "scrub", "--root", str(root), "--json")
+        assert code == 1 and scrub["videos_lost"] == 1
+        assert run("fsck", str(root))[0] == 1
+        # The scrub published nothing: a second one finds the loss again.
+        code, scrub = run("cluster", "scrub", "--root", str(root), "--json")
+        assert code == 1 and scrub["videos_lost"] == 1
+        code, status = run("cluster", "status", "--root", str(root), "--json")
+        assert status["unreadable"] == [{"video_id": "v1", "shard": "shard-0"}]
+        with pytest.raises(StorageError, match=repr(RECORD_PREFIX + "v1")):
+            ClusterCoordinator.open(root)
+        code, repaired = run("fsck", str(root), "--repair", "--json")
+        assert code == 0
+        [shard0] = [r for r in repaired["shards"] if r["shard"] == "shard-0"]
+        assert shard0["report"]["dropped_videos"] == ["v1"]
+        assert run("fsck", str(root))[0] == 0
+        reopened = ClusterCoordinator.open(root)
+        assert reopened.video_ids() == ["v0", "v2", "v3"]
+        reopened.close()

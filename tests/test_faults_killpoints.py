@@ -302,3 +302,62 @@ class TestChainSweeps:
         )
         # The superseded record file is deleted after the commit.
         assert [p.op for p in report.points][-1] == "unlink"
+
+
+class _FirstDirSyncFails:
+    """Passes every operation on to ``inner``, except that the first
+    directory fsync raises :class:`OSError` without reaching it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.failed = False
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def fsync_dir(self, path):
+        if not self.failed:
+            self.failed = True
+            raise OSError(f"injected dirsync error: {path}")
+        self.inner.fsync_dir(path)
+
+
+class TestRepairCheckpointSweep:
+    """A remove whose commit-directory fsync fails after the delta's
+    rename: publish commits a checkpoint of the rolled-back state before
+    it raises.  A crash at each filesystem operation from there on
+    reloads to the pre- or the post-state."""
+
+    def test_crash_at_every_repair_op(self, tmp_path):
+        def prepare(root):
+            db = synth_database(6, n_videos=3)
+            db.save(root)
+            return db
+
+        reference = prepare(tmp_path / "reference")
+        victim = reference.catalog.ids()[1]
+        pre = _fingerprint(reference)
+        reference.remove(victim)
+        post = _fingerprint(reference)
+
+        def setup():
+            root = tmp_path / f"repair-{next(_DIR_COUNTER)}"
+            prepare(root)
+            return {"root": root}
+
+        def run(ctx, fs):
+            db = VideoDatabase.open(ctx["root"], fs=_FirstDirSyncFails(fs))
+            with pytest.raises(StorageError):
+                db.remove(victim)
+            # Without a crash the repair committed: disk equals memory.
+            assert victim in db.catalog
+            assert _fingerprint(VideoDatabase.load(ctx["root"])) == pre
+
+        report = sweep_kill_points(
+            setup, run, _exact_classifier(pre, post), modes=("crash",)
+        )
+        # The delta, then the repair checkpoint, were renamed into place.
+        targets = _commit_targets(report)
+        assert targets[0].startswith("manifest-g") and targets[-1] == "manifest.json"
+        assert report.states() == {"pre", "post"}
+        assert len(report.runs) == len(report.points)
