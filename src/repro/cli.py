@@ -380,23 +380,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # created (default: 2 copies); reopening defers to the saved
         # factor, and an explicit flag that contradicts it is refused
         # by open_or_create (changing R is 'repro cluster repair').
-        if args.db and args.shards:
+        if args.db:
             replication = args.replicas
             if replication is None and not _is_cluster_root(args.db):
                 replication = 2
             db = ClusterCoordinator.open_or_create(
-                args.db, args.shards, config=config, replication=replication
+                args.db, args.shards or None, config=config, replication=replication
             )
-        elif args.db:
-            db = ClusterCoordinator.open(args.db, config=config)
-            if args.replicas is not None and args.replicas != db.replication:
-                saved = db.replication
-                db.close()
-                raise ReproError(
-                    f"cluster at {args.db} has replication={saved}, not "
-                    f"{args.replicas}; edit the factor with "
-                    f"'repro cluster repair --replicas {args.replicas}'"
-                )
         else:
             db = ClusterCoordinator.ephemeral(
                 max(args.shards, 1),
@@ -725,9 +715,7 @@ def _fsck_cluster(args: argparse.Namespace) -> int:
     from .vdbms.manifest import RECORD_PREFIX
 
     cluster = ClusterCoordinator.open(args.root, recover=True)
-    shard_roots = [
-        (shard.name, shard.root) for shard in cluster.shards if shard.root
-    ]
+    shard_roots = [(shard.name, shard.db.storage.root) for shard in cluster.shards]
     shard_names = [shard.name for shard in cluster.shards]
     n_shards = cluster.n_shards
     replication = cluster.replication

@@ -51,12 +51,11 @@ next rebalance or repair pass drops it
 from __future__ import annotations
 
 import json
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Container, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Container, Iterator, Sequence
 
 from ..config import PipelineConfig, QueryConfig
 from ..errors import (
@@ -70,13 +69,16 @@ from ..index.routing import SceneRoute
 from ..index.table import IndexEntry
 from ..obs import current_trace as _current_trace, span as _span
 from ..scenetree.nodes import SceneTree
-from ..service.resilience import Deadline
 from ..vdbms.catalog import CatalogEntry
 from ..vdbms.database import IngestReport, QueryAnswer, VideoDatabase, VideoRecord
+from ..vdbms.fsio import LocalFS
 from ..video.clip import VideoClip
 from ..workloads.taxonomy import VideoCategory
-from .router import DEFAULT_REPLICAS, ConsistentHashRouter
+from .router import ConsistentHashRouter
 from .shard import Shard
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..service.resilience import Deadline
 
 __all__ = ["ClusterAnswer", "ClusterCoordinator", "CLUSTER_MANIFEST"]
 
@@ -87,6 +89,24 @@ _FORMAT_VERSION = 1
 
 def _shard_dirname(shard_id: int) -> str:
     return f"shard-{shard_id:03d}"
+
+
+def _build_shard(
+    shard_id: int,
+    root: Path | None,
+    config: PipelineConfig | None,
+    fs: LocalFS | None = None,
+    *,
+    recover: bool = False,
+) -> Shard:
+    """Shard ``shard_id``: its database bound to ``root/shard-NNN``
+    through ``fs`` (:meth:`VideoDatabase.open`), or in memory when there
+    is no root."""
+    if root is None:
+        return Shard(shard_id, VideoDatabase(config))
+    shard_root = root / _shard_dirname(shard_id)
+    db = VideoDatabase.open(shard_root, config=config, recover=recover, fs=fs)
+    return Shard(shard_id, db)
 
 
 def _budget(deadline: Deadline | None) -> float | None:
@@ -155,6 +175,7 @@ class ClusterCoordinator:
         router: ConsistentHashRouter,
         *,
         root: Path | None = None,
+        fs: LocalFS | None = None,
         config: PipelineConfig | None = None,
         replication: int = 1,
     ) -> None:
@@ -169,6 +190,8 @@ class ClusterCoordinator:
         self.shards = shards
         self.router = router
         self.root = root
+        #: The seam of every write under ``root`` (``cluster.json``, shards).
+        self.fs = fs if fs is not None else LocalFS()
         #: Copies of every video the cluster commits (capped at
         #: ``n_shards`` in practice — see :meth:`effective_replication`).
         self.replication = replication
@@ -203,19 +226,12 @@ class ClusterCoordinator:
         cls,
         n_shards: int,
         config: PipelineConfig | None = None,
-        replicas: int = DEFAULT_REPLICAS,
         replication: int = 1,
     ) -> "ClusterCoordinator":
-        """An in-memory cluster (no durable roots).
-
-        ``replicas`` is the number of *virtual ring points* per shard
-        (hash-ring smoothing); ``replication`` is the number of
-        *committed copies* of every video.
-        """
-        router = ConsistentHashRouter(n_shards, replicas=replicas)
-        shards = [
-            Shard(shard_id, VideoDatabase(config)) for shard_id in range(n_shards)
-        ]
+        """An in-memory cluster (no durable roots) keeping
+        ``replication`` committed copies of every video."""
+        shards = [_build_shard(k, None, config) for k in range(n_shards)]
+        router = ConsistentHashRouter(n_shards)
         return cls(shards, router, config=config, replication=replication)
 
     @classmethod
@@ -227,7 +243,7 @@ class ClusterCoordinator:
         tolerances keep coming from the database's own config.
         """
         return cls(
-            [Shard(0, db, root=db.storage_root)],
+            [Shard(0, db)],
             ConsistentHashRouter(1),
             config=db.config,
             replication=1,
@@ -239,26 +255,32 @@ class ClusterCoordinator:
         root: str | Path,
         n_shards: int,
         config: PipelineConfig | None = None,
-        replicas: int = DEFAULT_REPLICAS,
         replication: int = 1,
+        *,
+        fs: LocalFS | None = None,
     ) -> "ClusterCoordinator":
         """Initialize a new durable cluster under ``root``.
 
         Writes ``cluster.json`` (including the replication factor) and
         binds one durable :class:`VideoDatabase` per shard directory.
-        Refuses a root that already holds a cluster (open it instead)
-        or a single-database layout (shard it with the rebalancer).
+        Refuses a root that already holds a cluster (open it instead).
+        ``fs`` is the filesystem seam of every write under ``root``:
+        ``cluster.json`` and every shard (the real filesystem when
+        omitted).
         """
         root = Path(root)
         if (root / CLUSTER_MANIFEST).exists():
             raise ClusterError(
                 f"{root} already holds a cluster; use ClusterCoordinator.open()"
             )
-        router = ConsistentHashRouter(n_shards, replicas=replicas)
-        root.mkdir(parents=True, exist_ok=True)
-        cls._write_manifest(root, router, replication=replication)
-        shards = cls._bind_shards(root, n_shards, config)
-        return cls(shards, router, root=root, config=config, replication=replication)
+        fs = fs if fs is not None else LocalFS()
+        router = ConsistentHashRouter(n_shards)
+        fs.mkdir(root)
+        cls._write_manifest(root, router, replication, fs)
+        shards = [_build_shard(k, root, config, fs) for k in range(n_shards)]
+        return cls(
+            shards, router, root=root, fs=fs, config=config, replication=replication
+        )
 
     @classmethod
     def open(
@@ -267,12 +289,15 @@ class ClusterCoordinator:
         config: PipelineConfig | None = None,
         *,
         recover: bool = False,
+        fs: LocalFS | None = None,
     ) -> "ClusterCoordinator":
         """Reopen a durable cluster from its ``cluster.json``.
 
         ``recover=True`` is forwarded to every shard's
-        :meth:`VideoDatabase.open` (quarantine unreadable scene trees
-        instead of failing the whole shard).
+        :meth:`VideoDatabase.open` (quarantine unreadable records
+        instead of failing the whole shard).  ``fs`` is as in
+        :meth:`create`.  A ``cluster.json`` that does not decode raises
+        :class:`ClusterError`.
         """
         root = Path(root)
         manifest_path = root / CLUSTER_MANIFEST
@@ -281,30 +306,34 @@ class ClusterCoordinator:
                 f"no {CLUSTER_MANIFEST} under {root}; not a cluster directory"
             )
         try:
-            payload = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            payload = json.loads(manifest_path.read_bytes())
+            if payload.get("version") != _FORMAT_VERSION:
+                raise ClusterError(
+                    f"unsupported cluster format version {payload.get('version')!r}"
+                )
+            router = ConsistentHashRouter.from_dict(payload["router"])
+            replication = int(payload.get("replication", 1))
+        except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
             raise ClusterError(f"unreadable {CLUSTER_MANIFEST}: {exc}") from exc
-        if payload.get("version") != _FORMAT_VERSION:
-            raise ClusterError(
-                f"unsupported cluster format version {payload.get('version')!r}"
-            )
-        router = ConsistentHashRouter.from_dict(payload["router"])
-        replication = int(payload.get("replication", 1))
-        shards = cls._bind_shards(root, router.n_shards, config, recover=recover)
+        shards = [
+            _build_shard(k, root, config, fs, recover=recover)
+            for k in range(router.n_shards)
+        ]
         return cls(
-            shards, router, root=root, config=config, replication=replication
+            shards, router, root=root, fs=fs, config=config, replication=replication
         )
 
     @classmethod
     def open_or_create(
         cls,
         root: str | Path,
-        n_shards: int,
+        n_shards: int | None,
         config: PipelineConfig | None = None,
         replication: int | None = None,
     ) -> "ClusterCoordinator":
         """Open an existing cluster, or create one with ``n_shards``.
 
+        ``n_shards=None`` takes the count from the existing manifest.
         An existing cluster whose shard count differs from ``n_shards``
         is an error (resharding moves data; it must be explicit):
         ``repro cluster rebalance --shards N`` performs it online.
@@ -315,68 +344,48 @@ class ClusterCoordinator:
         when creating).
         """
         root = Path(root)
-        if (root / CLUSTER_MANIFEST).exists():
-            cluster = cls.open(root, config=config)
-            if cluster.n_shards != n_shards:
-                cluster.close()
-                raise ClusterError(
-                    f"cluster at {root} has {cluster.n_shards} shards, not "
-                    f"{n_shards}; reshard explicitly with "
-                    f"'repro cluster rebalance --shards {n_shards}'"
-                )
-            if replication is not None and cluster.replication != replication:
-                cluster.close()
-                raise ClusterError(
-                    f"cluster at {root} has replication "
-                    f"{cluster.replication}, not {replication}; changing it "
-                    f"moves data — edit the factor with "
-                    f"'repro cluster repair --replicas {replication}'"
-                )
-            return cluster
-        return cls.create(
-            root, n_shards, config=config, replication=replication or 1
-        )
-
-    @classmethod
-    def _bind_shards(
-        cls,
-        root: Path,
-        n_shards: int,
-        config: PipelineConfig | None,
-        *,
-        recover: bool = False,
-    ) -> list[Shard]:
-        shards = []
-        for shard_id in range(n_shards):
-            shard_root = root / _shard_dirname(shard_id)
-            db = VideoDatabase.open(shard_root, config=config, recover=recover)
-            shards.append(Shard(shard_id, db, root=shard_root))
-        return shards
+        if n_shards is not None and not (root / CLUSTER_MANIFEST).exists():
+            return cls.create(
+                root, n_shards, config=config, replication=replication or 1
+            )
+        cluster = cls.open(root, config=config)
+        if n_shards is not None and cluster.n_shards != n_shards:
+            cluster.close()
+            raise ClusterError(
+                f"cluster at {root} has {cluster.n_shards} shards, not "
+                f"{n_shards}; reshard explicitly with "
+                f"'repro cluster rebalance --shards {n_shards}'"
+            )
+        if replication is not None and cluster.replication != replication:
+            cluster.close()
+            raise ClusterError(
+                f"cluster at {root} has replication "
+                f"{cluster.replication}, not {replication}; changing it "
+                f"moves data — edit the factor with "
+                f"'repro cluster repair --replicas {replication}'"
+            )
+        return cluster
 
     @staticmethod
     def _write_manifest(
-        root: Path, router: ConsistentHashRouter, replication: int = 1
+        root: Path,
+        router: ConsistentHashRouter,
+        replication: int = 1,
+        fs: LocalFS | None = None,
     ) -> None:
-        """Atomically publish ``cluster.json`` (write -> fsync -> rename)."""
+        """Atomically publish ``cluster.json`` through ``fs`` (write ->
+        fsync -> rename -> directory fsync)."""
+        fs = fs if fs is not None else LocalFS()
         payload = {
             "version": _FORMAT_VERSION,
             "router": router.to_dict(),
             "replication": replication,
         }
-        data = json.dumps(payload, indent=2).encode("utf-8")
-        tmp = root / (CLUSTER_MANIFEST + f".tmp-{os.getpid()}")
-        fd = os.open(tmp, os.O_CREAT | os.O_WRONLY | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, root / CLUSTER_MANIFEST)
-        dir_fd = os.open(root, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        staged = root / (CLUSTER_MANIFEST + ".tmp")
+        fs.write_bytes(staged, json.dumps(payload, indent=2).encode("utf-8"))
+        fs.fsync(staged)
+        fs.replace(staged, root / CLUSTER_MANIFEST)
+        fs.fsync_dir(root)
 
     def _build_placement(self) -> None:
         """Derive holders and primaries from the shard catalogs.
@@ -424,7 +433,7 @@ class ClusterCoordinator:
             raise ClusterError(f"replication must be >= 1, got {replication}")
         self.replication = replication
         if self.root is not None:
-            self._write_manifest(self.root, self.router, replication=replication)
+            self._write_manifest(self.root, self.router, replication, self.fs)
         self._build_placement()
 
     def shard(self, shard_id: int) -> Shard:

@@ -36,7 +36,9 @@ swapping in a new consistent-hash ring and running the plan against it.
 The ``cluster.json`` rewrite is ordered for crash safety: *before* the
 moves when growing (so a half-populated new shard is already part of
 the reopened cluster) and *after* the moves when shrinking (so shards
-are never dropped from the manifest while still holding videos).
+are never dropped from the manifest while still holding videos).  A
+shrink is refused up front while a retiring shard tracks a record it
+could not read: retiring it would hide that loss from every report.
 """
 
 from __future__ import annotations
@@ -44,13 +46,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from ..config import PipelineConfig
 from ..errors import CatalogError, ClusterError, ReproError
-from ..vdbms.database import VideoDatabase
-from .coordinator import ClusterCoordinator, _shard_dirname
+from .coordinator import ClusterCoordinator, _build_shard, _shard_dirname
 from .replication import copy_video, drop_video
 from .router import ConsistentHashRouter
-from .shard import Shard
 
 __all__ = ["RebalanceMove", "RebalancePlan", "RebalanceReport", "Rebalancer"]
 
@@ -223,10 +222,7 @@ class Rebalancer:
     # ------------------------------------------------------------------
 
     def reshard(
-        self,
-        n_shards: int,
-        config: PipelineConfig | None = None,
-        max_moves: int | None = None,
+        self, n_shards: int, max_moves: int | None = None
     ) -> RebalanceReport:
         """Change the cluster's shard count online.
 
@@ -236,8 +232,10 @@ class Rebalancer:
         the corpus relocates.  ``max_moves`` turns a grow into an
         incremental step (rerun until ``plan()`` is empty); a shrink
         refuses a budget that would strand videos on the dropped
-        shards.  The manifest ordering (see module docstring) keeps
-        every intermediate crash state reopenable.
+        shards, and refuses to start while a dropped shard tracks an
+        unreadable record (``repro fsck --repair`` drops those).  The
+        manifest ordering (see module docstring) keeps every
+        intermediate crash state reopenable.
         """
         cluster = self.cluster
         if n_shards < 1:
@@ -245,11 +243,22 @@ class Rebalancer:
         if n_shards == cluster.n_shards:
             # Same count: settle any drift against the current ring.
             return self.execute(max_moves=max_moves)
+        unreadable = [
+            f"{video_id!r} on {shard.name}"
+            for shard in cluster.shards[n_shards:]
+            for video_id in shard.db.quarantined
+        ]
+        if unreadable:
+            raise ClusterError(
+                f"refusing to shrink to {n_shards} shards: unreadable records "
+                f"({', '.join(unreadable)}) would be dropped unreported; run "
+                "'repro fsck --repair' on the cluster root first"
+            )
         new_router = ConsistentHashRouter(
             n_shards, replicas=cluster.router.replicas
         )
         if n_shards > cluster.n_shards:
-            self._grow_to(new_router, config)
+            self._grow_to(new_router)
             return self.execute(max_moves=max_moves)
         moves = self.plan(new_router)
         if max_moves is not None and len(moves) > max_moves:
@@ -268,25 +277,18 @@ class Rebalancer:
         self._shrink_to(new_router)
         return report
 
-    def _grow_to(
-        self, new_router: ConsistentHashRouter, config: PipelineConfig | None
-    ) -> None:
+    def _grow_to(self, new_router: ConsistentHashRouter) -> None:
         cluster = self.cluster
-        new_shards = []
-        for shard_id in range(cluster.n_shards, new_router.n_shards):
-            if cluster.root is not None:
-                shard_root = cluster.root / _shard_dirname(shard_id)
-                db = VideoDatabase.open(shard_root, config=config or cluster.config)
-                new_shards.append(Shard(shard_id, db, root=shard_root))
-            else:
-                db = VideoDatabase(config or cluster.config)
-                new_shards.append(Shard(shard_id, db))
+        new_shards = [
+            _build_shard(k, cluster.root, cluster.config, cluster.fs)
+            for k in range(cluster.n_shards, new_router.n_shards)
+        ]
         # Publish the manifest *before* moving: a crash mid-rebalance
         # reopens with the new ring, finds the videos wherever they
         # are (placement is derived from catalogs), and plans the rest.
         if cluster.root is not None:
             ClusterCoordinator._write_manifest(
-                cluster.root, new_router, cluster.replication
+                cluster.root, new_router, cluster.replication, cluster.fs
             )
         cluster.shards.extend(new_shards)
         cluster.router = new_router
@@ -303,7 +305,7 @@ class Rebalancer:
         # cluster only once provably empty.
         if cluster.root is not None:
             ClusterCoordinator._write_manifest(
-                cluster.root, new_router, cluster.replication
+                cluster.root, new_router, cluster.replication, cluster.fs
             )
         cluster.shards = cluster.shards[: new_router.n_shards]
         cluster.router = new_router

@@ -1,11 +1,12 @@
 """One shard: an independent :class:`VideoDatabase` behind its own lock.
 
-A shard is the unit of both *storage* and *concurrency*: it owns a
-durable storage root (its own manifest, generations, and locks — the
-PR-3 machinery, unchanged) and a reader-writer lock of its own, so
-ingests into different shards proceed in parallel while queries share
-each shard freely.  The coordinator never touches ``shard.db`` without
-holding the shard's lock.
+A shard is the unit of both *storage* and *concurrency*: its database
+is bound to a durable storage root of its own (``shard.db.storage``:
+manifest, generations and records) or held in memory, and it sits
+behind a :class:`ReadWriteLock` of its own, so ingests into different
+shards proceed in parallel while queries share each shard freely.  The
+coordinator never touches ``shard.db`` without holding the shard's
+lock.
 
 A shard also carries its own health state.  The coordinator marks a
 shard *down* after an unexpected error (or a test/fault hook does so
@@ -18,30 +19,126 @@ single-shard operations with
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Any, Iterator
 
 from ..errors import ServiceTimeout, ShardUnavailableError
 from ..obs import span as _span
-from ..service.engine import ReadWriteLock
 from ..vdbms.database import VideoDatabase
 
-__all__ = ["Shard"]
+__all__ = ["ReadWriteLock", "Shard"]
+
+
+class ReadWriteLock:
+    """A writer-preferring reader-writer lock.
+
+    Readers share the lock; a writer is exclusive.  Arriving writers
+    block *new* readers (writer preference), so a steady query stream
+    cannot starve ingest registration — the opposite trade would leave
+    submitted clips invisible for unbounded time.
+
+    Both sides accept an optional ``timeout`` so a request carrying a
+    deadline can give up instead of queueing forever behind a stalled
+    writer; the scoped context managers raise
+    :class:`~repro.errors.ServiceTimeout` on expiry.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._readers = 0
+        self._writer_active = False
+        self._writers_waiting = 0
+
+    def acquire_read(self, timeout: float | None = None) -> bool:
+        """Take the shared side (blocks while a writer holds or waits).
+
+        Returns False when ``timeout`` seconds pass without acquiring.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while self._writer_active or self._writers_waiting:
+                if deadline is None:
+                    self._cond.wait()
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return False
+                    self._cond.wait(remaining)
+            self._readers += 1
+            return True
+
+    def release_read(self) -> None:
+        """Drop the shared side, waking a waiting writer when last out."""
+        with self._cond:
+            self._readers -= 1
+            if self._readers == 0:
+                self._cond.notify_all()
+
+    def acquire_write(self, timeout: float | None = None) -> bool:
+        """Take the exclusive side (blocks until all readers drain).
+
+        Returns False when ``timeout`` seconds pass without acquiring.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            self._writers_waiting += 1
+            try:
+                while self._writer_active or self._readers:
+                    if deadline is None:
+                        self._cond.wait()
+                    else:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            # Readers queued behind this waiting writer
+                            # must be re-woken or they would stall on a
+                            # writer that gave up.
+                            self._cond.notify_all()
+                            return False
+                        self._cond.wait(remaining)
+            finally:
+                self._writers_waiting -= 1
+            self._writer_active = True
+            return True
+
+    def release_write(self) -> None:
+        """Drop the exclusive side, waking everyone waiting."""
+        with self._cond:
+            self._writer_active = False
+            self._cond.notify_all()
+
+    @contextmanager
+    def read_locked(self, timeout: float | None = None) -> Iterator[None]:
+        """``with lock.read_locked():`` — scoped shared access."""
+        if not self.acquire_read(timeout):
+            raise ServiceTimeout(
+                f"read lock not acquired within {timeout:.3f}s "
+                f"(a writer is holding or queued)"
+            )
+        try:
+            yield
+        finally:
+            self.release_read()
+
+    @contextmanager
+    def write_locked(self, timeout: float | None = None) -> Iterator[None]:
+        """``with lock.write_locked():`` — scoped exclusive access."""
+        if not self.acquire_write(timeout):
+            raise ServiceTimeout(
+                f"write lock not acquired within {timeout:.3f}s"
+            )
+        try:
+            yield
+        finally:
+            self.release_write()
 
 
 class Shard:
     """An independent database slice plus its lock and health state."""
 
-    def __init__(
-        self,
-        shard_id: int,
-        db: VideoDatabase,
-        root: Path | None = None,
-    ) -> None:
+    def __init__(self, shard_id: int, db: VideoDatabase) -> None:
         self.shard_id = shard_id
         self.db = db
-        self.root = root
         self.lock = ReadWriteLock()
         self._state_lock = threading.Lock()
         self._down_reason: str | None = None
@@ -124,10 +221,11 @@ class Shard:
         """
         with self._state_lock:
             down_reason = self._down_reason
+        storage = self.db.storage
         return {
             "shard": self.name,
             "shard_id": self.shard_id,
-            "root": str(self.root) if self.root is not None else None,
+            "root": None if storage is None else str(storage.root),
             "up": down_reason is None,
             "down_reason": down_reason,
             "videos": len(self.db.catalog),

@@ -34,13 +34,16 @@ import random
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
+from ..cluster.coordinator import ClusterAnswer, ClusterCoordinator
+from ..cluster.repair import IntegrityScrubber
+from ..cluster.replication import ShardSupervisor
+from ..cluster.shard import ReadWriteLock
 from ..config import PipelineConfig, QueryConfig
 from ..errors import (
     CircuitOpenError,
@@ -65,10 +68,9 @@ from ..vdbms.database import VideoDatabase
 from ..video.clip import VideoClip
 from ..video.sampling import ANALYSIS_FPS, read_clip
 from ..workloads.taxonomy import VideoCategory
+from .cache import QueryResultCache
+from .metrics import MetricsRegistry
 from .resilience import CircuitBreaker, Deadline
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster.coordinator import ClusterAnswer, ClusterCoordinator
 
 __all__ = [
     "IngestJob",
@@ -77,114 +79,6 @@ __all__ = [
     "ServiceEngine",
     "clip_from_spec",
 ]
-
-
-# ----------------------------------------------------------------------
-# reader-writer lock
-# ----------------------------------------------------------------------
-
-
-class ReadWriteLock:
-    """A writer-preferring reader-writer lock.
-
-    Readers share the lock; a writer is exclusive.  Arriving writers
-    block *new* readers (writer preference), so a steady query stream
-    cannot starve ingest registration — the opposite trade would leave
-    submitted clips invisible for unbounded time.
-
-    Both sides accept an optional ``timeout`` so a request carrying a
-    deadline can give up instead of queueing forever behind a stalled
-    writer; the scoped context managers raise
-    :class:`~repro.errors.ServiceTimeout` on expiry.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    def acquire_read(self, timeout: float | None = None) -> bool:
-        """Take the shared side (blocks while a writer holds or waits).
-
-        Returns False when ``timeout`` seconds pass without acquiring.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    self._cond.wait(remaining)
-            self._readers += 1
-            return True
-
-    def release_read(self) -> None:
-        """Drop the shared side, waking a waiting writer when last out."""
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self, timeout: float | None = None) -> bool:
-        """Take the exclusive side (blocks until all readers drain).
-
-        Returns False when ``timeout`` seconds pass without acquiring.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    if deadline is None:
-                        self._cond.wait()
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            # Readers queued behind this waiting writer
-                            # must be re-woken or they would stall on a
-                            # writer that gave up.
-                            self._cond.notify_all()
-                            return False
-                        self._cond.wait(remaining)
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-            return True
-
-    def release_write(self) -> None:
-        """Drop the exclusive side, waking everyone waiting."""
-        with self._cond:
-            self._writer_active = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def read_locked(self, timeout: float | None = None) -> Iterator[None]:
-        """``with lock.read_locked():`` — scoped shared access."""
-        if not self.acquire_read(timeout):
-            raise ServiceTimeout(
-                f"read lock not acquired within {timeout:.3f}s "
-                f"(a writer is holding or queued)"
-            )
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write_locked(self, timeout: float | None = None) -> Iterator[None]:
-        """``with lock.write_locked():`` — scoped exclusive access."""
-        if not self.acquire_write(timeout):
-            raise ServiceTimeout(
-                f"write lock not acquired within {timeout:.3f}s"
-            )
-        try:
-            yield
-        finally:
-            self.release_write()
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +319,7 @@ class ServiceEngine:
 
     def __init__(
         self,
-        db: "VideoDatabase | ClusterCoordinator | None" = None,
+        db: VideoDatabase | ClusterCoordinator | None = None,
         *,
         config: PipelineConfig | None = None,
         n_workers: int = 2,
@@ -446,14 +340,6 @@ class ServiceEngine:
         slow_query_ms: float | None = None,
         scrub_interval_s: float | None = None,
     ) -> None:
-        # repro.cluster imports this module (its shards use
-        # ReadWriteLock), so it is imported here rather than at the top.
-        from ..cluster.coordinator import ClusterCoordinator
-        from ..cluster.repair import IntegrityScrubber
-        from ..cluster.replication import ShardSupervisor
-        from .cache import QueryResultCache
-        from .metrics import MetricsRegistry
-
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if max_attempts < 1:

@@ -131,11 +131,6 @@ class VideoDatabase:
         )
 
     @property
-    def storage_root(self):
-        """The bound storage directory (None for an in-memory database)."""
-        return self._storage.root if self._storage is not None else None
-
-    @property
     def storage(self):
         """The bound :class:`DatabaseStorage` (None when in-memory).
 

@@ -1,13 +1,16 @@
-"""The filesystem seam of the storage layer.
+"""The filesystem seam of the storage layer and of the cluster.
 
 :class:`DatabaseStorage` performs every durability-relevant operation
 (data writes, fsyncs, renames, unlinks) through a :class:`LocalFS`
-instance instead of calling :mod:`os` directly.  Production code never
-notices — :class:`LocalFS` is a thin veneer over the real syscalls —
-but the indirection is what makes the fault-injection harness
-(:mod:`repro.testing.faults`) possible: a wrapping filesystem can count
-operations, kill the process model at the k-th one, tear a write in
-half, or flip a byte, all without monkeypatching.
+instance instead of calling :mod:`os` directly, and so does a cluster:
+the one ``fs`` of ``ClusterCoordinator.create``/``open`` writes
+``cluster.json`` and every shard, those a reshard adds included.
+Production code never notices — :class:`LocalFS` is a thin veneer over
+the real syscalls — but the indirection is what makes the
+fault-injection harness (:mod:`repro.testing.faults`) possible: a
+wrapping filesystem can count operations, kill the process model at the
+k-th one, tear a write in half, or flip a byte, all without
+monkeypatching.
 
 Only *mutating* operations go through the seam.  Reads use plain
 :class:`pathlib.Path` — corruption on the read side is modeled by
@@ -27,7 +30,8 @@ class LocalFS:
     """Real filesystem operations; the default backend of storage.
 
     Subclass (or duck-type) and pass to ``DatabaseStorage(root, fs=...)``
-    to intercept the write path.  The operation names double as the
+    or ``ClusterCoordinator.open(root, fs=...)`` to intercept the write
+    path.  The operation names double as the
     fault-injection vocabulary: ``write``, ``fsync``, ``replace``,
     ``unlink``, ``fsync_dir``.
     """

@@ -525,7 +525,9 @@ class DatabaseStorage:
 
         A failure raises :class:`StorageError` once the previous state
         is back in force on disk: past the commit file's rename, by
-        committing that state again as a checkpoint.
+        committing that state again as a checkpoint.  It unlinks its
+        staged files, and the records it renamed into place unless that
+        repair failed (the commit may then still be in force).
         """
         # Single-writer fast path: after the first publish this object
         # is the only writer of the root (the engine's/shard's write
@@ -574,6 +576,7 @@ class DatabaseStorage:
         else:
             target = self._delta_path(generation)
         staged: list[Path] = []
+        placed: list[Path] = []
         renamed = False
         try:
             # Stage every record first, then sync, then rename: the
@@ -593,6 +596,7 @@ class DatabaseStorage:
             for stage, final in renames:
                 self.fs.replace(stage, final)
                 staged.remove(stage)
+                placed.append(final)
             if renames:
                 self.fs.fsync_dir(self.root / "records")
             # The commit point: everything before this is invisible to
@@ -606,15 +610,8 @@ class DatabaseStorage:
             staged.pop()
             self.fs.fsync_dir(target.parent)
         except OSError as exc:
-            # The save failed but the process lives on: drop our staging
-            # litter so a retry (or a later save) starts clean.  Unless
-            # the commit file was already renamed, the old chain is
-            # still in force, so the database is unharmed.
-            for stage in staged:
-                try:
-                    self.fs.unlink(stage)
-                except OSError:
-                    pass
+            # The save failed but the process lives on.  Unless the
+            # commit file was renamed, the old chain is still in force.
             if renamed:
                 # The commit may survive, yet the caller rolls back:
                 # recommit the old state as a checkpoint past it.  That
@@ -626,6 +623,15 @@ class DatabaseStorage:
                 if changed or dropped:
                     with contextlib.suppress(StorageError):
                         self.publish({})
+            # Drop our litter so a retry starts clean: the staged files,
+            # and the placed records unless the repair failed.
+            if not (renamed and self._floor):
+                staged += placed
+            for stage in staged:
+                try:
+                    self.fs.unlink(stage)
+                except OSError:
+                    pass
             raise StorageError(f"publish failed: {exc}") from exc
         self._floor = 0
         if checkpoint:

@@ -361,3 +361,45 @@ class TestRepairCheckpointSweep:
         assert targets[0].startswith("manifest-g") and targets[-1] == "manifest.json"
         assert report.states() == {"pre", "post"}
         assert len(report.runs) == len(report.points)
+
+
+class _NthDirSyncFails:
+    """Passes every operation on to ``inner``, except that the
+    ``nth`` directory fsync raises :class:`OSError` without reaching
+    it."""
+
+    def __init__(self, inner, nth):
+        self.inner = inner
+        self.nth = nth
+        self.seen = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def fsync_dir(self, path):
+        self.seen += 1
+        if self.seen == self.nth:
+            raise OSError(f"injected dirsync error: {path}")
+        self.inner.fsync_dir(path)
+
+
+class TestFailedPublishLitter:
+    """A publish that fails after renaming its record files unlinks
+    them: no untracked file is left, before or after the retry."""
+
+    @pytest.mark.parametrize("nth", [1, 2], ids=["records-dir", "commit-dir"])
+    def test_failed_adopt_leaves_no_untracked_record(self, tmp_path, nth):
+        from repro.vdbms.fsio import LocalFS
+
+        root = tmp_path / "db"
+        synth_database(6, n_videos=1).save(root)
+        record = synth_record("v1", np.random.default_rng(35))
+        db = VideoDatabase.open(root, fs=_NthDirSyncFails(LocalFS(), nth))
+        with pytest.raises(StorageError):
+            db.adopt(record)
+        report = DatabaseStorage(root).fsck()
+        assert report.clean and report.untracked == []
+        db.adopt(record)
+        report = DatabaseStorage(root).fsck()
+        assert report.clean and report.untracked == []
+        assert "v1" in VideoDatabase.load(root).catalog
