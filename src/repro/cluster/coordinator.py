@@ -256,24 +256,19 @@ class ClusterCoordinator:
         n_shards: int,
         config: PipelineConfig | None = None,
         replication: int = 1,
-        *,
-        fs: LocalFS | None = None,
     ) -> "ClusterCoordinator":
         """Initialize a new durable cluster under ``root``.
 
         Writes ``cluster.json`` (including the replication factor) and
         binds one durable :class:`VideoDatabase` per shard directory.
         Refuses a root that already holds a cluster (open it instead).
-        ``fs`` is the filesystem seam of every write under ``root``:
-        ``cluster.json`` and every shard (the real filesystem when
-        omitted).
         """
         root = Path(root)
         if (root / CLUSTER_MANIFEST).exists():
             raise ClusterError(
                 f"{root} already holds a cluster; use ClusterCoordinator.open()"
             )
-        fs = fs if fs is not None else LocalFS()
+        fs = LocalFS()
         router = ConsistentHashRouter(n_shards)
         fs.mkdir(root)
         cls._write_manifest(root, router, replication, fs)
@@ -295,8 +290,10 @@ class ClusterCoordinator:
 
         ``recover=True`` is forwarded to every shard's
         :meth:`VideoDatabase.open` (quarantine unreadable records
-        instead of failing the whole shard).  ``fs`` is as in
-        :meth:`create`.  A ``cluster.json`` that does not decode raises
+        instead of failing the whole shard).  ``fs`` is the filesystem
+        seam of every write under ``root``: ``cluster.json`` and every
+        shard, those a grow adds included (the real filesystem when
+        omitted).  A ``cluster.json`` that does not decode raises
         :class:`ClusterError`.
         """
         root = Path(root)

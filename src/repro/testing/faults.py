@@ -38,7 +38,7 @@ Fault modes
     database must *detect* this on the next load (the manifest digest
     was computed from the intended bytes).
 ``error``
-    The first ``fail_times`` matching operations raise
+    ``fail_times`` matching operations from the k-th on raise
     :class:`OSError` and are not executed; later ones succeed — a
     transient fault that a retry loop should absorb.
 
@@ -129,7 +129,7 @@ class FaultyFS(LocalFS):
 
     Args:
         fail_at: 1-based index of the matching operation to fail
-            (modes ``crash``/``torn``/``corrupt``).
+            (in mode ``error``, the first of ``fail_times``).
         mode: ``crash`` | ``torn`` | ``corrupt`` | ``error``.
         ops: restrict matching to these operation kinds (all when None).
         fail_times: for ``error`` mode, how many matching operations
@@ -168,7 +168,7 @@ class FaultyFS(LocalFS):
             return False
         self.seen += 1
         if self.mode == "error":
-            if self.seen <= self.fail_times:
+            if self.fail_at <= self.seen < self.fail_at + self.fail_times:
                 self.failures += 1
                 return True
             return False

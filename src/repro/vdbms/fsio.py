@@ -3,8 +3,8 @@
 :class:`DatabaseStorage` performs every durability-relevant operation
 (data writes, fsyncs, renames, unlinks) through a :class:`LocalFS`
 instance instead of calling :mod:`os` directly, and so does a cluster:
-the one ``fs`` of ``ClusterCoordinator.create``/``open`` writes
-``cluster.json`` and every shard, those a reshard adds included.
+the one ``fs`` of ``ClusterCoordinator.open`` writes ``cluster.json``
+and every shard, those a reshard adds included.
 Production code never notices — :class:`LocalFS` is a thin veneer over
 the real syscalls — but the indirection is what makes the
 fault-injection harness (:mod:`repro.testing.faults`) possible: a
@@ -20,6 +20,7 @@ real disks fail.
 
 from __future__ import annotations
 
+import errno
 import os
 from pathlib import Path
 
@@ -61,15 +62,17 @@ class LocalFS:
             pass
 
     def fsync_dir(self, path: Path) -> None:
-        """Flush a directory entry (rename durability); best-effort."""
+        """Flush a directory entry (rename durability).  Skipped where
+        directory fds or their fsync are unsupported; ``EIO`` raises."""
         try:
             fd = os.open(path, os.O_RDONLY)
         except OSError:
             return  # platform without directory fds
         try:
             os.fsync(fd)
-        except OSError:
-            pass  # some filesystems reject directory fsync
+        except OSError as exc:
+            if exc.errno not in (errno.EINVAL, errno.ENOTSUP, errno.EOPNOTSUPP):
+                raise  # the rename may not survive a power loss
         finally:
             os.close(fd)
 

@@ -15,16 +15,20 @@ database holding every record, never partially.  A ``corrupt`` run may
 instead be *detected*: the reopen refuses the damage, or a shard
 quarantines the flipped record.  A crash or a torn write never may.
 
-The module also pins two defects next to the seam: a
-shrink that would retire a shard tracking an unreadable record, and a
-``cluster.json`` that does not decode.
+The module also pins two defects next to the seam, a shrink that would
+retire a shard tracking an unreadable record and a ``cluster.json``
+that does not decode, and checks that an ``EIO`` from the directory
+fsync after ``cluster.json``'s rename stops a grow.
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
+import os
 import shutil
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -210,3 +214,49 @@ class TestUnreadableClusterManifest:
         for argv in (["fsck", str(root)], ["cluster", "status", "--root", str(root)]):
             assert cli.main(argv) == 1
             assert "error: unreadable cluster.json" in capsys.readouterr().err
+
+
+def _dir_fsync_fails(code: int):
+    """An ``os.fsync`` that raises ``code`` on a directory fd only."""
+    real_fsync = os.fsync
+
+    def fsync(fd: int) -> None:
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(code, os.strerror(code))
+        real_fsync(fd)
+
+    return fsync
+
+
+class TestManifestDirectorySync:
+    """The directory fsync after ``cluster.json``'s rename is skipped
+    only where the filesystem does not support one."""
+
+    def test_an_io_error_stops_a_grow_before_any_move(self, tmp_path, monkeypatch):
+        root = tmp_path / "c"
+        _two_by_two(root)
+        cluster = ClusterCoordinator.open(root)
+        monkeypatch.setattr(os, "fsync", _dir_fsync_fails(errno.EIO))
+        with pytest.raises(OSError):
+            Rebalancer(cluster).reshard(3)
+        monkeypatch.undo()
+        assert cluster.n_shards == 2
+        assert [shard.db.catalog.ids() for shard in cluster.shards] == [
+            ["v0", "v1"],
+            ["v4", "v5"],
+        ]
+        cluster.close()
+
+    @pytest.mark.parametrize("code", [errno.EINVAL, errno.EOPNOTSUPP])
+    def test_an_unsupported_one_is_skipped(self, tmp_path, monkeypatch, code):
+        root = tmp_path / "c"
+        _two_by_two(root)
+        cluster = ClusterCoordinator.open(root)
+        monkeypatch.setattr(os, "fsync", _dir_fsync_fails(code))
+        assert Rebalancer(cluster).reshard(3).converged
+        monkeypatch.undo()
+        cluster.close()
+        reopened = ClusterCoordinator.open(root)
+        assert reopened.n_shards == 3
+        assert reopened.video_ids() == ["v0", "v1", "v4", "v5"]
+        reopened.close()

@@ -363,38 +363,19 @@ class TestRepairCheckpointSweep:
         assert len(report.runs) == len(report.points)
 
 
-class _NthDirSyncFails:
-    """Passes every operation on to ``inner``, except that the
-    ``nth`` directory fsync raises :class:`OSError` without reaching
-    it."""
-
-    def __init__(self, inner, nth):
-        self.inner = inner
-        self.nth = nth
-        self.seen = 0
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def fsync_dir(self, path):
-        self.seen += 1
-        if self.seen == self.nth:
-            raise OSError(f"injected dirsync error: {path}")
-        self.inner.fsync_dir(path)
-
-
 class TestFailedPublishLitter:
     """A publish that fails after renaming its record files unlinks
     them: no untracked file is left, before or after the retry."""
 
     @pytest.mark.parametrize("nth", [1, 2], ids=["records-dir", "commit-dir"])
     def test_failed_adopt_leaves_no_untracked_record(self, tmp_path, nth):
-        from repro.vdbms.fsio import LocalFS
+        from repro.testing import FaultyFS
 
         root = tmp_path / "db"
         synth_database(6, n_videos=1).save(root)
         record = synth_record("v1", np.random.default_rng(35))
-        db = VideoDatabase.open(root, fs=_NthDirSyncFails(LocalFS(), nth))
+        fs = FaultyFS(mode="error", ops=("fsync_dir",), fail_at=nth)
+        db = VideoDatabase.open(root, fs=fs)
         with pytest.raises(StorageError):
             db.adopt(record)
         report = DatabaseStorage(root).fsck()
