@@ -65,10 +65,9 @@ from ..errors import (
     ShardUnavailableError,
 )
 from ..index.query import VarianceQuery
-from ..index.routing import SceneRoute
 from ..index.table import IndexEntry
 from ..obs import current_trace as _current_trace, span as _span
-from ..scenetree.nodes import SceneTree
+from ..scenetree.serialize import PackedTree
 from ..vdbms.catalog import CatalogEntry
 from ..vdbms.database import IngestReport, QueryAnswer, VideoDatabase, VideoRecord
 from ..vdbms.fsio import LocalFS
@@ -124,10 +123,10 @@ def _failure(shard: Shard, reason: str, error: str) -> dict[str, Any]:
 
 
 @dataclass(frozen=True, slots=True)
-class ClusterAnswer:
+class ClusterAnswer(QueryAnswer):
     """A scatter-gather query result: the merged answer plus coverage.
 
-    ``matches``/``routes`` follow the exact contract of
+    ``matches``, ``targets`` and ``routes`` follow the exact contract of
     :class:`~repro.vdbms.database.QueryAnswer`.  ``shards_failed``
     lists, per unavailable shard, ``{"shard", "reason", "error"}``;
     :attr:`partial` is True when at least one failed shard's data was
@@ -137,26 +136,16 @@ class ClusterAnswer:
     ``shards_recovered`` and the answer stays complete.
     """
 
-    matches: list[IndexEntry]
-    routes: list[SceneRoute]
     shards_queried: int = 0
     shards_failed: list[dict[str, Any]] = field(default_factory=list)
     #: Failed shards whose entire corpus was served by live replicas —
     #: the failure is reported, but the answer is complete.
     shards_recovered: list[str] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.matches)
-
     @property
     def partial(self) -> bool:
         recovered = set(self.shards_recovered)
         return any(f["shard"] not in recovered for f in self.shards_failed)
-
-    @property
-    def suggestions(self) -> list[str]:
-        """Human-readable ``shot -> scene node`` hand-offs."""
-        return [route.suggestion for route in self.routes]
 
 
 class ClusterCoordinator:
@@ -835,8 +824,9 @@ class ClusterCoordinator:
         afterwards.  Every query goes to every
         shard with the *same* ``limit`` (the global top-k is a subset of
         the union of per-shard top-k).  The coordinator then dedups the
-        shards' routes by shot, ranks them and caps per query; a single
-        shard's answers have nothing to merge and are returned as is.
+        shards' matches, each with its route target, by shot, ranks
+        them and caps per query; a single shard's answers have nothing
+        to merge and are returned as is.
 
         Failed or late shards are reported in ``shards_failed`` and the
         answers are built from the rest.  A failure degrades the whole
@@ -898,15 +888,18 @@ class ClusterCoordinator:
                     # Dedup by shot identity (replicas and mid-rebalance
                     # copies answer twice), then rank and cap.
                     unique = {
-                        (r.entry.video_id, r.entry.shot_number): r
+                        (entry.video_id, entry.shot_number): (entry, target)
                         for answers in results.values()
-                        for r in answers[k].routes
+                        for entry, target in zip(answers[k].matches, answers[k].targets)
                     }
-                    routes = sorted(
-                        unique.values(), key=lambda r: query.rank_key(r.entry)
+                    ranked = sorted(
+                        unique.values(), key=lambda pair: query.rank_key(pair[0])
                     )[:limit]
                     final.append(
-                        QueryAnswer(matches=[r.entry for r in routes], routes=routes)
+                        QueryAnswer(
+                            matches=[entry for entry, _ in ranked],
+                            targets=[target for _, target in ranked],
+                        )
                     )
                 if scatter is not None:
                     merge_span.annotate(
@@ -915,7 +908,7 @@ class ClusterCoordinator:
         return [
             ClusterAnswer(
                 matches=answer.matches,
-                routes=answer.routes,
+                targets=answer.targets,
                 shards_queried=len(results),
                 shards_failed=list(failed),
                 shards_recovered=list(recovered),
@@ -949,10 +942,10 @@ class ClusterCoordinator:
     # lookups
     # ------------------------------------------------------------------
 
-    def scene_tree(
+    def packed_tree(
         self, video_id: str, deadline: Deadline | None = None
-    ) -> SceneTree:
-        """The browsing hierarchy of one video (wherever it lives).
+    ) -> PackedTree:
+        """The packed scene tree of one video (wherever it lives).
 
         A ``deadline`` bounds the shard read-lock wait by its remaining
         budget (:class:`~repro.errors.ServiceTimeout` past it), here and
@@ -962,7 +955,7 @@ class ClusterCoordinator:
         shard = self.locate(video_id)
         shard.check_up("scene_tree")
         with shard.lock.read_locked(_budget(deadline)):
-            return shard.db.scene_tree(video_id)
+            return shard.db.packed_tree(video_id)
 
     def shot_entries(
         self, video_id: str, deadline: Deadline | None = None

@@ -14,6 +14,10 @@ copies before drops:
 * ``drop`` deletes a copy outside the expected set, planned only once
   a legitimate copy exists or a copy is planned;
 * ``move`` is a single misplaced copy: that copy, then that drop.
+  On durable shards the drop waits until the destination's record
+  reads back intact (``check_tracked``); a bad read is rewritten once
+  from the source and read again, and a second bad read keeps the
+  source and counts the action as skipped.
 
 A video whose holders differ from its expected set and which has no
 live holder to act from is listed as unrepairable.
@@ -47,8 +51,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from ..errors import CatalogError, ClusterError, ReproError
+from ..vdbms.manifest import RECORD_PREFIX
 from .coordinator import ClusterCoordinator, _build_shard, _shard_dirname
-from .replication import copy_video, drop_video
+from .replication import _LOCK_TIMEOUT_S, copy_video, drop_video
 from .router import ConsistentHashRouter
 
 __all__ = ["RebalanceMove", "RebalancePlan", "RebalanceReport", "Rebalancer"]
@@ -213,9 +218,24 @@ class Rebalancer:
                 report.divergent_repaired += 1
             else:
                 report.copies_added += 1
+            moved = move.kind == "move"
+            if moved and not self._reads_back(move.video_id, source, dest):
+                raise ClusterError(f"{move.video_id!r} does not read back on {dest.name}")
         if move.kind in ("drop", "move"):
             drop_video(cluster, move.video_id, source)
             report.strays_removed += 1
+
+    def _reads_back(self, video_id: str, source, dest) -> bool:
+        """Whether ``dest``'s committed record of ``video_id`` verifies,
+        after at most one rewrite from ``source`` (always, in memory)."""
+        storage = dest.db.storage
+        for attempt in range(2):
+            if attempt:
+                copy_video(self.cluster, video_id, source, dest, replace=True)
+            with dest.lock.read_locked(_LOCK_TIMEOUT_S):
+                if storage is None or storage.check_tracked(RECORD_PREFIX + video_id).ok:
+                    return True
+        return False
 
     # ------------------------------------------------------------------
     # online resharding

@@ -12,7 +12,8 @@
   decision-identical to the scan;
 * :mod:`repro.index.routing` — mapping matching shots to the largest
   scene-tree nodes sharing their representative frame, the browsing
-  hand-off of Sec. 4.2.
+  hand-off of Sec. 4.2, as lookups of the targets each packed tree
+  computes once.
 """
 
 from .table import IndexEntry, IndexTable

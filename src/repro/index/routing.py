@@ -5,16 +5,27 @@ model is "not used to directly retrieve the video scenes/shots.
 Rather, it is used to determine the relevant scene nodes" — the
 largest scenes sharing a representative frame with a matching shot.
 The user then browses downward from those nodes.
+
+That node is fixed per shot, so a packed tree
+(:class:`~repro.scenetree.serialize.PackedTree`) computes each shot's
+target once, and :func:`route_targets` only looks them up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from ..scenetree.nodes import SceneNode, SceneTree
+from ..scenetree.serialize import PackedTree
 from .table import IndexEntry
 
-__all__ = ["SceneRoute", "route_to_scene_nodes"]
+__all__ = ["SceneRoute", "route_targets", "route_to_scene_nodes", "suggestion"]
+
+
+def suggestion(shot_id: str, label: str | None) -> str:
+    """The hand-off text, e.g. ``"#12@Wag the Dog -> SN_1^2"``."""
+    return f"{shot_id} -> {label if label is not None else '<no scene tree>'}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,12 +45,13 @@ class SceneRoute:
     @property
     def suggestion(self) -> str:
         """Human-readable hand-off, e.g. ``"#12@Wag the Dog -> SN_1^2"``."""
-        target = self.node.label if self.node is not None else "<no scene tree>"
-        return f"{self.entry.shot_id} -> {target}"
+        return suggestion(
+            self.entry.shot_id, self.node.label if self.node is not None else None
+        )
 
 
 def route_to_scene_nodes(
-    matches: list[IndexEntry], trees: dict[str, SceneTree]
+    matches: list[IndexEntry], trees: Mapping[str, SceneTree]
 ) -> list[SceneRoute]:
     """Map query matches to the largest scene nodes to start browsing.
 
@@ -65,3 +77,16 @@ def route_to_scene_nodes(
                 )
         routes.append(SceneRoute(entry=entry, node=node))
     return routes
+
+
+def route_targets(
+    matches: list[IndexEntry], trees: Mapping[str, PackedTree]
+) -> list[tuple[PackedTree, int] | None]:
+    """Each match's target node, as :func:`route_to_scene_nodes` picks
+    it, as ``(packed tree, node position)``; None where it picks none."""
+    targets: list[tuple[PackedTree, int] | None] = []
+    for entry in matches:
+        tree = trees.get(entry.video_id)
+        position = -1 if tree is None else tree.target(entry.shot_number - 1)
+        targets.append(None if position < 0 else (tree, position))
+    return targets

@@ -130,7 +130,13 @@ class SceneTree:
 
     def nodes(self) -> list[SceneNode]:
         """All nodes, depth-first pre-order from the root."""
-        return list(self.root.iter_subtree())
+        # An explicit stack: the recursive iter_subtree generator costs
+        # O(depth) per node, and every tree a database packs is walked.
+        order, stack = [], [self.root]
+        while stack:
+            order.append(stack.pop())
+            stack.extend(reversed(order[-1].children))
+        return order
 
     @property
     def n_shots(self) -> int:
@@ -190,13 +196,7 @@ class SceneTree:
         parent.
         """
         seen_ids: set[int] = set()
-        # Pre-order with an explicit stack: the recursive iter_subtree
-        # generator costs O(depth) per node, and every tree a database
-        # opens is validated.
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            stack.extend(reversed(node.children))
+        for node in self.nodes():
             if node.node_id in seen_ids:
                 raise SceneTreeError(f"duplicate node id {node.node_id}")
             seen_ids.add(node.node_id)

@@ -57,13 +57,13 @@ from ..errors import (
     WorkloadError,
 )
 from ..index.query import query_points
+from ..index.routing import suggestion
 from ..obs import (
     TraceCollector,
     TraceContext,
     iter_spans,
     span as _span,
 )
-from ..scenetree.serialize import scene_tree_to_dict
 from ..vdbms.database import VideoDatabase
 from ..video.clip import VideoClip
 from ..video.sampling import ANALYSIS_FPS, read_clip
@@ -901,17 +901,18 @@ class ServiceEngine:
             }
             for entry in answer.matches
         ]
-        routes = [
-            {
-                "shot_id": route.entry.shot_id,
-                "scene_node": route.node.label if route.node is not None else None,
-                "representative_frame": (
-                    route.node.representative_frame if route.node is not None else None
-                ),
-                "suggestion": route.suggestion,
-            }
-            for route in answer.routes
-        ]
+        routes = []
+        for entry, target in zip(answer.matches, answer.targets):
+            tree, position = target or (None, -1)
+            label, frame = (None, None) if tree is None else tree.route(position)
+            routes.append(
+                {
+                    "shot_id": entry.shot_id,
+                    "scene_node": label,
+                    "representative_frame": frame,
+                    "suggestion": suggestion(entry.shot_id, label),
+                }
+            )
         return {
             "count": len(matches),
             "matches": matches,
@@ -946,11 +947,13 @@ class ServiceEngine:
     def tree_payload(
         self, video_id: str, deadline: Deadline | None = None
     ) -> dict[str, Any]:
-        """One video's scene tree served at ``GET /videos/<id>/tree``."""
+        """One video's scene tree served at ``GET /videos/<id>/tree``:
+        its document, written from the packed columns, plus the root's
+        level as ``height`` and the leaf count as ``n_shots``."""
         self._check_deadline(deadline)
         # CatalogError when unknown
-        tree = self.cluster.scene_tree(video_id, deadline)
-        payload = scene_tree_to_dict(tree)
+        tree = self.cluster.packed_tree(video_id, deadline)
+        payload = tree.document()
         payload["height"] = tree.height
         payload["n_shots"] = tree.n_shots
         return payload

@@ -84,11 +84,7 @@ def add_synth_video(
     """Register one synthetic video in memory only (no publish, even
     on a durable database; use ``db.adopt(synth_record(...))`` for
     that)."""
-    record = synth_record(video_id, rng)
-    db.catalog.add(record.entry)
-    for entry in record.index_entries:
-        db.index.insert(entry)
-    db.trees[video_id] = record.tree
+    db._register(synth_record(video_id, rng))
 
 
 def synth_database(

@@ -21,20 +21,22 @@ directory via :meth:`save` / :meth:`load`; one bound to a directory by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, MutableMapping, Sequence
 
 from ..config import PipelineConfig, QueryConfig
 from ..errors import CatalogError, IndexError_, StorageError
 from ..index.columnar import ColumnarVarianceIndex
 from ..index.query import VarianceQuery
-from ..index.routing import SceneRoute, route_to_scene_nodes
+# route_to_scene_nodes stays a name here: the benchmark wraps it.
+from ..index.routing import SceneRoute, route_targets, route_to_scene_nodes  # noqa: F401
 from ..index.table import IndexEntry, IndexTable
 from ..obs import current_trace as _current_trace, span as _span
 from ..scenetree.browse import BrowsingSession
 from ..scenetree.builder import SceneTreeBuilder
 from ..scenetree.nodes import SceneTree
+from ..scenetree.serialize import PackedTree
 from ..sbd.detector import CameraTrackingDetector, DetectionResult
 from ..sbd.shots import Shot
 from ..video.clip import VideoClip
@@ -58,7 +60,7 @@ class IngestReport:
     indexed_entries: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VideoRecord:
     """One video's complete derived state, detached from any database.
 
@@ -70,40 +72,97 @@ class VideoRecord:
     without re-running the Step 1-2-3 pipeline.  Raw frames and
     detection features are *not* carried — they are recomputable and
     are not persisted by :meth:`VideoDatabase.save` either.
+
+    The tree is held packed (a :class:`SceneTree` is packed on
+    construction); :attr:`tree` unpacks it.
     """
 
     entry: CatalogEntry
-    tree: SceneTree
+    packed_tree: PackedTree
     index_entries: tuple[IndexEntry, ...]
+
+    def __init__(
+        self,
+        entry: CatalogEntry,
+        tree: SceneTree | PackedTree,
+        index_entries: tuple[IndexEntry, ...],
+    ) -> None:
+        if isinstance(tree, SceneTree):
+            tree = PackedTree.from_tree(tree)
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "packed_tree", tree)
+        object.__setattr__(self, "index_entries", index_entries)
 
     @property
     def video_id(self) -> str:
         return self.entry.video_id
+
+    @property
+    def tree(self) -> SceneTree:
+        """The scene tree as nodes (:meth:`PackedTree.unpack`)."""
+        return self.packed_tree.unpack()
 
     def to_bytes(self) -> bytes:
         """The record file's bytes: a pure function of the record, so
         every replica of a video writes identical bytes."""
         return record_bytes(
             self.entry,
-            self.tree,
+            self.packed_tree,
             ColumnarVarianceIndex.encode_rows(self.index_entries),
         )
 
 
 @dataclass(frozen=True, slots=True)
 class QueryAnswer:
-    """A similarity query's result: shots plus browsing entry points."""
+    """A similarity query's result: shots plus browsing entry points.
+
+    ``targets`` holds each match's route target
+    (:func:`~repro.index.routing.route_targets`), read with the matches,
+    so a later replace cannot mix trees.  The served path reads them;
+    :attr:`routes` unpacks the trees, only when read.
+    """
 
     matches: list[IndexEntry]
-    routes: list[SceneRoute]
+    targets: list[tuple[PackedTree, int] | None] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.matches)
 
     @property
+    def routes(self) -> list[SceneRoute]:
+        """Each match's browsing entry point, as scene-tree nodes."""
+        return [
+            SceneRoute(entry, None if target is None else target[0].node(target[1]))
+            for entry, target in zip(self.matches, self.targets)
+        ]
+
+    @property
     def suggestions(self) -> list[str]:
         """Human-readable ``shot -> scene node`` hand-offs."""
         return [route.suggestion for route in self.routes]
+
+
+class _Trees(MutableMapping):
+    """Video id -> :class:`SceneTree` over packed trees: assigning
+    packs a tree, reading unpacks one."""
+
+    def __init__(self, packed: dict[str, PackedTree]) -> None:
+        self.packed = packed
+
+    def __getitem__(self, video_id: str) -> SceneTree:
+        return self.packed[video_id].unpack()
+
+    def __setitem__(self, video_id: str, tree: SceneTree) -> None:
+        self.packed[video_id] = PackedTree.from_tree(tree)
+
+    def __delitem__(self, video_id: str) -> None:
+        del self.packed[video_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.packed)
+
+    def __len__(self) -> int:
+        return len(self.packed)
 
 
 class VideoDatabase:
@@ -117,7 +176,10 @@ class VideoDatabase:
         self.config = config or PipelineConfig()
         self.catalog = Catalog()
         self.index = ColumnarVarianceIndex()
-        self.trees: dict[str, SceneTree] = {}
+        #: Each video's scene tree, packed: what routes, ``/tree`` and
+        #: record bytes read.  :attr:`trees` views it as nodes.
+        self._packed: dict[str, PackedTree] = {}
+        self.trees: MutableMapping[str, SceneTree] = _Trees(self._packed)
         #: Videos a recovering load could not read (see :meth:`load`);
         #: their manifest still tracks them until ``repro fsck --repair``.
         self.quarantined: list[str] = []
@@ -221,7 +283,7 @@ class VideoDatabase:
             video_id=clip.name,
             n_frames=len(clip),
             n_shots=detection.n_shots,
-            tree_height=record.tree.height,
+            tree_height=record.packed_tree.height,
             indexed_entries=len(record.index_entries),
         )
 
@@ -254,9 +316,10 @@ class VideoDatabase:
         limit pushdown; with one, the filter must see the full ranking
         first, so the cap applies after it.
 
-        ``with_routes=False`` skips computing browsing routes and
-        returns ``routes=[]`` — for callers that only need the ranking
-        (a benchmark timing the routes apart from the search).
+        ``with_routes=False`` skips the browsing routes and returns
+        answers without targets (``routes == []``) — for callers that
+        only need the ranking (a benchmark timing the routes apart from
+        the search).
 
         A single query is a batch of one (:meth:`query_batch`).
         """
@@ -325,16 +388,13 @@ class VideoDatabase:
                     span.annotate(n_queries=len(points))
                 span.annotate(matches=sum(map(len, batched)))
             if not with_routes:
-                return [QueryAnswer(matches=matches, routes=[]) for matches in batched]
+                return [QueryAnswer(matches=matches) for matches in batched]
             with _span("db.routes") as route_span:
                 answers = [
-                    QueryAnswer(
-                        matches=matches,
-                        routes=route_to_scene_nodes(matches, self.trees),
-                    )
+                    QueryAnswer(matches, route_targets(matches, self._packed))
                     for matches in batched
                 ]
-                route_span.annotate(routes=sum(len(a.routes) for a in answers))
+                route_span.annotate(routes=sum(len(a.targets) for a in answers))
             return answers
         finally:
             if span is not None:
@@ -378,14 +438,14 @@ class VideoDatabase:
         self.catalog.add(record.entry)
         for entry in record.index_entries:
             self.index.insert(entry)
-        self.trees[record.video_id] = record.tree
+        self._packed[record.video_id] = record.packed_tree
 
     def _unregister(self, video_id: str) -> VideoRecord:
         """Drop a video from memory, returning it (for rollback)."""
         entry = self.catalog.remove(video_id)  # raises CatalogError when unknown
         record = VideoRecord(
             entry=entry,
-            tree=self.trees.pop(video_id),
+            tree=self._packed.pop(video_id),
             index_entries=tuple(self.index.entries_for(video_id)),
         )
         self.index.remove_video(video_id)
@@ -399,17 +459,19 @@ class VideoDatabase:
         """Snapshot one video's derived state as a detached record.
 
         The record is safe to hold across database mutations (the
-        catalog entry, index entries, and tree nodes are immutable) and
+        catalog entry, index entries and packed tree are immutable) and
         is everything :meth:`adopt` needs to register the video on
         another database — the transfer primitive of the cluster
-        rebalancer.
+        rebalancer.  It carries the packed tree as held, so an export
+        builds no :class:`SceneNode`, and its bytes are the record
+        file's (a shard heals a rotted file from its own memory).
         """
         entry = self.catalog.get(video_id)  # raises CatalogError when unknown
-        if video_id not in self.trees:
+        if video_id not in self._packed:
             raise CatalogError(f"video {video_id!r} has no scene tree")
         index_entries = tuple(self.index.entries_for(video_id))
         return VideoRecord(
-            entry=entry, tree=self.trees[video_id], index_entries=index_entries
+            entry=entry, tree=self._packed[video_id], index_entries=index_entries
         )
 
     def adopt(self, record: VideoRecord) -> int:
@@ -492,10 +554,16 @@ class VideoDatabase:
         return [Shot(e.shot_number - 1, e.start_frame - 1, e.end_frame) for e in rows]
 
     def scene_tree(self, video_id: str) -> SceneTree:
-        """The browsing hierarchy of one video."""
-        if video_id not in self.trees:
-            raise CatalogError(f"unknown video {video_id!r}")
-        return self.trees[video_id]
+        """The browsing hierarchy of one video, as nodes: unpacked on the
+        first call, then the same nodes every time."""
+        return self.packed_tree(video_id).unpack()
+
+    def packed_tree(self, video_id: str) -> PackedTree:
+        """One video's scene tree as held: what the served ``/tree`` reads."""
+        try:
+            return self._packed[video_id]
+        except KeyError:
+            raise CatalogError(f"unknown video {video_id!r}") from None
 
     def browse(self, video_id: str) -> BrowsingSession:
         """Open a browsing cursor at the root of a video's scene tree."""
@@ -542,7 +610,7 @@ class VideoDatabase:
         for entry in self.catalog:
             logical = RECORD_PREFIX + entry.video_id
             data = record_bytes(
-                entry, self.trees[entry.video_id], rows.get(entry.video_id, empty)
+                entry, self._packed[entry.video_id], rows.get(entry.video_id, empty)
             )
             prior = tracked.pop(logical, None)
             if (
@@ -593,7 +661,9 @@ class VideoDatabase:
         rename) before returning, so a crash between operations never
         loses an acknowledged one and a crash mid-operation is invisible
         after reload.  Those commits are all it writes (:meth:`save`
-        refuses it).  A root holding a refused layout raises
+        refuses it).  An existing root is read as :meth:`load` reads it:
+        every record's digest verified, its rows loaded and its tree
+        packed, not built.  A root holding a refused layout raises
         :class:`~repro.errors.StorageError` (see :meth:`load`).
         """
         storage = DatabaseStorage(root, fs=fs)
@@ -626,8 +696,11 @@ class VideoDatabase:
         refused layouts (version 2 and the pre-manifest layout), which
         are never read past the manifest.
 
-        Records are streamed: each one is verified, its tree, catalog
-        entry and row columns kept and its bytes dropped; the index is
+        Records are streamed: each one is verified and parsed, its
+        catalog entry and row columns kept, its tree document packed
+        (:meth:`PackedTree.from_document`, which refuses an invalid
+        tree, so the load raises :class:`StorageError`; no
+        :class:`SceneNode` is built) and its bytes dropped; the index is
         then built by concatenating the columns and sorting once.
 
         Detection results (raw per-frame features) are not persisted;
@@ -641,7 +714,7 @@ class VideoDatabase:
 
         def rows() -> Iterator[tuple[str, bytes]]:
             # One record's bytes alive at a time: the index keeps the
-            # columns, the database the entry and the tree.
+            # columns, the database the entry and the packed tree.
             for video_id in manifest.video_ids():
                 try:
                     entry, tree, data = storage.verified_record(
@@ -653,7 +726,7 @@ class VideoDatabase:
                     db.quarantined.append(video_id)
                     continue
                 db.catalog.add(entry)
-                db.trees[video_id] = tree
+                db._packed[video_id] = tree
                 yield video_id, data
 
         try:

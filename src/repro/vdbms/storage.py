@@ -50,8 +50,7 @@ from typing import Any, Iterable
 
 from ..errors import IndexError_, StorageError, StorageIntegrityError
 from ..index.columnar import ColumnarVarianceIndex
-from ..scenetree.nodes import SceneTree
-from ..scenetree.serialize import scene_tree_from_dict, scene_tree_to_dict
+from ..scenetree.serialize import PackedTree
 from .catalog import CatalogEntry
 from .fsio import LocalFS
 from .manifest import RECORD_PREFIX, FileRecord, Manifest, digest_bytes
@@ -105,26 +104,27 @@ def _json_bytes(payload: dict[str, Any]) -> bytes:
 # ----------------------------------------------------------------------
 
 
-def record_bytes(entry: CatalogEntry, tree: SceneTree, rows: bytes) -> bytes:
+def record_bytes(entry: CatalogEntry, tree: PackedTree, rows: bytes) -> bytes:
     """One video's record file: header, a compact JSON document with
-    the catalog entry and scene tree, then the video's index rows in
-    the RVIX column codec (``ColumnarVarianceIndex.encode_rows`` or
-    ``video_rows``).  A pure function of its inputs."""
+    the catalog entry and scene-tree document, then the video's index
+    rows in the RVIX column codec (``ColumnarVarianceIndex.encode_rows``
+    or ``video_rows``).  A pure function of its inputs."""
     meta = json.dumps(
-        {"entry": entry.to_dict(), "tree": scene_tree_to_dict(tree)},
+        {"entry": entry.to_dict(), "tree": tree.document()},
         separators=(",", ":"),
     ).encode("utf-8")
     header = _RECORD_HEADER.pack(_RECORD_MAGIC, _RECORD_VERSION, 0, len(meta))
     return header + meta + rows
 
 
-def parse_record(data: bytes) -> tuple[CatalogEntry, SceneTree, bytes]:
+def parse_record(data: bytes) -> tuple[CatalogEntry, PackedTree, bytes]:
     """Decode a record file (see :func:`record_bytes`) into its catalog
-    entry, scene tree and index rows (RVIX bytes, validated when they
-    are loaded: ``ColumnarVarianceIndex.from_parts``).
+    entry, packed scene tree and index rows (RVIX bytes, validated when
+    they are loaded: ``ColumnarVarianceIndex.from_parts``).
 
     Raises :class:`StorageError` on a structural defect: bad magic or
-    version, a torn metadata block, or malformed metadata.
+    version, a torn metadata block, or malformed metadata, an invalid
+    tree included (:meth:`PackedTree.from_document`).
     """
     if len(data) < _RECORD_HEADER.size:
         raise StorageError(f"record truncated: {len(data)} bytes")
@@ -139,7 +139,7 @@ def parse_record(data: bytes) -> tuple[CatalogEntry, SceneTree, bytes]:
     try:
         meta = json.loads(data[_RECORD_HEADER.size:end])
         entry = CatalogEntry.from_dict(meta["entry"])
-        tree = scene_tree_from_dict(meta["tree"])
+        tree = PackedTree.from_document(meta["tree"])
     except Exception as exc:
         raise StorageError(f"corrupt record metadata: {exc}") from exc
     return entry, tree, data[end:]
@@ -147,7 +147,7 @@ def parse_record(data: bytes) -> tuple[CatalogEntry, SceneTree, bytes]:
 
 def _parse_tracked_record(
     logical: str, record: FileRecord, data: bytes
-) -> tuple[CatalogEntry, SceneTree, bytes]:
+) -> tuple[CatalogEntry, PackedTree, bytes]:
     """:func:`parse_record` of a tracked file, plus the check that it
     holds the video its logical name (``video:<id>``) says."""
     entry, tree, rows = parse_record(data)
@@ -738,7 +738,7 @@ class DatabaseStorage:
 
     def verified_record(
         self, logical: str, manifest: Manifest
-    ) -> tuple[CatalogEntry, SceneTree, bytes]:
+    ) -> tuple[CatalogEntry, PackedTree, bytes]:
         """Read and decode one tracked record (see :meth:`verified_bytes`
         and :func:`parse_record`); the record must hold the video its
         logical name says."""
