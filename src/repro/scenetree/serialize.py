@@ -10,6 +10,7 @@ the tree is packed.  A database keeps its trees packed and builds
 
 from __future__ import annotations
 
+import threading
 from operator import itemgetter
 from typing import Any
 
@@ -25,6 +26,8 @@ _fields = itemgetter("node_id", "shot_index", "level", "representative_frame", "
 _INT32 = np.iinfo(np.int32)
 #: A document's None while its fields are checked (then -1).
 _NULL = _INT32.min
+#: Serializes first unpacks, so concurrent readers share one tree.
+_UNPACK_LOCK = threading.Lock()
 
 
 def _refuse_if(bad: Any, message: str) -> None:
@@ -189,18 +192,21 @@ class PackedTree:
         """The tree as :class:`SceneNode` objects, built on the first
         call and kept, so every later call returns the same nodes."""
         if self._unpacked is None:
-            rows = self.columns.tolist()
-            nodes = [
-                SceneNode(node_id, shot, level, representative_frame=frame)
-                for node_id, shot, level, frame, _ in rows
-            ]
-            for node, row in zip(nodes, rows):
-                if row[3] < 0:
-                    node.representative_frame = None
-                if row[4] >= 0:
-                    node.attach_to(nodes[row[4]])
-            leaves = [nodes[k] for k in self.leaves.tolist()]
-            self._unpacked = (SceneTree(nodes[0], leaves, self.clip_name), nodes)
+            with _UNPACK_LOCK:
+                if self._unpacked is None:
+                    rows = self.columns.tolist()
+                    nodes = [
+                        SceneNode(node_id, shot, level, representative_frame=frame)
+                        for node_id, shot, level, frame, _ in rows
+                    ]
+                    for node, row in zip(nodes, rows):
+                        if row[3] < 0:
+                            node.representative_frame = None
+                        if row[4] >= 0:
+                            node.attach_to(nodes[row[4]])
+                    leaves = [nodes[k] for k in self.leaves.tolist()]
+                    tree = SceneTree(nodes[0], leaves, self.clip_name)
+                    self._unpacked = (tree, nodes)
         return self._unpacked[0]
 
 

@@ -15,12 +15,15 @@ over the golden corpus's trees:
   document, once per packed tree;
 * every shot's target is :func:`~repro.testing.reference.largest_scene_walk`;
 * damaged documents are refused by packing, by ``scene_tree_from_dict``
-  and by the node-building decoder packing replaced.
+  and by the node-building decoder packing replaced;
+* threads unpacking one packed tree at once share the tree it keeps.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -240,3 +243,35 @@ def test_damaged_documents_are_refused_alike(kind, golden_trees):
         PackedTree.from_document(document)
         scene_tree_from_dict(document)
         _linked_tree(document)
+
+
+def test_concurrent_first_unpacks_share_one_tree():
+    """Threads that unpack a packed tree at once all get the one tree
+    it keeps (thread switches forced to be frequent, so an unguarded
+    first unpack would build several)."""
+    rng = np.random.default_rng(0)
+    signs = [
+        rng.integers(-1, 2, size=(int(rng.integers(3, 7)), 3)).astype(np.int8)
+        for _ in range(200)
+    ]
+    document = _walked_document(SceneTreeBuilder().build(signs, "signs"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            packed = PackedTree.from_document(document)
+            barrier = threading.Barrier(4)
+            got: list[SceneTree] = []
+
+            def read() -> None:
+                barrier.wait()
+                got.append(packed.unpack())
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len({id(tree) for tree in got}) == 1
+    finally:
+        sys.setswitchinterval(interval)
