@@ -22,10 +22,10 @@ so the service runs every database through this one code path.
 Queries **degrade, never fail**: a shard that is down, errors, or
 times out is reported in :attr:`ClusterAnswer.shards_failed` and the
 answer carries whatever the healthy shards returned.  Merging relies
-on the total order of ``VarianceQuery.rank_key`` — concatenate, dedup
-by shot identity (a video briefly lives on two shards mid-rebalance),
-sort, cap — which makes a K-shard cluster *decision-identical* to one
-big database.
+on the total order of ``VarianceQuery.rank_key`` — concatenate the
+shards' match sets, keep each shot once (a video briefly lives on two
+shards mid-rebalance), sort, cap, over index columns with numpy — which
+makes a K-shard cluster *decision-identical* to one big database.
 
 With a replication factor R > 1 (``replication=R``), every video is
 committed on R distinct shards — its home plus the next R-1 distinct
@@ -57,6 +57,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Container, Iterator, Sequence
 
+import numpy as np
+
 from ..config import PipelineConfig, QueryConfig
 from ..errors import (
     CatalogError,
@@ -64,6 +66,7 @@ from ..errors import (
     ServiceTimeout,
     ShardUnavailableError,
 )
+from ..index.columnar import Matches
 from ..index.query import VarianceQuery
 from ..index.table import IndexEntry
 from ..obs import current_trace as _current_trace, span as _span
@@ -122,12 +125,53 @@ def _failure(shard: Shard, reason: str, error: str) -> dict[str, Any]:
     return {"shard": shard.name, "reason": reason, "error": error}
 
 
+def _merge(
+    queries: Sequence[VarianceQuery], shard_rows: list[Matches], limit: int | None
+) -> Matches:
+    """Every query's rows from the shards that answered, as one match
+    set: each shot once, ranked in ``VarianceQuery.rank_key`` order,
+    capped at ``limit`` per query.  A shot several shards answered
+    keeps the last one's copy (copies of a divergent replica differ, so
+    one is picked before ranking); video ids rank in Python ``str``
+    order (a numpy ``<U`` array would drop trailing NULs)."""
+    rows = Matches.concat(shard_rows)
+    sizes = [b - a for part in shard_rows for a, b in zip(part.offsets, part.offsets[1:])]
+    query_of = np.repeat(np.arange(len(sizes)) % len(queries), sizes)
+    names = sorted(set(rows.video_id))
+    rank_of = dict(zip(names, range(len(names))))
+    video = np.fromiter(map(rank_of.__getitem__, rows.video_id), np.int64, len(rows.video_id))
+    # One int64 per (query, video_id, shot_number), ordered as they are:
+    # shot numbers are int32, offset to 32 unsigned bits, below a
+    # (query, video) pair number under 2^31.
+    shot = rows.shot_number.astype(np.int64) - np.iinfo(np.int32).min
+    ident = (query_of * len(names) + video) << 32 | shot
+    # Each shot once: its last copy (the stable sort keeps a shot's
+    # copies in answer order).
+    by_shot = ident.argsort(kind="stable")
+    last = np.ones(len(by_shot), dtype=bool)
+    last[:-1] = ident[by_shot][1:] != ident[by_shot][:-1]
+    kept = by_shot[last]
+    # rank_key: the distance to the row's query, then (d_v, sqrt_var_ba,
+    # video_id, shot_number), in the same float64 operations.
+    d_v, sqrt_ba = rows.d_v[kept], rows.sqrt_var_ba[kept]
+    q_dv = np.array([query.d_v for query in queries])[query_of[kept]]
+    q_sba = np.array([query.sqrt_var_ba for query in queries])[query_of[kept]]
+    dx, dy = q_dv - d_v, q_sba - sqrt_ba
+    dist = np.sqrt(dx * dx + dy * dy)
+    ranked = kept[np.lexsort((ident[kept], sqrt_ba, d_v, dist, query_of[kept]))]
+    if limit is not None:
+        group = query_of[ranked]  # sorted: each query's rows are a run
+        ranked = ranked[np.arange(len(ranked)) - group.searchsorted(group) < limit]
+    counts = np.bincount(query_of[ranked], minlength=len(queries))
+    return rows.take(ranked, [0, *np.cumsum(counts).tolist()])
+
+
 @dataclass(frozen=True, slots=True)
 class ClusterAnswer(QueryAnswer):
     """A scatter-gather query result: the merged answer plus coverage.
 
-    ``matches``, ``targets`` and ``routes`` follow the exact contract of
-    :class:`~repro.vdbms.database.QueryAnswer`.  ``shards_failed``
+    ``rows``, ``k``, ``matches`` and ``routes`` follow the exact
+    contract of :class:`~repro.vdbms.database.QueryAnswer`.  ``shards_failed``
     lists, per unavailable shard, ``{"shard", "reason", "error"}``;
     :attr:`partial` is True when at least one failed shard's data was
     *not* recovered from replicas — the client-visible signal that the
@@ -823,10 +867,10 @@ class ClusterCoordinator:
         matches its match even if a rebalance moves the video
         afterwards.  Every query goes to every
         shard with the *same* ``limit`` (the global top-k is a subset of
-        the union of per-shard top-k).  The coordinator then dedups the
-        shards' matches, each with its route target, by shot, ranks
-        them and caps per query; a single shard's answers have nothing
-        to merge and are returned as is.
+        the union of per-shard top-k).  The coordinator then merges the
+        shards' match sets, every query at once (:func:`_merge`: each
+        shot once, ranked, capped per query); a single shard's match set
+        has nothing to merge and is returned as is.
 
         Failed or late shards are reported in ``shards_failed`` and the
         answers are built from the rest.  A failure degrades the whole
@@ -836,6 +880,8 @@ class ClusterCoordinator:
         query it is (``shard.query`` spans, not ``shard.query_batch``).
         """
         queries = [VarianceQuery(var_ba=ba, var_oa=oa) for ba, oa in points]
+        if not queries:
+            return []
         single = len(queries) == 1
         shard_span_name = "shard.query" if single else "shard.query_batch"
         ctx = _current_trace()
@@ -843,32 +889,27 @@ class ClusterCoordinator:
         if scatter is not None and not single:
             scatter.annotate(n_queries=len(queries))
 
-        def one(shard: Shard, lock_timeout: float | None) -> list[QueryAnswer]:
+        def one(shard: Shard, lock_timeout: float | None) -> Matches:
             # On the request's thread: the span parents under the scatter.
             with _span(shard_span_name, shard=shard.name) as shard_span:
                 shard.check_up("query")
                 with shard.traced_read(lock_timeout):
-                    answers = shard.db.query_batch(
+                    rows = shard.db.query_batch(
                         points,
                         limit=limit,
                         category=category,
                         config=config,
                         exclude_shots=exclude_shots,
-                    )
+                    )[0].rows
                 shard.queries += 1
-                if ctx is not None:
-                    shard_span.annotate(
-                        matches=sum(len(answer.matches) for answer in answers)
-                    )
-                return answers
+                shard_span.annotate(matches=len(rows.video_id))
+                return rows
 
         with self._round():
             results, failed = self._scatter(one, deadline)
             failed, recovered = self._recover_failures(failed, results, one, deadline)
         if scatter is not None:
-            gathered = sum(
-                len(answer.matches) for answers in results.values() for answer in answers
-            )
+            gathered = sum(len(rows.video_id) for rows in results.values())
             scatter.annotate(
                 fan_out=self.n_shards,
                 shards_ok=len(results),
@@ -880,40 +921,21 @@ class ClusterCoordinator:
                 scatter.annotate(shards_recovered=recovered)
             scatter.end()
         if len(results) == 1:
-            [final] = results.values()
+            [rows] = results.values()
         else:
             with _span("cluster.merge") as merge_span:
-                final = []
-                for k, query in enumerate(queries):
-                    # Dedup by shot identity (replicas and mid-rebalance
-                    # copies answer twice), then rank and cap.
-                    unique = {
-                        (entry.video_id, entry.shot_number): (entry, target)
-                        for answers in results.values()
-                        for entry, target in zip(answers[k].matches, answers[k].targets)
-                    }
-                    ranked = sorted(
-                        unique.values(), key=lambda pair: query.rank_key(pair[0])
-                    )[:limit]
-                    final.append(
-                        QueryAnswer(
-                            matches=[entry for entry, _ in ranked],
-                            targets=[target for _, target in ranked],
-                        )
-                    )
+                rows = _merge(queries, list(results.values()), limit)
                 if scatter is not None:
-                    merge_span.annotate(
-                        gathered=gathered, returned=sum(map(len, final))
-                    )
+                    merge_span.annotate(gathered=gathered, returned=len(rows.video_id))
         return [
             ClusterAnswer(
-                matches=answer.matches,
-                targets=answer.targets,
+                rows,
+                k,
                 shards_queried=len(results),
                 shards_failed=list(failed),
                 shards_recovered=list(recovered),
             )
-            for answer in final
+            for k in range(len(queries))
         ]
 
     def query_by_shot(

@@ -27,10 +27,13 @@ the lexsort keys mirror ``rank_key``'s ``(distance, d_v, sqrt_var_ba,
 video_id, shot_number)`` total order exactly — the contract the
 cluster scatter-gather merge relies on.
 
-:meth:`search_batch` answers B impression queries, one :meth:`search`
-each — the engine room of ``VideoDatabase.query_batch`` and the
-``POST /query/batch`` endpoint.  Entries are built per call from the
-columns; the index holds no row objects.
+:meth:`search_batch` answers B impression queries as one
+:class:`Matches` set: every query's ranked rows, gathered from the
+columns at once — the engine room of ``VideoDatabase.query_batch``,
+the cluster merge and the served payload, none of which builds a row
+object.  :meth:`search` is a batch of one; its entries, and those an
+in-process caller reads from a match set, are built by :meth:`_rows`.
+The index holds no row objects.
 
 Inserts append to a small pending buffer that is merged into the main
 columns past a threshold (or on the first read), so per-shot insertion
@@ -55,8 +58,10 @@ import json
 import math
 import struct
 import threading
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, field
 from hashlib import blake2s
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,7 +72,7 @@ from ..obs import current_trace as _current_trace
 from .query import VarianceQuery
 from .table import IndexEntry
 
-__all__ = ["COLUMNAR_MAGIC", "ColumnarVarianceIndex"]
+__all__ = ["COLUMNAR_MAGIC", "ColumnarVarianceIndex", "Matches"]
 
 #: First bytes of the binary column format.
 COLUMNAR_MAGIC = b"RVIX"
@@ -87,9 +92,9 @@ _MERGE_THRESHOLD = 512
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 
-#: Held by the reads that run numpy over the columns (:meth:`search`,
-#: :meth:`entries_for`, :meth:`lookup`), row build included, so two
-#: requests never search at once.  Each numpy call releases the GIL, so
+#: Held by the reads that run numpy over the columns (each query of
+#: :meth:`search_batch`, its gather, :meth:`entries_for`, :meth:`lookup`),
+#: so two requests never search at once.  Each numpy call releases the GIL, so
 #: two threads searching together hand it back and forth at every call
 #: and take 1.6-2.1x the work of one thread; one at a time, a search
 #: holds it ~0.1 ms.  Process-wide, because the GIL is.  Lock order: this
@@ -109,6 +114,13 @@ _COLUMNS = (
 
 #: Bytes per row across the persisted columns.
 _ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+#: The numeric columns of a :class:`Matches` set, in record order.
+_NUMERIC = (
+    "shot_number", "start_frame", "end_frame", "var_ba", "var_oa", "sqrt_var_ba", "d_v"
+)
 
 
 def _checked(entry: IndexEntry) -> IndexEntry:
@@ -179,6 +191,84 @@ def _encode(
     )
     body = b"".join(parts)
     return body + blake2s(body, digest_size=_CHECKSUM_BYTES).digest()
+
+
+@dataclass(eq=False, slots=True)
+class Matches(SequenceABC):
+    """Ranked matches of a batch of queries, as index rows.
+
+    Query ``k``'s rows are ``offsets[k]:offsets[k + 1]``, most similar
+    first: numpy arrays gathered from the index columns, with
+    ``video_id`` and ``archetype`` taken from the intern tables.
+    ``trees`` holds each row's packed scene tree, read by the database
+    with the rows (None when not routed).  As a sequence, a match set is
+    its queries' entry lists, built on first read by
+    :meth:`ColumnarVarianceIndex._rows`.
+    """
+
+    offsets: list[int]
+    video_id: list[str]
+    shot_number: np.ndarray
+    start_frame: np.ndarray
+    end_frame: np.ndarray
+    var_ba: np.ndarray
+    var_oa: np.ndarray
+    sqrt_var_ba: np.ndarray
+    d_v: np.ndarray
+    archetype: list[str | None]
+    trees: list[Any] | None = None
+    _lists: list[list] | None = field(default=None, init=False, repr=False)
+    _entries: dict[int, list[IndexEntry]] = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def concat(cls, sets: Sequence[Matches]) -> Matches:
+        """Every row of ``sets``, one set after another, as one query:
+        the first step of a merge, which :meth:`take` finishes."""
+        numeric = (np.concatenate([getattr(m, n) for m in sets] or [_NO_ROWS]) for n in _NUMERIC)
+        video_id = [video for m in sets for video in m.video_id]
+        archetype = [arch for m in sets for arch in m.archetype]
+        trees = [tree for m in sets for tree in (m.trees or [None] * len(m.video_id))]
+        return cls([0, len(video_id)], video_id, *numeric, archetype, trees)
+
+    def take(self, rows: np.ndarray, offsets: list[int]) -> Matches:
+        """The rows at positions ``rows``, split into queries at ``offsets``."""
+        picks = rows.tolist()
+        return Matches(
+            offsets,
+            [self.video_id[k] for k in picks],
+            *(getattr(self, name)[rows] for name in _NUMERIC),
+            [self.archetype[k] for k in picks],
+            None if self.trees is None else [self.trees[k] for k in picks],
+        )
+
+    def records(self, k: int) -> Iterator[tuple]:
+        """Query ``k``'s rows as Python values: ``(video_id, shot_number,
+        start_frame, end_frame, var_ba, var_oa, sqrt_var_ba, d_v,
+        archetype, tree)``, the columns converted once per match set."""
+        if self._lists is None:
+            self._lists = [
+                self.video_id,
+                *(getattr(self, name).tolist() for name in _NUMERIC),
+                self.archetype,
+                self.trees or [None] * len(self.video_id),
+            ]
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        if lo == 0 and hi == len(self.video_id):
+            return zip(*self._lists)
+        return zip(*(column[lo:hi] for column in self._lists))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, k: int) -> list[IndexEntry]:  # type: ignore[override]
+        """Query ``k``'s matches as entries, built on the first read."""
+        k = range(len(self))[k]
+        if k not in self._entries:
+            self._entries[k] = ColumnarVarianceIndex._rows(self, k)
+        return self._entries[k]
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, SequenceABC) else NotImplemented
 
 
 class ColumnarVarianceIndex:
@@ -406,32 +496,46 @@ class ColumnarVarianceIndex:
     # entry materialization
     # ------------------------------------------------------------------
 
-    def _rows(self, rows: np.ndarray | slice) -> list[IndexEntry]:
-        """The entries at ``rows`` (positions or a slice), built from
-        the columns: one ``tolist`` per column, then the constructors.
-        Nothing is kept, so memory does not grow with rows served."""
-        videos, archetypes = self._video_ids, self._archetypes
+    @staticmethod
+    def _rows(matches: Matches, k: int = 0) -> list[IndexEntry]:
+        """Query ``k``'s rows of a match set as entries: the one place
+        index rows become :class:`IndexEntry` objects, for in-process
+        callers (the served path writes its payload from the columns).
+        Nothing is kept by the index, so memory does not grow with rows
+        served."""
         # Positional arguments: keyword calls cost a dataclass __init__
         # about twice as much, and this runs for every row returned.
         return [
-            IndexEntry(
-                videos[vid],
-                shot,
-                start,
-                end,
-                FeatureVector(var_ba, var_oa),
-                archetypes[arch] if arch >= 0 else None,
-            )
-            for var_ba, var_oa, shot, start, end, vid, arch in zip(
-                *(col[rows].tolist() for col in self._columns().values())
+            IndexEntry(video_id, shot, start, end, FeatureVector(var_ba, var_oa), arch)
+            for video_id, shot, start, end, var_ba, var_oa, _, _, arch, _ in (
+                matches.records(k)
             )
         ]
+
+    def _gather(self, rows: np.ndarray | slice, offsets: list[int] | None = None) -> Matches:
+        """The column values at ``rows`` (positions or a slice) as a match
+        set, split into queries at ``offsets`` (one query by default);
+        video ids and archetypes come from the intern tables."""
+        archetypes = self._archetypes + [None]  # code -1 is None
+        shot = self._shot[rows]
+        return Matches(
+            offsets or [0, len(shot)],
+            list(map(self._video_ids.__getitem__, self._vid[rows].tolist())),
+            shot,
+            self._start[rows],
+            self._end[rows],
+            self._var_ba[rows],
+            self._var_oa[rows],
+            self._sqrt_ba[rows],
+            self._d_v[rows],
+            list(map(archetypes.__getitem__, self._arch[rows].tolist())),
+        )
 
     @property
     def entries(self) -> tuple[IndexEntry, ...]:
         """Every entry, in ``D^v`` order."""
         self._prepare()
-        return tuple(self._rows(slice(None)))
+        return tuple(self._rows(self._gather(slice(None))))
 
     def entries_for(self, video_id: str) -> list[IndexEntry]:
         """One video's entries in ``D^v`` order (vectorized filter)."""
@@ -440,7 +544,7 @@ class ColumnarVarianceIndex:
             return []
         with _SEARCH_LOCK:
             self._prepare()
-            return self._rows(np.nonzero(self._vid == code)[0])
+            return self._rows(self._gather(np.nonzero(self._vid == code)[0]))
 
     def lookup(self, video_id: str, shot_number: int) -> IndexEntry | None:
         """One shot's entry, or None when absent."""
@@ -450,7 +554,7 @@ class ColumnarVarianceIndex:
         with _SEARCH_LOCK:
             self._prepare()
             hits = np.nonzero((self._vid == code) & (self._shot == shot_number))[0]
-            return self._rows(hits[:1])[0] if hits.size else None
+            return self._rows(self._gather(hits[:1]))[0] if hits.size else None
 
     # ------------------------------------------------------------------
     # queries
@@ -470,7 +574,7 @@ class ColumnarVarianceIndex:
         """Entries with ``low <= D^v <= high`` (the Eq. 7 band)."""
         self._prepare()
         lo, hi = self._band(low, high)
-        return self._rows(slice(lo, hi))
+        return self._rows(self._gather(slice(lo, hi)))
 
     def search(
         self,
@@ -480,84 +584,9 @@ class ColumnarVarianceIndex:
         exclude_shot: tuple[str, int] | None = None,
     ) -> list[IndexEntry]:
         """Answer one impression query (same contract as the table scan
-        :func:`repro.index.query.search`, decision-identical results).
-
-        The Eq. 7 band comes from two searchsorted calls, Eq. 8 is a
-        boolean mask over the band, and ranking is a vectorized
-        distance + lexsort reproducing ``VarianceQuery.rank_key``.
-        """
-        config = config or QueryConfig()
-        ctx = _current_trace()
-        span = ctx.begin("index.search") if ctx is not None else None
-        _SEARCH_LOCK.acquire()
-        try:
-            pending = len(self._pending)
-            self._prepare()
-            q_dv, q_sba = query.d_v, query.sqrt_var_ba
-            lo, hi = self._band(q_dv - config.alpha, q_dv + config.alpha)
-            if span is not None:
-                # Annotations only echo values already computed above —
-                # the traced and untraced paths take identical decisions.
-                span.annotate(
-                    band_low=q_dv - config.alpha,
-                    band_high=q_dv + config.alpha,
-                    band_rows=hi - lo,
-                    pending_merged=pending,
-                )
-            if lo >= hi:
-                if span is not None:
-                    span.annotate(candidates=0, pruned=0, returned=0)
-                return []
-            sba = self._sqrt_ba[lo:hi]
-            mask = (sba >= q_sba - config.beta) & (sba <= q_sba + config.beta)
-            if exclude_shot is not None:
-                ex_code = self._video_code.get(exclude_shot[0], -1)
-                if ex_code >= 0:
-                    mask &= ~(
-                        (self._vid[lo:hi] == ex_code)
-                        & (self._shot[lo:hi] == exclude_shot[1])
-                    )
-            cand = np.nonzero(mask)[0]
-            if span is not None:
-                span.annotate(
-                    candidates=int(cand.size),
-                    pruned=(hi - lo) - int(cand.size),
-                )
-            if cand.size == 0:
-                if span is not None:
-                    span.annotate(returned=0)
-                return []
-            cand += lo
-            d_v = self._d_v[cand]
-            sqrt_ba = self._sqrt_ba[cand]
-            dx = q_dv - d_v
-            dy = q_sba - sqrt_ba
-            dist = np.sqrt(dx * dx + dy * dy)
-            if limit is not None and 0 < limit < cand.size:
-                # Top-k prune before the ranking sort: keep everything tied
-                # with the k-th smallest distance (ties at the bar are
-                # resolved by the tie-rank sort below), so the result is
-                # exactly the first k of the full ranking.
-                bar = np.partition(dist, limit - 1)[limit - 1]
-                keep = dist <= bar
-                cand = cand[keep]
-                dist = dist[keep]
-            tie = self._tie_ranks()[cand]
-            # (distance, tie_rank) via two argsorts — tie_rank is unique
-            # per row (no stability needed on the first pass), so this
-            # reproduces the full rank_key order.
-            ord0 = np.argsort(tie)
-            order = ord0[np.argsort(dist[ord0], kind="stable")]
-            if limit is not None:
-                order = order[:limit]
-            result = self._rows(cand[order])
-            if span is not None:
-                span.annotate(returned=len(result))
-            return result
-        finally:
-            _SEARCH_LOCK.release()
-            if span is not None:
-                span.end()
+        :func:`repro.index.query.search`, decision-identical results):
+        the entries of a batch of one (:meth:`search_batch`)."""
+        return self._rows(self.search_batch([query], config, limit, [exclude_shot]))
 
     def search_batch(
         self,
@@ -565,12 +594,16 @@ class ColumnarVarianceIndex:
         config: QueryConfig | None = None,
         limit: int | None = None,
         exclude_shots: Sequence[tuple[str, int] | None] | None = None,
-    ) -> list[list[IndexEntry]]:
-        """Answer B impression queries: ``[self.search(q, ...) for q in
-        queries]``.  Batching pays off above the index, in one HTTP
-        round, one scatter and one shard lock per batch.  A batch of one
-        is traced as the ``index.search`` it is; a larger one nests its
-        searches under one ``index.search_batch`` span.
+        videos: Collection[str] | None = None,
+    ) -> Matches:
+        """Answer B impression queries as one match set: per query, the
+        ranking of the table scan :func:`repro.index.query.search`.
+
+        Two searchsorted calls find every query's Eq. 7 band; per query,
+        Eq. 8 is a mask over the band (:meth:`_rank`); the ranked rows of
+        the batch are then gathered at once.  A batch of one is traced
+        as the ``index.search`` it is, a larger one as one
+        ``index.search_batch`` span with the queries' counts summed.
 
         Args:
             queries: the impression queries.
@@ -578,6 +611,8 @@ class ColumnarVarianceIndex:
             limit: per-query top-k cap (None = full ranking).
             exclude_shots: optional per-query ``(video_id,
                 shot_number)`` exclusions, aligned with ``queries``.
+            videos: when given, only rows of these videos match (a
+                category scope), masked before the top-k prune.
         """
         n_queries = len(queries)
         if exclude_shots is not None and len(exclude_shots) != n_queries:
@@ -585,18 +620,93 @@ class ColumnarVarianceIndex:
                 f"{len(exclude_shots)} exclusions for {n_queries} queries"
             )
         excludes = exclude_shots if exclude_shots is not None else [None] * n_queries
-        ctx = _current_trace() if n_queries > 1 else None
-        span = ctx.begin("index.search_batch") if ctx is not None else None
+        config = config or QueryConfig()
+        ctx = _current_trace()
+        name = "index.search" if n_queries == 1 else "index.search_batch"
+        span = ctx.begin(name) if ctx is not None else None
+        band_rows = candidates = 0
+        ranked: list[np.ndarray] = []
+        offsets = [0]
         try:
+            with _SEARCH_LOCK:
+                pending = len(self._pending)
+                self._prepare()
+                lows = [query.d_v - config.alpha for query in queries]
+                highs = [query.d_v + config.alpha for query in queries]
+                los = self._d_v.searchsorted(lows, side="left").tolist()
+                his = self._d_v.searchsorted(highs, side="right").tolist()
+                scope = None
+                if videos is not None:
+                    scope = np.zeros(len(self._video_ids), dtype=bool)
+                    scope[[self._video_code[v] for v in videos if v in self._video_code]] = True
+            for query, exclude, lo, hi in zip(queries, excludes, los, his):
+                with _SEARCH_LOCK:
+                    rows, matched = self._rank(query, config, limit, exclude, scope, lo, hi)
+                ranked.append(rows)
+                offsets.append(offsets[-1] + rows.size)
+                band_rows += hi - lo
+                candidates += matched
+            with _SEARCH_LOCK:
+                rows = ranked[0] if n_queries == 1 else np.concatenate(ranked or [_NO_ROWS])
+                matches = self._gather(rows, offsets)
             if span is not None:
-                span.annotate(n_queries=n_queries)
-            return [
-                self.search(query, config, limit, exclude)
-                for query, exclude in zip(queries, excludes)
-            ]
+                # Annotations only echo values already computed above —
+                # the traced and untraced paths take identical decisions.
+                if n_queries == 1:
+                    span.annotate(band_low=lows[0], band_high=highs[0])
+                else:
+                    span.annotate(n_queries=n_queries)
+                span.annotate(band_rows=band_rows, pending_merged=pending)
+                span.annotate(candidates=candidates, pruned=band_rows - candidates)
+                span.annotate(returned=len(rows))
+            return matches
         finally:
             if span is not None:
                 span.end()
+
+    def _rank(
+        self, query: VarianceQuery, config: QueryConfig, limit: int | None,
+        exclude: tuple[str, int] | None, scope: np.ndarray | None, lo: int, hi: int,
+    ) -> tuple[np.ndarray, int]:
+        """One query's ranked row positions in its band ``lo:hi``, and
+        how many rows passed its masks (the Eq. 8 candidates)."""
+        if lo >= hi:
+            return _NO_ROWS, 0
+        q_dv, q_sba = query.d_v, query.sqrt_var_ba
+        sba = self._sqrt_ba[lo:hi]
+        mask = (sba >= q_sba - config.beta) & (sba <= q_sba + config.beta)
+        if exclude is not None:
+            ex_code = self._video_code.get(exclude[0], -1)
+            if ex_code >= 0:
+                mask &= ~((self._vid[lo:hi] == ex_code) & (self._shot[lo:hi] == exclude[1]))
+        if scope is not None:
+            mask &= scope[self._vid[lo:hi]]
+        cand = mask.nonzero()[0]
+        matched = int(cand.size)
+        if not matched:
+            return _NO_ROWS, 0
+        cand += lo
+        dx = q_dv - self._d_v[cand]
+        dy = q_sba - self._sqrt_ba[cand]
+        dist = np.sqrt(dx * dx + dy * dy)
+        if limit is not None and 0 < limit < cand.size:
+            # Top-k prune before the ranking sort: keep everything tied
+            # with the k-th smallest distance (ties at the bar are
+            # resolved by the tie-rank sort below), so the result is
+            # exactly the first k of the full ranking.
+            bar = np.partition(dist, limit - 1)[limit - 1]
+            keep = dist <= bar
+            cand = cand[keep]
+            dist = dist[keep]
+        tie = self._tie_ranks()[cand]
+        # (distance, tie_rank) via two argsorts — tie_rank is unique
+        # per row (no stability needed on the first pass), so this
+        # reproduces the full rank_key order.
+        ord0 = tie.argsort()
+        order = ord0[dist[ord0].argsort(kind="stable")]
+        if limit is not None:
+            order = order[:limit]
+        return cand[order], matched
 
     # ------------------------------------------------------------------
     # binary column persistence

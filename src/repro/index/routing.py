@@ -8,7 +8,9 @@ The user then browses downward from those nodes.
 
 That node is fixed per shot, so a packed tree
 (:class:`~repro.scenetree.serialize.PackedTree`) computes each shot's
-target once, and :func:`route_targets` only looks them up.
+target once, and a query's answer only looks it up
+(:meth:`PackedTree.target`) in the tree its database read with the
+match.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..scenetree.nodes import SceneNode, SceneTree
-from ..scenetree.serialize import PackedTree
 from .table import IndexEntry
 
-__all__ = ["SceneRoute", "route_targets", "route_to_scene_nodes", "suggestion"]
+__all__ = ["SceneRoute", "route_to_scene_nodes", "suggestion"]
 
 
 def suggestion(shot_id: str, label: str | None) -> str:
@@ -78,15 +79,3 @@ def route_to_scene_nodes(
         routes.append(SceneRoute(entry=entry, node=node))
     return routes
 
-
-def route_targets(
-    matches: list[IndexEntry], trees: Mapping[str, PackedTree]
-) -> list[tuple[PackedTree, int] | None]:
-    """Each match's target node, as :func:`route_to_scene_nodes` picks
-    it, as ``(packed tree, node position)``; None where it picks none."""
-    targets: list[tuple[PackedTree, int] | None] = []
-    for entry in matches:
-        tree = trees.get(entry.video_id)
-        position = -1 if tree is None else tree.target(entry.shot_number - 1)
-        targets.append(None if position < 0 else (tree, position))
-    return targets

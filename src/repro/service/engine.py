@@ -886,31 +886,36 @@ class ServiceEngine:
 
     @staticmethod
     def _answer_payload(answer: ClusterAnswer) -> dict[str, Any]:
-        matches = [
-            {
-                "video_id": entry.video_id,
-                "shot_number": entry.shot_number,
-                "shot_id": entry.shot_id,
-                "start_frame": entry.start_frame,
-                "end_frame": entry.end_frame,
-                "var_ba": entry.features.var_ba,
-                "var_oa": entry.features.var_oa,
-                "sqrt_var_ba": entry.sqrt_var_ba,
-                "d_v": entry.d_v,
-                "archetype": entry.archetype,
-            }
-            for entry in answer.matches
-        ]
-        routes = []
-        for entry, target in zip(answer.matches, answer.targets):
-            tree, position = target or (None, -1)
-            label, frame = (None, None) if tree is None else tree.route(position)
+        """One served answer, written from its rows' columns: no entry,
+        feature vector or scene node is built
+        (:func:`repro.testing.reference.answer_payload` is the oracle)."""
+        matches, routes = [], []
+        for video_id, shot, start, end, var_ba, var_oa, sqrt_ba, d_v, archetype, tree in (
+            answer.rows.records(answer.k)
+        ):
+            shot_id = f"#{shot}@{video_id}"
+            matches.append(
+                {
+                    "video_id": video_id,
+                    "shot_number": shot,
+                    "shot_id": shot_id,
+                    "start_frame": start,
+                    "end_frame": end,
+                    "var_ba": var_ba,
+                    "var_oa": var_oa,
+                    "sqrt_var_ba": sqrt_ba,
+                    "d_v": d_v,
+                    "archetype": archetype,
+                }
+            )
+            position = -1 if tree is None else tree.target(shot - 1)
+            label, frame = (None, None) if position < 0 else tree.route(position)
             routes.append(
                 {
-                    "shot_id": entry.shot_id,
+                    "shot_id": shot_id,
                     "scene_node": label,
                     "representative_frame": frame,
-                    "suggestion": suggestion(entry.shot_id, label),
+                    "suggestion": suggestion(shot_id, label),
                 }
             )
         return {

@@ -18,8 +18,8 @@ without running detection (for property-based persistence tests).
 
 :mod:`repro.testing.reference` holds the independently-derived
 references the fast paths are checked against: the multi-pass
-extraction pipeline, the stage-3 dynamic program and the scene-tree
-route walk.
+extraction pipeline, the stage-3 dynamic program, the scene-tree
+route walk and the served answer payload.
 """
 
 from .chaos import (

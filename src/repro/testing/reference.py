@@ -10,13 +10,19 @@ and the perf benches compare each with its fast path:
   :func:`repro.sbd.stages.longest_match_run` matches exactly;
 * :func:`largest_scene_walk` — the Sec. 4.2 route as a walk over every
   node, which :meth:`repro.scenetree.nodes.SceneTree.largest_scene_with_representative`
-  matches node for node.
+  matches node for node;
+* :func:`answer_payload` — a served answer built from
+  :class:`~repro.index.table.IndexEntry` objects and scene-tree routes,
+  which ``ServiceEngine._answer_payload`` writes from the index columns
+  byte for byte.
 
 The index's ground truth is the table scan
 :func:`repro.index.query.search`, which ships with the index.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
@@ -27,6 +33,7 @@ from ..scenetree.nodes import SceneNode, SceneTree
 from ..signature.extract import ClipFeatures, SignatureExtractor, _quantize
 
 __all__ = [
+    "answer_payload",
     "largest_scene_walk",
     "longest_match_run_dp",
     "reduce_to_one",
@@ -122,3 +129,44 @@ def largest_scene_walk(tree: SceneTree, frame_index: int | None) -> SceneNode | 
             if best is None or node.level > best.level:
                 best = node
     return best
+
+
+def answer_payload(answer: Any) -> dict[str, Any]:
+    """The served JSON document of one cluster answer, built from its
+    in-process view: ``answer.matches`` entries and ``answer.routes``
+    nodes."""
+    matches = [
+        {
+            "video_id": entry.video_id,
+            "shot_number": entry.shot_number,
+            "shot_id": entry.shot_id,
+            "start_frame": entry.start_frame,
+            "end_frame": entry.end_frame,
+            "var_ba": entry.features.var_ba,
+            "var_oa": entry.features.var_oa,
+            "sqrt_var_ba": entry.sqrt_var_ba,
+            "d_v": entry.d_v,
+            "archetype": entry.archetype,
+        }
+        for entry in answer.matches
+    ]
+    routes = []
+    for route in answer.routes:
+        node = route.node
+        routes.append(
+            {
+                "shot_id": route.entry.shot_id,
+                "scene_node": None if node is None else node.label,
+                "representative_frame": None if node is None else node.representative_frame,
+                "suggestion": route.suggestion,
+            }
+        )
+    return {
+        "count": len(matches),
+        "matches": matches,
+        "routes": routes,
+        "shards_queried": answer.shards_queried,
+        "shards_failed": answer.shards_failed,
+        "shards_recovered": answer.shards_recovered,
+        "partial": answer.partial,
+    }

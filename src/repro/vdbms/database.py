@@ -21,16 +21,16 @@ directory via :meth:`save` / :meth:`load`; one bound to a directory by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, MutableMapping, Sequence
 
 from ..config import PipelineConfig, QueryConfig
 from ..errors import CatalogError, IndexError_, StorageError
-from ..index.columnar import ColumnarVarianceIndex
+from ..index.columnar import ColumnarVarianceIndex, Matches
 from ..index.query import VarianceQuery
 # route_to_scene_nodes stays a name here: the benchmark wraps it.
-from ..index.routing import SceneRoute, route_targets, route_to_scene_nodes  # noqa: F401
+from ..index.routing import SceneRoute, route_to_scene_nodes  # noqa: F401
 from ..index.table import IndexEntry, IndexTable
 from ..obs import current_trace as _current_trace, span as _span
 from ..scenetree.browse import BrowsingSession
@@ -116,25 +116,35 @@ class VideoRecord:
 class QueryAnswer:
     """A similarity query's result: shots plus browsing entry points.
 
-    ``targets`` holds each match's route target
-    (:func:`~repro.index.routing.route_targets`), read with the matches,
-    so a later replace cannot mix trees.  The served path reads them;
-    :attr:`routes` unpacks the trees, only when read.
+    The answer is query ``k`` of its batch's match set ``rows``
+    (:class:`~repro.index.columnar.Matches`), read with each row's
+    packed tree under the shard's read lock, so a later replace cannot
+    mix trees.  The served payload reads the columns; :attr:`matches`
+    builds entries and :attr:`routes` unpacks trees, only when read.
     """
 
-    matches: list[IndexEntry]
-    targets: list[tuple[PackedTree, int] | None] = field(default_factory=list)
+    rows: Matches
+    k: int = 0
 
     def __len__(self) -> int:
-        return len(self.matches)
+        return self.rows.offsets[self.k + 1] - self.rows.offsets[self.k]
+
+    @property
+    def matches(self) -> list[IndexEntry]:
+        """The ranked matches as entries, built on the first read."""
+        return self.rows[self.k]
 
     @property
     def routes(self) -> list[SceneRoute]:
-        """Each match's browsing entry point, as scene-tree nodes."""
-        return [
-            SceneRoute(entry, None if target is None else target[0].node(target[1]))
-            for entry, target in zip(self.matches, self.targets)
-        ]
+        """Each match's browsing entry point, as scene-tree nodes (none
+        when the query ran without routes)."""
+        if self.rows.trees is None:
+            return []
+        routes = []
+        for entry, tree in zip(self.matches, self.rows.trees[self.rows.offsets[self.k] :]):
+            position = -1 if tree is None else tree.target(entry.shot_number - 1)
+            routes.append(SceneRoute(entry, None if position < 0 else tree.node(position)))
+        return routes
 
     @property
     def suggestions(self) -> list[str]:
@@ -309,15 +319,14 @@ class VideoDatabase:
         tolerances for this query only (used by the service layer for
         per-request tolerances).
 
-        ``limit`` caps the answer at the top-k most similar shots.
-        Without a category filter the cap is pushed down into the
-        index (a partition-based top-k over the band instead of a
-        full sort) — the shard-side half of the cluster coordinator's
-        limit pushdown; with one, the filter must see the full ranking
-        first, so the cap applies after it.
+        ``limit`` caps the answer at the top-k most similar shots.  The
+        cap is pushed down into the index (a partition-based top-k over
+        the band instead of a full sort) — the shard-side half of the
+        cluster coordinator's limit pushdown; a category is a mask over
+        the band's rows, applied before it.
 
         ``with_routes=False`` skips the browsing routes and returns
-        answers without targets (``routes == []``) — for callers that
+        answers without trees (``routes == []``) — for callers that
         only need the ranking (a benchmark timing the routes apart from
         the search).
 
@@ -345,14 +354,16 @@ class VideoDatabase:
 
         Equivalent to ``[self.query(ba, oa, ...) for ba, oa in
         points]`` (checked against the scan oracle by the property
-        suite).  A batch of one is traced as the single query it is
-        (``db.query``, not ``db.query_batch``).
+        suite).  The answers share one match set
+        (:meth:`ColumnarVarianceIndex.search_batch`); routing captures
+        each matched row's packed tree.  A batch of one is traced as the
+        single query it is (``db.query``, not ``db.query_batch``).
 
         Args:
             points: ``(var_ba, var_oa)`` pairs, one per query.
-            limit: per-query top-k cap (pushed down into the index
-                when no category filter is active).
-            category: optional classification scope shared by the batch.
+            limit: per-query top-k cap (pushed down into the index).
+            category: optional classification scope shared by the batch,
+                a mask over the index rows.
             config: per-batch alpha/beta override.
             with_routes: as in :meth:`query`.
             exclude_shots: optional per-query exclusions, aligned with
@@ -364,38 +375,27 @@ class VideoDatabase:
         if ctx is not None:
             span = ctx.begin("db.query" if single else "db.query_batch")
         try:
-            batched = self.index.search_batch(
+            scope = None
+            if category is not None:
+                scope = {entry.video_id for entry in self.catalog.in_category(category)}
+            rows = self.index.search_batch(
                 [VarianceQuery(var_ba=ba, var_oa=oa) for ba, oa in points],
                 config=config or self.config.query,
-                limit=limit if category is None else None,
+                limit=limit,
                 exclude_shots=exclude_shots,
+                videos=scope,
             )
-            if category is not None:
-                allowed = {
-                    entry.video_id for entry in self.catalog.in_category(category)
-                }
-                batched = [
-                    [m for m in matches if m.video_id in allowed][:limit]
-                    for matches in batched
-                ]
-                if span is not None:
-                    span.annotate(
-                        category=category.label,
-                        after_filter=sum(map(len, batched)),
-                    )
             if span is not None:
+                if category is not None:
+                    span.annotate(category=category.label, after_filter=len(rows.video_id))
                 if not single:
                     span.annotate(n_queries=len(points))
-                span.annotate(matches=sum(map(len, batched)))
-            if not with_routes:
-                return [QueryAnswer(matches=matches) for matches in batched]
-            with _span("db.routes") as route_span:
-                answers = [
-                    QueryAnswer(matches, route_targets(matches, self._packed))
-                    for matches in batched
-                ]
-                route_span.annotate(routes=sum(len(a.targets) for a in answers))
-            return answers
+                span.annotate(matches=len(rows.video_id))
+            if with_routes:
+                with _span("db.routes") as route_span:
+                    rows.trees = list(map(self._packed.get, rows.video_id))
+                    route_span.annotate(routes=len(rows.trees))
+            return [QueryAnswer(rows, k) for k in range(len(points))]
         finally:
             if span is not None:
                 span.end()

@@ -241,3 +241,42 @@ class TestHTTPTracing:
         status, payload = _get(f"{base}/query?var_ba=80&var_oa=30&limit=2")
         assert status == 200 and "trace_id" not in payload
         assert engine.traces.stats()["recorded"] == before + 1
+
+
+class TestBatchSpans:
+    def test_a_batch_is_one_index_span_per_shard(self):
+        """A traced cluster batch records one ``index.search_batch`` span
+        per shard, the queries' counts summed, and no per-query
+        ``index.search``; a batch of one keeps its ``index.search``."""
+        from repro.cluster import ClusterCoordinator
+        from repro.config import QueryConfig
+
+        cluster = ClusterCoordinator.ephemeral(4, replication=2)
+        source = synth_database(3, n_videos=8)
+        for video_id in source.catalog.ids():
+            cluster.adopt(source.export_video(video_id))
+        points = [(20.0 * k, 390.0 - 20.0 * k) for k in range(16)]
+        config = QueryConfig(alpha=30.0, beta=30.0)
+
+        ctx = TraceContext(name="batch")
+        with tracing(ctx):
+            cluster.query_batch(points, limit=5, config=config)
+        spans = [node for _, node in iter_spans(ctx.finish())]
+        names = [node["name"] for node in spans]
+        assert names.count("index.search_batch") == 4
+        assert "index.search" not in names
+        batch_spans = [node for node in spans if node["name"] == "index.search_batch"]
+        shard_spans = [node for node in spans if node["name"] == "shard.query_batch"]
+        for ann in (node["annotations"] for node in batch_spans):
+            assert ann["n_queries"] == 16
+            assert ann["band_rows"] == ann["candidates"] + ann["pruned"] > 0
+        assert sorted(node["annotations"]["returned"] for node in batch_spans) == sorted(
+            node["annotations"]["matches"] for node in shard_spans
+        )
+
+        ctx = TraceContext(name="single")
+        with tracing(ctx):
+            cluster.query(*points[3], limit=5, config=config)
+        names = [node["name"] for _, node in iter_spans(ctx.finish())]
+        assert names.count("index.search") == 4
+        assert "index.search_batch" not in names
